@@ -22,41 +22,25 @@ from .errors import ConvergenceError, PositivityError
 from .fock import build_fock, vacuum_moments
 from .martingale import (FlowConstants, flow_K_ode_residual,
                          flow_Z_ode_residual, martingale_residual)
-from .measures import (JacobiParams, cdf_grid, moments, mu_lambda_theta,
-                       nu_lambda, nu_lambda_theta, xi_lambda)
+from .measures import JacobiParams, cdf_grid, moments, mu_lambda_theta
 from .recurrence import extract_from_measure
-from .renorm import (RenormKernel, certify_product_dependence, family_gram,
-                     rho_trig, u_combination)
+from .renorm import (FAMILIES, RenormKernel, certify_product_dependence,
+                     family_gram, rho_trig, u_combination)
 from .simulator import (evolve_unitary_bm, jacobi_spectrum, ks_distance,
                         make_state, trace_martingale_series)
 
 REPORT_SCHEMA = "freejacobi/report-v1"
 
-_MEASURE_FAMILIES = ("mu", "nu", "nu_theta", "xi")
-_POLY_FAMILIES = ("Q_lambda", "P_lambda", "Q_lambda_theta")
-
-
-def _measure(family, lam, theta):
-    if family == "mu":
-        return mu_lambda_theta(JacobiParams(lam, theta))
-    if family == "nu":
-        return nu_lambda(lam)
-    if family == "nu_theta":
-        return nu_lambda_theta(JacobiParams(lam, theta))
-    if family == "xi":
-        return xi_lambda(lam)
-    raise ValueError(f"unknown measure family {family!r}")
-
-
-def _family_measure(family, lam, theta):
-    """The orthogonality measure of a named polynomial family."""
-    if family == "Q_lambda":
-        return nu_lambda(lam)
-    if family == "P_lambda":
-        return xi_lambda(lam)
-    if family == "Q_lambda_theta":
-        return nu_lambda_theta(JacobiParams(lam, theta))
-    raise ValueError(f"unknown polynomial family {family!r}")
+_POLY_FAMILIES = tuple(FAMILIES)
+# Measures by name: the stationary law mu and the orthogonality measures of
+# the three polynomial families.
+_MEASURES = {
+    "mu": lambda lam, theta: mu_lambda_theta(JacobiParams(lam, theta)),
+    "nu": FAMILIES["Q_lambda"].measure,
+    "nu_theta": FAMILIES["Q_lambda_theta"].measure,
+    "xi": FAMILIES["P_lambda"].measure,
+}
+_MEASURE_FAMILIES = tuple(_MEASURES)
 
 
 def _fmt(v):
@@ -65,32 +49,30 @@ def _fmt(v):
     return str(v)
 
 
+def _write(text, out):
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w") as fh:
+            fh.write(text)
+
+
 def _write_csv(out, header, rows, head_comments=(), tail_comments=()):
     lines = [f"# {c}" for c in head_comments]
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     lines.extend(f"# {c}" for c in tail_comments)
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
 def _emit_report(report, out):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
 
 
 # -- subcommands --------------------------------------------------------------
 
 def cmd_density(args):
-    m = _measure(args.family, args.lam, args.theta)
+    m = _MEASURES[args.family](args.lam, args.theta)
     lo, hi = m.support
     i = np.arange(args.npoints)
     xs = lo + (hi - lo) * (i + 0.5) / args.npoints
@@ -104,7 +86,7 @@ def cmd_density(args):
 
 
 def cmd_moments(args):
-    m = _measure(args.family, args.lam, args.theta)
+    m = _MEASURES[args.family](args.lam, args.theta)
     mom = moments(m, args.nmax)
     head = [f"family = {args.family}, lambda = {_fmt(args.lam)}, "
             f"theta = {_fmt(args.theta)}"]
@@ -119,8 +101,8 @@ def _suite_orthogonality(args):
     entries = []
     ok = True
     for fam in families:
-        measure = _family_measure(fam, args.lam, args.theta)
         beta, gamma = u_combination(fam, args.lam, args.theta)
+        measure = FAMILIES[fam].measure(args.lam, args.theta)
         gram = family_gram(measure, beta, gamma, args.nmax)
         diag = np.diag(gram)
         max_off = float(np.max(np.abs(gram - np.diag(diag))))
@@ -135,7 +117,7 @@ def _suite_orthogonality(args):
 
 def _suite_renorm(args):
     tol = 1e-10 if args.tol is None else args.tol
-    measure = _measure(args.family, args.lam, args.theta)
+    measure = _MEASURES[args.family](args.lam, args.theta)
     rho = rho_trig if args.rho == "trig" else (lambda u: u)
     kern = RenormKernel(measure, rho=rho)
     verdict, rep = certify_product_dependence(kern, tol=tol)
@@ -146,7 +128,7 @@ def _suite_renorm(args):
 
 def _suite_fock(args):
     tol = 1e-8 if args.tol is None else args.tol
-    measure = _measure(args.family, args.lam, args.theta)
+    measure = _MEASURES[args.family](args.lam, args.theta)
     dim = args.kmax // 2 + 1
     js = extract_from_measure(measure, dim - 1)
     vac = vacuum_moments(build_fock(js, dim), args.kmax)

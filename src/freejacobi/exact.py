@@ -17,6 +17,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+from numpy.polynomial import Polynomial
+
+from .polys import chebyshev_seq
+
 __all__ = [
     "Quad",
     "catalan",
@@ -173,6 +178,20 @@ class Quad:
         return f"Quad({self.a} + {self.b}*sqrt({self.m}))"
 
 
+def exact_sqrt(v):
+    """sqrt(v): the exact element Quad(0, 1, v) for a Fraction v, math.sqrt
+    otherwise, so that one formula serves both scalar types."""
+    if isinstance(v, Fraction):
+        return Quad(0, 1, v)
+    return math.sqrt(v)
+
+
+# The exact polynomial ring: numpy polynomials over object coefficients
+# (Python int, Fraction or Quad), whose arithmetic never rounds.
+X = Polynomial(np.array([0, 1], dtype=object))
+ONE = X ** 0
+
+
 def catalan(k):
     """k-th Catalan number."""
     return math.comb(2 * k, k) // (k + 1)
@@ -216,18 +235,7 @@ def chebyshev_u_exact(n):
     """Monomial coefficients of U_n as exact integers (list of Fraction)."""
     if n < 0:
         return [Fraction(0)]
-    prev = [Fraction(1)]
-    if n == 0:
-        return prev
-    cur = [Fraction(0), Fraction(2)]
-    for _ in range(n - 1):
-        nxt = [Fraction(0)] * (len(cur) + 1)
-        for i, c in enumerate(cur):
-            nxt[i + 1] += 2 * c
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return cur
+    return [Fraction(c) for c in chebyshev_seq(X, n, ONE)[-1].coef]
 
 
 # -- polynomials with Quad coefficients (dense, index = degree) -------------

@@ -25,11 +25,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (Quad, chebyshev_u_exact, mu_half_moments, qp_add,
+from .exact import (ONE, Quad, X, exact_sqrt, mu_half_moments, qp_add,
                     qp_compose_linear, qp_max_abs, qp_scale)
 from .measures import (JacobiParams, cauchy_closed_form_mu, moments,
                        mu_lambda_theta)
 from .polys import Poly, _as_poly
+from .renorm import family_values, u_combination
 
 __all__ = [
     "DriftModel", "drift", "martingale_residual",
@@ -74,64 +75,26 @@ def drift(dm, p):
     and constants are annihilated.  Degree never increases.
     """
     p = _as_poly(p)
-    deg = p.degree
-    if deg < 1:
-        return Poly([0.0])
-    m = dm.m
-    if deg >= m.size:
-        raise ValueError(f"degree {deg} needs moments up to m_{deg}, "
-                         f"model holds {m.size - 1}")
-    lam, th = dm.params.lam, dm.params.theta
-    out = np.zeros(deg + 1)
-    for n in range(1, deg + 1):
-        c = p.coeffs[n]
-        if c == 0.0:
-            continue
-        out[n - 1] += c * n * th * (1.0 - lam)
+    if p.degree >= dm.m.size:
+        raise ValueError(f"degree {p.degree} needs moments up to "
+                         f"m_{p.degree}, model holds {dm.m.size - 1}")
+    return Poly(_drift_coeffs(p.coeffs, dm.params.lam, dm.params.theta, dm.m))
+
+
+def _drift_coeffs(coeffs, lam, th, m):
+    # The monomial action documented on drift(), generic over the scalar
+    # type: floats, or exact Quad coefficients with Fraction lam, th and m.
+    # The model scalars are multiplied together first, so that each term
+    # costs one product with a (possibly Quad) coefficient.
+    out = [0] * len(coeffs)
+    for n in range(1, len(coeffs)):
+        c = coeffs[n]
+        out[n - 1] += c * (n * th * (1 - lam))
         out[n] -= c * n
         for l in range(1, n + 1):
-            term = m[n - l] + 2.0 * (l - 1) * (m[n - l] - m[n - l + 1])
-            out[l - 1] += c * lam * th * term
-    return Poly(out)
-
-
-def _drift_exact(coeffs, lam, mom):
-    # Same monomial action as drift(), over Q(sqrt(m)) at theta = 1/2.
-    half = Fraction(1, 2)
-    deg = len(coeffs) - 1
-    out = [Quad(0) for _ in range(deg + 1)]
-    for n in range(1, deg + 1):
-        c = coeffs[n]
-        if c.is_zero():
-            continue
-        out[n - 1] = out[n - 1] + c * (n * half * (1 - lam))
-        out[n] = out[n] - c * n
-        for l in range(1, n + 1):
-            term = mom[n - l] + 2 * (l - 1) * (mom[n - l] - mom[n - l + 1])
-            out[l - 1] = out[l - 1] + c * (lam * half * term)
+            term = m[n - l] + 2 * (l - 1) * (m[n - l] - m[n - l + 1])
+            out[l - 1] += c * (lam * th * term)
     return out
-
-
-def _family_u_combination(lam, q, n, family, a_variant):
-    """Coefficients (monomial basis, Quad entries) of the degree-n member of
-    the chosen Chebyshev-U combination."""
-    u_n = chebyshev_u_exact(n)
-    u_n1 = chebyshev_u_exact(n - 1)
-    u_n2 = chebyshev_u_exact(n - 2)
-    if family == "P_lambda":
-        if a_variant == "sqrt":
-            a = Quad(0, (1 - lam) / q, q)   # (1-lam)/sqrt(q)
-        elif a_variant == "rational":
-            a = Quad((1 - lam) / q)
-        else:
-            raise ValueError(f"unknown a_variant {a_variant!r}")
-        combo = qp_add(qp_add(u_n, qp_scale(u_n1, -2 * a)),
-                       qp_scale(u_n2, -1))
-    elif family == "Q_lambda":
-        combo = qp_add(u_n, qp_scale(u_n2, -lam / (2 - lam)))
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return [c if isinstance(c, Quad) else Quad(c) for c in combo]
 
 
 def martingale_residual(lam, n, family="P_lambda", a_variant="sqrt"):
@@ -151,16 +114,15 @@ def martingale_residual(lam, n, family="P_lambda", a_variant="sqrt"):
     if n < 1:
         raise ValueError("n must be >= 1")
     lamF = Fraction(lam)
-    if not 0 < lamF <= 1:
-        raise ValueError("lam must lie in (0, 1]")
-    q = lamF * (2 - lamF)
-    combo = _family_u_combination(lamF, q, n, family, a_variant)
-    # x -> (2x-1)/sqrt(q): l0 = -sqrt(q)/q, l1 = 2 sqrt(q)/q.
-    l0 = Quad(0, Fraction(-1) / q, q)
-    l1 = Quad(0, Fraction(2) / q, q)
-    q_n = qp_compose_linear(combo, l0, l1)
+    beta, gamma = u_combination(family, lamF, a_variant=a_variant)
+    (f_n,) = family_values(X, [n], beta, gamma, ONE)
+    # x -> (2x-1)/sqrt(q) with q = lam(2-lam).
+    rq = exact_sqrt(lamF * (2 - lamF))
+    q_n = qp_compose_linear([Quad._coerce(c) for c in f_n.coef], -1 / rq,
+                            2 / rq)
     mom = mu_half_moments(lamF, n)
-    resid = qp_add(_drift_exact(q_n, lamF, mom), qp_scale(q_n, n))
+    resid = qp_add(_drift_coeffs(q_n, lamF, Fraction(1, 2), mom),
+                   qp_scale(q_n, n))
     return qp_max_abs(resid)
 
 
@@ -258,20 +220,10 @@ def flow_K_ode_residual(fc, lam, theta, t, variant="displayed", step=1e-6):
 
 
 def cauchy_mu_half(lam, z):
-    """Cauchy transform of the stationary law at theta = 1/2:
+    """Cauchy transform of the stationary law at theta = 1/2,
 
-        G(z) = ((1-lam)(2z-1) - sqrt(4z^2 - 4z + (1-lam)^2)) / (2 lam z (1-z))
+        G(z) = ((1-lam)(2z-1) - sqrt(4z^2 - 4z + (1-lam)^2)) / (2 lam z (1-z)),
 
-    for z outside [0, 1].  The radicand factors through z_pm = (1 +-
-    sqrt(lam(2-lam)))/2 and the root is taken factor-by-factor, which places
-    the branch cut exactly on [z_-, z_+] and yields G(z) ~ 1/z at infinity.
+    for z outside [0, 1]: ``cauchy_closed_form_mu`` at (lam, 1/2).
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("lam must lie in (0, 1]")
-    z = complex(z)
-    if z.imag == 0.0 and 0.0 <= z.real <= 1.0:
-        raise ValueError(f"z = {z} lies in [0, 1]")
-    rq = math.sqrt(lam * (2.0 - lam))
-    w = 2.0 * np.sqrt(z - 0.5 * (1.0 + rq)) * np.sqrt(z - 0.5 * (1.0 - rq))
-    num = (1.0 - lam) * (2.0 * z - 1.0) - w
-    return complex(num / (2.0 * lam * z * (1.0 - z)))
+    return cauchy_closed_form_mu(JacobiParams(lam, 0.5), z)

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import ConvergenceError
+from .exact import exact_sqrt
 
 __all__ = [
     "JacobiParams",
@@ -277,15 +278,16 @@ def xi_shift(lam, variant="sqrt"):
     variant="sqrt" is (1-lam)/sqrt(lam(2-lam)), the value consistent with
     the displayed xi density (verified by recurrence extraction and by the
     drift negative control); variant="rational" is the alternative
-    (1-lam)/(lam(2-lam)) kept as a negative control.
+    (1-lam)/(lam(2-lam)) kept as a negative control.  A Fraction lam gives
+    the exact value, an element of Q(sqrt(lam(2-lam))).
     """
-    if not 0.0 < lam <= 1.0:
+    if not 0 < lam <= 1:
         raise ValueError(f"lam = {lam} outside (0, 1]")
-    q = lam * (2.0 - lam)
+    q = lam * (2 - lam)
     if variant == "sqrt":
-        return (1.0 - lam) / math.sqrt(q)
+        return (1 - lam) / exact_sqrt(q)
     if variant == "rational":
-        return (1.0 - lam) / q
+        return (1 - lam) / q
     raise ValueError(f"unknown variant {variant!r}")
 
 

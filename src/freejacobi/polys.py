@@ -117,22 +117,31 @@ def _as_poly(p):
     return Poly(p)
 
 
-def chebyshev_U(n):
-    """Second-kind Chebyshev polynomial U_n via 2x*U_n = U_{n+1} + U_{n-1}."""
-    n = operator.index(n)
+def chebyshev_seq(x, n, one=1, before=0):
+    """[R_0(x), ..., R_n(x)] of the Chebyshev recurrence
+
+        R_{k+1} = 2x R_k - R_{k-1},    R_0 = one,  R_{-1} = before,
+
+    the package's one copy of it.  before = 0 gives U_n and before = x gives
+    T_n.  Generic over the element type of x: a float array (values at
+    nodes, one numpy pass per degree), a Poly, or an exact polynomial.
+    """
     if n < 0:
-        raise ValueError("n must be nonnegative; see chebyshev_U_ext for the "
-                         "U_{-1} = U_{-2} = 0 convention")
-    prev = np.array([1.0])           # U_0
-    if n == 0:
-        return Poly(prev)
-    cur = np.array([0.0, 2.0])       # U_1
-    for _ in range(n - 1):
-        nxt = np.zeros(cur.size + 1)
-        nxt[1:] = 2.0 * cur
-        nxt[: prev.size] -= prev
-        prev, cur = cur, nxt
-    return Poly(cur)
+        raise ValueError(f"degree n = {n} must be nonnegative")
+    out = [one]
+    for _ in range(n):
+        before, one = one, 2 * x * one - before
+        out.append(one)
+    return out
+
+
+_X = Poly([0.0, 1.0])
+
+
+def chebyshev_U(n):
+    """Second-kind Chebyshev polynomial U_n via 2x*U_n = U_{n+1} + U_{n-1};
+    n >= 0 (see chebyshev_U_ext for the U_{-1} = U_{-2} = 0 convention)."""
+    return _as_poly(chebyshev_seq(_X, operator.index(n))[-1])
 
 
 def chebyshev_U_ext(n):
@@ -145,19 +154,7 @@ def chebyshev_U_ext(n):
 
 def chebyshev_T(n):
     """First-kind Chebyshev polynomial T_n (satisfies 2T_n = U_n - U_{n-2})."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    prev = np.array([1.0])           # T_0
-    if n == 0:
-        return Poly(prev)
-    cur = np.array([0.0, 1.0])       # T_1
-    for _ in range(n - 1):
-        nxt = np.zeros(cur.size + 1)
-        nxt[1:] = 2.0 * cur
-        nxt[: prev.size] -= prev
-        prev, cur = cur, nxt
-    return Poly(cur)
+    return _as_poly(chebyshev_seq(_X, operator.index(n), before=_X)[-1])
 
 
 def eval_three_term(alpha, omega, n, x):

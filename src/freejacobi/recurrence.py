@@ -13,13 +13,13 @@ moments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, PositivityError
-from .measures import _sin_nodes, xi_shift
+from .measures import _sin_nodes
+from .renorm import u_combination
 
 __all__ = ["JacobiSzego", "stated_params", "extract_from_measure", "monicize"]
 
@@ -43,40 +43,23 @@ class JacobiSzego:
 
 
 def stated_params(family, lam=None, theta=None, n_max=12):
-    """Closed-form Jacobi-Szego parameters of the three polynomial families.
+    """Closed-form Jacobi-Szego parameters of the three polynomial families:
+    the monic recurrence of the combination U_n + beta U_{n-1} + gamma
+    U_{n-2} at the tabulated weights (see ``FAMILIES``), alpha_0 = -beta/2,
+    omega_1 = (1-gamma)/4, every other alpha 0 and every other omega 1/4.
 
-    family = "Q_lambda":       alpha = 0,    omega_1 = 1/(2(2-lam)), rest 1/4
-    family = "P_lambda":       alpha_0 = a(lam), omega_1 = 1/2,      rest 1/4
-    family = "Q_lambda_theta": alpha_0 = b,  omega_1 = c/2,          rest 1/4
-
-    with a(lam) = sqrt((1-lam)/(lam(2-lam))), c = 1/(2(1-lam theta)) and
-    b = sqrt(lam/((1-theta)(1-lam theta))) (2 theta - 1) as tabulated.
-
-    Caution: the tabulated b is twice the first moment of nu_{lam,theta},
-    so for theta != 1/2 this alpha_0 is NOT the extraction fixed point —
-    ``extract_from_measure(nu_lambda_theta(p), ...)`` returns alpha_0 = b/2.
-    The orthogonal family itself is built by ``build_Q_lambda_theta`` with
-    its default b_variant="mean".
+    Caution: the tabulated Q_lambda_theta shift b is twice the first moment
+    of nu_{lam,theta}, so for theta != 1/2 this alpha_0 is NOT the
+    extraction fixed point -- ``extract_from_measure(nu_lambda_theta(p),
+    ...)`` returns alpha_0 = b/2.  The orthogonal family itself is built by
+    ``build_Q_lambda_theta`` with its default b_variant="mean".
     """
+    beta, gamma = u_combination(family, lam, theta, b_variant="twice")
     alpha = np.zeros(n_max + 1)
     omega = np.full(n_max, 0.25)
-    if family == "Q_lambda":
-        if not 0.0 < lam <= 1.0:
-            raise ValueError(f"lam = {lam} outside (0, 1]")
-        if n_max >= 1:
-            omega[0] = 1.0 / (2.0 * (2.0 - lam))
-    elif family == "P_lambda":
-        alpha[0] = xi_shift(lam)
-        if n_max >= 1:
-            omega[0] = 0.5
-    elif family == "Q_lambda_theta":
-        if not (0.0 < theta <= 0.5 and 0.0 < lam <= 1.0):
-            raise ValueError(f"invalid (lam, theta) = ({lam}, {theta})")
-        alpha[0] = math.sqrt(lam / ((1.0 - theta) * (1.0 - lam * theta))) * (2.0 * theta - 1.0)
-        if n_max >= 1:
-            omega[0] = 1.0 / (4.0 * (1.0 - lam * theta))
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    alpha[0] = -beta / 2
+    if n_max >= 1:
+        omega[0] = (1 - gamma) / 4
     return JacobiSzego(alpha, omega)
 
 

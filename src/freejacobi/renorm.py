@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .measures import _integrate_ac, cauchy_transform, xi_shift
-from .polys import chebyshev_U_ext
+from .exact import exact_sqrt
+from .measures import (JacobiParams, _integrate_ac, cauchy_transform,
+                       nu_lambda, nu_lambda_theta, xi_lambda, xi_shift)
+from .polys import _X, _as_poly, chebyshev_seq
 
 __all__ = [
     "RenormKernel",
@@ -179,6 +182,50 @@ def rho_trig_identity_check(u, v):
 #     F_n = U_n + beta U_{n-1} + gamma U_{n-2},
 # i.e. the Taylor coefficients in u of (1 + beta u + gamma u^2)/(1 - 2ux + u^2).
 
+@dataclass(frozen=True, eq=False)
+class Family:
+    """One entry of FAMILIES: the weights (beta, gamma) of the combination
+    as a function of (lam, theta, a_variant, b_variant), generic over the
+    scalar type (a Fraction lam gives exact weights with an exact square
+    root), and the orthogonality measure as a function of (lam, theta)."""
+
+    weights: object
+    measure: object
+    needs_theta: bool = False
+
+
+def _general_theta_weights(lam, theta, a_variant, b_variant):
+    # b, the first moment of nu_{lam,theta} ("mean") or twice it ("twice",
+    # as tabulated), and c = 1/(2(1 - lam theta)).
+    b = exact_sqrt(lam / ((1 - theta) * (1 - lam * theta))) \
+        * (2 * theta - 1) / 2
+    if b_variant == "twice":
+        b = 2 * b
+    c = 1 / (2 * (1 - lam * theta))
+    return -2 * b, 1 - 2 * c
+
+
+# The three polynomial families.  P_lambda's weight is -2 a(lam) with
+# a(lam) = xi_shift(lam) = (1-lam)/sqrt(lam(2-lam)) (a_variant="sqrt") or the
+# control value (1-lam)/(lam(2-lam)) (a_variant="rational").  The tabulated
+# Jacobi-Szego data of each family (``stated_params``) are the recurrence of
+# its combination at the tabulated weights (b_variant="twice"):
+# alpha_0 = -beta/2, omega_1 = (1-gamma)/4, then alpha = 0 and omega = 1/4.
+FAMILIES = MappingProxyType({
+    "Q_lambda": Family(
+        weights=lambda lam, theta, a_variant, b_variant: (0, -lam / (2 - lam)),
+        measure=lambda lam, theta: nu_lambda(lam)),
+    "P_lambda": Family(
+        weights=lambda lam, theta, a_variant, b_variant:
+            (-2 * xi_shift(lam, a_variant), -1),
+        measure=lambda lam, theta: xi_lambda(lam)),
+    "Q_lambda_theta": Family(
+        weights=_general_theta_weights,
+        measure=lambda lam, theta: nu_lambda_theta(JacobiParams(lam, theta)),
+        needs_theta=True),
+})
+
+
 def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
     """Weights (beta, gamma) of the named family's Chebyshev combination.
 
@@ -187,38 +234,33 @@ def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
     family = "Q_lambda_theta": (-2 b,       1 - 2c)
 
     with a(lam) per ``xi_shift(lam, a_variant)`` and b, c per
-    ``build_Q_lambda_theta`` (b depends on b_variant).
+    ``build_Q_lambda_theta`` (b depends on b_variant).  This is where the
+    family name, the variants and the parameter domain are checked: lam in
+    (0, 1], and for Q_lambda_theta a theta that JacobiParams accepts
+    (theta <= 1/2).
     """
-    if family == "Q_lambda":
-        if not 0.0 < lam <= 1.0:
-            raise ValueError(f"lam = {lam} outside (0, 1]")
-        return 0.0, -lam / (2.0 - lam)
-    if family == "P_lambda":
-        return -2.0 * xi_shift(lam, variant=a_variant), -1.0
-    if family == "Q_lambda_theta":
-        if b_variant not in ("mean", "twice"):
-            raise ValueError(f"unknown b_variant {b_variant!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if a_variant not in ("sqrt", "rational"):
+        raise ValueError(f"unknown a_variant {a_variant!r}")
+    if b_variant not in ("mean", "twice"):
+        raise ValueError(f"unknown b_variant {b_variant!r}")
+    if not 0 < lam <= 1:
+        raise ValueError(f"lam = {lam} outside (0, 1]")
+    entry = FAMILIES[family]
+    if entry.needs_theta:
         if theta is None:
-            raise ValueError("Q_lambda_theta requires theta")
-        b = 0.5 * math.sqrt(lam / ((1.0 - theta) * (1.0 - lam * theta))) \
-            * (2.0 * theta - 1.0)
-        if b_variant == "twice":
-            b = 2.0 * b
-        c = 1.0 / (2.0 * (1.0 - lam * theta))
-        return -2.0 * b, 1.0 - 2.0 * c
-    raise ValueError(f"unknown family {family!r}")
+            raise ValueError(f"{family} requires theta")
+        JacobiParams(lam, theta)
+    return entry.weights(lam, theta, a_variant, b_variant)
 
 
-def _family_table(x, beta, gamma, n_max):
-    """Values F_0(x)..F_{n_max}(x) (rows) via the Chebyshev recurrence."""
-    u = np.empty((n_max + 3,) + x.shape)
-    u[0] = u[1] = 0.0          # U_{-2} and U_{-1}
-    u[2] = 1.0
-    if n_max >= 1:
-        u[3] = 2.0 * x
-    for k in range(4, n_max + 3):
-        u[k] = 2.0 * x * u[k - 1] - u[k - 2]
-    return u[2:] + beta * u[1:-1] + gamma * u[:-2]
+def family_values(x, degrees, beta, gamma, one=1):
+    """[F_k(x) for k in degrees] of F_k = U_k + beta U_{k-1} + gamma U_{k-2}
+    (U_{-1} = U_{-2} = 0), for any element type chebyshev_seq accepts;
+    ``one`` is the unit of that type."""
+    u = [0, 0] + chebyshev_seq(x, max(degrees), one)
+    return [u[k + 2] + beta * u[k + 1] + gamma * u[k] for k in degrees]
 
 
 def family_gram(measure, beta, gamma, n_max):
@@ -234,36 +276,35 @@ def family_gram(measure, beta, gamma, n_max):
     iu, ju = np.triu_indices(n_max + 1)
 
     def pair_values(x):
-        fam = _family_table(np.asarray(x, dtype=float), beta, gamma, n_max)
+        x = np.asarray(x, dtype=float)
+        fam = np.array(family_values(x, range(n_max + 1), beta, gamma,
+                                     np.ones_like(x)))
         return fam[iu] * fam[ju]
 
     vals = np.asarray(_integrate_ac(measure, pair_values), dtype=float)
     for x0, w0 in measure.atoms:
-        fam = _family_table(np.asarray([float(x0)]), beta, gamma, n_max)[:, 0]
-        vals = vals + w0 * fam[iu] * fam[ju]
+        vals = vals + w0 * pair_values([x0])[:, 0]
     g = np.zeros((n_max + 1, n_max + 1))
     g[iu, ju] = vals
     g[ju, iu] = vals
     return g
 
 
+def _build(family, n, lam, theta=None, **variant):
+    beta, gamma = u_combination(family, lam, theta, **variant)
+    return _as_poly(family_values(_X, [n], beta, gamma)[0])
+
+
 def build_Q_lambda(lam, n):
     """Q_n = U_n - (lam/(2-lam)) U_{n-2}; Taylor coefficients in u of
     (1 - (lam/(2-lam)) u^2) / (1 - 2ux + u^2)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    beta, gamma = u_combination("Q_lambda", lam)
-    return chebyshev_U_ext(n) + gamma * chebyshev_U_ext(n - 2)
+    return _build("Q_lambda", n, lam)
 
 
 def build_P_lambda(lam, n, a_variant="sqrt"):
     """P_n = U_n - 2 a(lam) U_{n-1} - U_{n-2}; Taylor coefficients in u of
     (1 - 2 a(lam) u - u^2) / (1 - 2ux + u^2)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    beta, gamma = u_combination("P_lambda", lam, a_variant=a_variant)
-    return (chebyshev_U_ext(n) + beta * chebyshev_U_ext(n - 1)
-            + gamma * chebyshev_U_ext(n - 2))
+    return _build("P_lambda", n, lam, a_variant=a_variant)
 
 
 def build_Q_lambda_theta(p, n, b_variant="mean"):
@@ -280,9 +321,4 @@ def build_Q_lambda_theta(p, n, b_variant="mean"):
     combination fails orthogonality whenever theta != 1/2 and is kept as a
     negative control.  The variants coincide at theta = 1/2 (b = 0).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    beta, gamma = u_combination("Q_lambda_theta", p.lam, p.theta,
-                                b_variant=b_variant)
-    return (chebyshev_U_ext(n) + beta * chebyshev_U_ext(n - 1)
-            + gamma * chebyshev_U_ext(n - 2))
+    return _build("Q_lambda_theta", n, p.lam, p.theta, b_variant=b_variant)

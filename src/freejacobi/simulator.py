@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .renorm import family_values, u_combination
+
 __all__ = [
     "MatrixProcessState", "sample_haar_unitary", "evolve_unitary_bm",
     "make_state", "jacobi_spectrum", "ks_distance", "trace_martingale_series",
@@ -133,32 +135,6 @@ def ks_distance(sample, xs, cdf):
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
 
 
-def _u_triplet(n, x):
-    # (U_n, U_{n-1}, U_{n-2})(x) by the forward recurrence, U_{-k} = 0.
-    zero = np.zeros_like(x)
-    if n == 0:
-        return np.ones_like(x), zero, zero
-    a, b = np.ones_like(x), 2.0 * x
-    if n == 1:
-        return b, a, zero
-    prev2 = zero
-    for _ in range(n - 1):
-        a, b, prev2 = b, 2.0 * x * b - a, a
-    return b, a, prev2
-
-
-def _family_values(lam, n, x, family, a_variant):
-    u_n, u_n1, u_n2 = _u_triplet(n, x)
-    if family == "P_lambda":
-        q = lam * (2.0 - lam)
-        a = (1.0 - lam) / math.sqrt(q) if a_variant == "sqrt" \
-            else (1.0 - lam) / q
-        return u_n - 2.0 * a * u_n1 - u_n2
-    if family == "Q_lambda":
-        return u_n - lam / (2.0 - lam) * u_n2
-    raise ValueError(f"unknown family {family!r}")
-
-
 def trace_martingale_series(lam, n, times, trials, d, seed=0, theta=0.5,
                             dt=1e-2, family="P_lambda", a_variant="sqrt"):
     """Monte Carlo series [(t, mean, stderr)] of the rescaled trace statistic
@@ -175,6 +151,7 @@ def trace_martingale_series(lam, n, times, trials, d, seed=0, theta=0.5,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    beta, gamma = u_combination(family, lam, a_variant=a_variant)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ts = sorted(float(t) for t in times)
@@ -195,7 +172,8 @@ def trace_martingale_series(lam, n, times, trials, d, seed=0, theta=0.5,
                 t_now += steps * dt
             vals = jacobi_spectrum(replace(state, Y=y))
             s = (2.0 * vals - 1.0) / math.sqrt(q)
-            stat = np.mean(_family_values(lam, n, s, family, a_variant))
+            (f_n,) = family_values(s, [n], beta, gamma, np.ones_like(s))
+            stat = np.mean(f_n)
             per_trial[i, j] = math.exp(n * t_now) * stat
     means = per_trial.mean(axis=0)
     if trials > 1:

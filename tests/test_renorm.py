@@ -1,6 +1,7 @@
 """Theta kernels, product-dependence certification, generating families."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from freejacobi import (
     xi_lambda,
     xi_shift,
 )
+from freejacobi.exact import ONE, X
+from freejacobi.renorm import family_values
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,8 @@ def test_u_combination_errors():
         u_combination("Q_lambda_theta", 0.5, 0.4, b_variant="thrice")
     with pytest.raises(ValueError):
         u_combination("Q_lambda", 1.5)
+    with pytest.raises(ValueError):
+        u_combination("Q_lambda_theta", 0.5, 0.6)  # theta > 1/2
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +347,49 @@ def test_builders_leading_coefficient():
     for n in range(1, 7):
         assert build_Q_lambda(0.7, n).leading == pytest.approx(2.0 ** n)
         assert build_P_lambda(0.7, n).leading == pytest.approx(2.0 ** n)
+
+
+# ---------------------------------------------------------------------------
+# One family, three paths
+
+
+_CROSS_PATH_CASES = [
+    (fam, lam, th, variant)
+    for lam in (0.3, 0.6, 1.0)
+    for fam, th, variant in (
+        ("Q_lambda", None, {}),
+        ("P_lambda", None, {"a_variant": "sqrt"}),
+        ("P_lambda", None, {"a_variant": "rational"}),
+        ("Q_lambda_theta", 0.4, {"b_variant": "mean"}),
+        ("Q_lambda_theta", 0.4, {"b_variant": "twice"}),
+        ("Q_lambda_theta", 0.5, {"b_variant": "mean"}),
+        ("Q_lambda_theta", 0.5, {"b_variant": "twice"}),
+    )
+]
+
+
+@pytest.mark.parametrize("fam, lam, th, variant", _CROSS_PATH_CASES)
+def test_family_paths_agree(fam, lam, th, variant):
+    # The Poly of build_*, the exact coefficients of the martingale path
+    # (before the linear map) and the vectorized node values of family_gram
+    # and the simulator all come from the one table entry and must agree.
+    x = np.cos(np.linspace(0.0, np.pi, 20))
+    n_max = 8
+    beta, gamma = u_combination(fam, lam, th, **variant)
+    vectorized = family_values(x, range(n_max + 1), beta, gamma,
+                               np.ones_like(x))
+    exact_weights = u_combination(
+        fam, Fraction(lam), None if th is None else Fraction(th), **variant)
+    for n in range(n_max + 1):
+        if fam == "Q_lambda_theta":
+            poly = build_Q_lambda_theta(JacobiParams(lam, th), n, **variant)
+        elif fam == "P_lambda":
+            poly = build_P_lambda(lam, n, **variant)
+        else:
+            poly = build_Q_lambda(lam, n)
+        (exact,) = family_values(X, [n], *exact_weights, ONE)
+        from_exact = np.polynomial.polynomial.polyval(
+            x, [float(c) for c in exact.coef])
+        np.testing.assert_allclose(poly(x), vectorized[n], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(from_exact, vectorized[n], rtol=0,
+                                   atol=1e-12)

@@ -177,3 +177,6 @@ def test_trace_series_input_checks():
     with pytest.raises(ValueError):
         trace_martingale_series(0.5, 2, [0.0], trials=2, d=16,
                                 family="R_lambda")
+    with pytest.raises(ValueError):
+        trace_martingale_series(0.5, 2, [0.0], trials=2, d=16,
+                                a_variant="bogus")
