@@ -15,6 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from freejacobi import JacobiParams
 from freejacobi.cli import main as fj_main
 
 
@@ -57,7 +58,9 @@ def main(argv=None):
         report = Path(tmp) / "report.json"
         for lam in lambdas:
             for th in thetas:
-                if th > 1.0 / (lam + 1.0) + 1e-12:
+                try:
+                    JacobiParams(lam, th)
+                except ValueError:
                     continue
                 base = ["--lambda", str(lam), "--theta", str(th)]
                 runs = [

@@ -1,21 +1,20 @@
 """Spectral measures: constructors, moments, Cauchy transforms, inversion.
 
 Every absolutely continuous density handled here behaves like
-sqrt((hi - x)(x - lo)) or its inverse at the support edges, so all
-quadrature goes through the substitution x = c + h*sin(phi): the cos(phi)
-Jacobian absorbs inverse-square-root edge singularities and Gauss-Legendre
-in phi then converges spectrally.  Node counts double until two successive
-passes agree.
+sqrt((hi - x)(x - lo)) or its inverse at the support edges, and some have
+poles just outside them.  All adaptive quadrature therefore uses the
+double-exponential (tanh-sinh) substitution x = c + h*tanh((pi/2) sinh t):
+the Jacobian decays double-exponentially at both ends, which absorbs any
+algebraic edge behaviour, and the trapezoid rule in t then converges
+exponentially.  Node counts double until two successive passes agree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import ConvergenceError
 from .exact import exact_sqrt
@@ -43,8 +42,9 @@ _HALF_PI = 0.5 * np.pi
 class JacobiParams:
     """Parameter pair (lam, theta) of the stationary process.
 
-    Restricted to the injective regime 1/theta >= lam + 1, where the
-    stationary spectral measure has no atoms.
+    The domain is 0 < lam <= 1 and 0 < theta <= 1/2.  It lies inside the
+    injective regime theta <= 1/(lam + 1), where the stationary spectral
+    measure has no atoms.
     """
 
     lam: float
@@ -85,7 +85,10 @@ class SpectralMeasure:
     # ulp of x itself, so a density with an inverse-square-root edge cannot
     # be evaluated accurately (or at all) from the rounded x alone; the
     # quadrature computes the distances in closed form and prefers this
-    # evaluator when present.
+    # evaluator when present.  The tanh-sinh nodes reach within ~1e-37 of
+    # each edge, so such a density needs this evaluator: from x alone it is
+    # infinite where x has rounded onto the edge, and the quadrature ends
+    # with ConvergenceError.
     density_edges: object = None
 
     def __post_init__(self):
@@ -119,60 +122,61 @@ class SpectralMeasure:
         return sum(w for _, w in self.atoms)
 
     def total_mass(self):
-        ac = _integrate_ac(self, lambda x: np.ones_like(x)) if self.support_hi > self.support_lo else 0.0
+        ac = _integrate_ac(self, lambda x: np.ones_like(x))
         return float(np.real(ac)) + self.atom_weight()
 
 
-@lru_cache(maxsize=64)
-def _leggauss(n):
-    # scipy's Newton/asymptotic solver is O(n); numpy's companion-matrix
-    # route allocates n^2 floats, which is unusable at the node counts the
-    # doubling loop can reach near the support.
-    return roots_legendre(n)
-
-
 def _sin_nodes(lo, hi, n):
-    """Gauss-Legendre nodes/weights after x = c + h sin(phi).
+    """Tanh-sinh nodes and weights on [lo, hi]: a midpoint trapezoid with n
+    nodes in t on [-4, 4] after x = c + h tanh(u), u = (pi/2) sinh t.
 
     Besides the nodes x and the Jacobian-weight product, returns the edge
-    distances x - lo and hi - x in half-angle form (2h cos^2 u and
-    2h sin^2 u for u = pi/4 - phi/2), which keeps full relative precision
-    where x itself has rounded onto an endpoint.
+    distances x - lo = 2h/(1 + e^{-2u}) and hi - x = 2h/(1 + e^{2u}), which
+    keep full relative precision where x itself has rounded onto an
+    endpoint.  At t = +-4 those distances are about 1e-37 h, so the
+    truncated tails are negligible for every integrable algebraic edge.
     """
-    t, w = _leggauss(n)
     c, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    phi = _HALF_PI * t
-    x = c + h * np.sin(phi)
-    jac = _HALF_PI * h * np.cos(phi) * w
-    u = 0.25 * np.pi - 0.5 * phi
-    dlo = 2.0 * h * np.cos(u) ** 2
-    dhi = 2.0 * h * np.sin(u) ** 2
+    step = 8.0 / n
+    t = -4.0 + step * (np.arange(n) + 0.5)
+    u = _HALF_PI * np.sinh(t)
+    x = c + h * np.tanh(u)
+    jac = step * h * _HALF_PI * np.cosh(t) / np.cosh(u) ** 2
+    dlo = 2.0 * h / (1.0 + np.exp(-2.0 * u))
+    dhi = 2.0 * h / (1.0 + np.exp(2.0 * u))
     return x, jac, dlo, dhi
 
 
-def _integrate_ac(m, f, tol=1e-11, n0=64, n_max=1 << 17):
-    """Integral of f(x) against the a.c. part of m, by node doubling.
+def _ac_nodes(m, n):
+    """Nodes x and weights (density times Jacobian) of the n-node rule for
+    the a.c. part of m; the edge-distance evaluator is preferred when m has
+    one, and a degenerate support has no nodes."""
+    lo, hi = m.support
+    if hi <= lo:
+        return np.zeros(0), np.zeros(0)
+    x, jac, dlo, dhi = _sin_nodes(lo, hi, n)
+    if m.density_edges is not None:
+        return x, m.density_edges(x, dlo, dhi) * jac
+    return x, m.density(x) * jac
+
+
+def _integrate_ac(m, f, tol=1e-11, n_max=1 << 17):
+    """Integral of f(x) against the a.c. part of m, by tanh-sinh node
+    doubling from 64 nodes.
 
     f may return an array whose last axis matches x (all components are
     integrated in one pass); convergence requires every component to move by
-    at most tol * max(1, |value|) under one doubling.
+    less than tol * max(1, |value|) under one doubling.
     """
     lo, hi = m.support
-    if hi <= lo:
-        x = np.asarray([lo])
-        return np.sum(np.asarray(f(x)) * 0.0, axis=-1)
     prev = None
-    n = n0
+    n = 64
     while n <= n_max:
-        x, jac, dlo, dhi = _sin_nodes(lo, hi, n)
-        if m.density_edges is not None:
-            dens = m.density_edges(x, dlo, dhi)
-        else:
-            dens = m.density(x)
-        vals = np.sum(np.asarray(f(x)) * (dens * jac), axis=-1)
+        x, w = _ac_nodes(m, n)
+        vals = np.sum(np.asarray(f(x)) * w, axis=-1)
         if prev is not None:
             scale = max(1.0, float(np.max(np.abs(vals))))
-            if np.max(np.abs(vals - prev)) <= tol * scale:
+            if np.max(np.abs(vals - prev)) < tol * scale:
                 return vals
         prev = vals
         n *= 2
@@ -326,14 +330,10 @@ def moments(m, n_max, tol=1e-10):
         raise ValueError("n_max must be nonnegative")
     ks = np.arange(n_max + 1)
 
-    lo, hi = m.support
-    if hi > lo:
-        def powers(x):
-            return x[None, :] ** ks[:, None]
+    def powers(x):
+        return x[None, :] ** ks[:, None]
 
-        ac = _integrate_ac(m, powers, tol=tol)
-    else:
-        ac = np.zeros(n_max + 1)
+    ac = _integrate_ac(m, powers, tol=tol)
     for x, w in m.atoms:
         ac = ac + w * np.float64(x) ** ks
     return np.asarray(ac, dtype=float)
@@ -342,8 +342,10 @@ def moments(m, n_max, tol=1e-10):
 def cauchy_transform(m, z, tol=1e-12):
     """G(z) = int (z - x)^{-1} dm(x) for z off the support.
 
-    Works arbitrarily close to the support (node doubling resolves the peak)
-    but rejects z exactly on the a.c. interval or on an atom.
+    Works close to the support as long as node doubling resolves the kernel
+    peak, and signals ConvergenceError once the node budget cannot (inside
+    the support at a distance of about 1e-9, say).  Rejects z exactly on the
+    a.c. interval or on an atom.
     """
     z = complex(z)
     lo, hi = m.support
@@ -353,12 +355,10 @@ def cauchy_transform(m, z, tol=1e-12):
         if z == complex(x):
             raise ValueError(f"z = {z} coincides with an atom")
 
-    val = 0.0 + 0.0j
-    if hi > lo:
-        def kern(x):
-            return 1.0 / (z - x)
+    def kern(x):
+        return 1.0 / (z - x)
 
-        val = complex(_integrate_ac(m, kern, tol=tol))
+    val = complex(_integrate_ac(m, kern, tol=tol))
     for x, w in m.atoms:
         val += w / (z - x)
     return val

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PositivityError
-from .measures import _sin_nodes
+from .measures import _ac_nodes
 from .renorm import u_combination
 
 __all__ = ["JacobiSzego", "stated_params", "extract_from_measure", "monicize"]
@@ -87,35 +87,26 @@ def _stieltjes_discretized(xs, ws, n_max):
 
 def extract_from_measure(m, n_max, tol=1e-10):
     """Jacobi-Szego parameters (alpha_0..alpha_{n_max}, omega_1..omega_{n_max})
-    of a spectral measure, via the Stieltjes procedure on a sin-substituted
-    Gauss discretization (atoms join as exact point masses).
+    of a spectral measure, via the Stieltjes procedure on the tanh-sinh
+    discretization of the a.c. part (atoms join as exact point masses).
 
-    The discretization doubles until the coefficients settle to tol;
-    ConvergenceError is raised otherwise, PositivityError if orthogonality
-    collapses (quadrature exhaustion at large n_max).
+    The discretization doubles from 64 nodes until the coefficients settle
+    to tol; ConvergenceError is raised otherwise, PositivityError if
+    orthogonality collapses (quadrature exhaustion at large n_max).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    lo, hi = m.support
     prev = None
-    n = 2048
+    n = 64
     while n <= 32768:
-        if hi > lo:
-            x_ac, jac, dlo, dhi = _sin_nodes(lo, hi, n)
-            if m.density_edges is not None:
-                w_ac = m.density_edges(x_ac, dlo, dhi) * jac
-            else:
-                w_ac = m.density(x_ac) * jac
-        else:
-            x_ac = np.zeros(0)
-            w_ac = np.zeros(0)
+        x_ac, w_ac = _ac_nodes(m, n)
         xs = np.concatenate([x_ac, [a for a, _ in m.atoms]])
         ws = np.concatenate([w_ac, [w for _, w in m.atoms]])
         alpha, omega = _stieltjes_discretized(xs, ws, n_max)
         if prev is not None:
             d = max(np.max(np.abs(alpha - prev[0])), np.max(np.abs(omega - prev[1]))
                     if n_max else 0.0)
-            if d <= tol:
+            if d < tol:
                 return JacobiSzego(alpha, omega)
         prev = (alpha, omega)
         n *= 2

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, report schema, file outputs."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -237,3 +239,16 @@ def test_simulate_seed_from_environment(tmp_path, capsys, monkeypatch):
     assert code == 0
     man = json.loads((tmp_path / "env_manifest.json").read_text())
     assert man["seed"] == 123
+
+
+# ---------------------------------------------------------------------------
+# Dependencies
+
+
+def test_cli_import_does_not_load_scipy():
+    # numpy is the only runtime dependency; scipy serves the test oracles.
+    probe = ("import sys, freejacobi.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,10 +1,11 @@
 """Spectral-measure constructors, moments, Cauchy transforms, inversion."""
 
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from freejacobi import (
@@ -104,6 +105,14 @@ def test_measure_rejects_wrong_mass():
         SpectralMeasure((0.0, 1.0), lambda x: np.full_like(x, 0.7))
 
 
+def test_measure_bounded_density_moments():
+    # A bounded density gains nothing from the edge clustering of the nodes;
+    # its moments must still come out exact.
+    m = SpectralMeasure((0.0, 1.0), lambda x: np.ones_like(x))
+    np.testing.assert_allclose(moments(m, 12), 1.0 / np.arange(1, 14),
+                               rtol=0.0, atol=1e-12)
+
+
 def test_measure_atom_only():
     m = SpectralMeasure((0.3, 0.3), lambda x: np.zeros_like(x),
                         atoms=((0.3, 1.0),))
@@ -191,6 +200,7 @@ def test_xi_lam_one_has_no_atom():
 
 
 @given(lams)
+@example(lam=0.99999)  # density poles ~1e-10 outside both edges
 def test_xi_total_mass_splits(lam):
     # a.c. mass + atom weight = 1, i.e. the a.c. part carries 1 - a/sqrt(a^2+1).
     m = xi_lambda(lam)
@@ -277,11 +287,21 @@ def test_cauchy_decays_like_one_over_z():
 
 
 @given(lams, thetas, st.floats(-2, 2), st.floats(0.05, 2))
+@example(lam=0.99999, th=0.5, re=0.0, im=0.05)  # x(1-x) poles ~1e-10 off the edges
 def test_cauchy_is_nevanlinna(lam, th, re, im):
     # Herglotz property: the transform of a probability measure maps the
     # upper half-plane into the lower one.
     m = mu_lambda_theta(JacobiParams(lam, th))
     assert cauchy_transform(m, complex(re, im)).imag < 0.0
+
+
+def test_cauchy_too_close_to_support_fails_fast():
+    # A kernel peak of width 1e-9 inside the support is out of reach of the
+    # node budget; the quadrature must say so within seconds.
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        cauchy_transform(nu_lambda(0.5), 0.3 + 1e-9j)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_cauchy_rejects_points_on_support_or_atoms():

@@ -1,9 +1,12 @@
 """Recurrence parameters: closed forms, Stieltjes extraction, monic scaling."""
 
+import time
+
 import numpy as np
 import pytest
 
 from freejacobi import (
+    ConvergenceError,
     JacobiParams,
     JacobiSzego,
     PositivityError,
@@ -140,6 +143,15 @@ def test_extract_positivity_collapse():
     with pytest.raises(PositivityError) as exc:
         extract_from_measure(m, 2)
     assert exc.value.last_reliable == 0
+
+
+def test_extract_beyond_double_precision_fails_fast():
+    # Degree 60 is beyond what the discretization resolves in double
+    # precision; the node budget must run out within seconds.
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        extract_from_measure(xi_lambda(0.3), 60)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_extracted_params_evaluate_like_built_family():
