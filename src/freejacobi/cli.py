@@ -3,9 +3,9 @@ with JSON reports, and the random-matrix simulator.
 
 Exit codes are the contract for scripting: 0 when every check passed (or the
 requested data was written), 1 when a tolerance was violated, 2 on numerical
-non-convergence or invalid input.  The default seed is the FJL_SEED
-environment variable when set, 0 otherwise; given identical arguments and
-seed, every output file is byte-identical.
+non-convergence, invalid input or an output file that cannot be written.
+The default seed is the FJL_SEED environment variable when set, 0 otherwise;
+given identical arguments and seed, every output file is byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -196,16 +195,20 @@ def cmd_verify(args):
 
 def cmd_simulate(args):
     times = [float(s) for s in args.times.split(",")] if args.times else []
+    if times and args.theta != 0.5:
+        print(f"note: the trace series rescales by the theta = 1/2 map; at "
+              f"theta = {_fmt(args.theta)} it tests no martingale property",
+              file=sys.stderr)
     spectra = []
     state = None
     for i in range(args.trials):
         rng = np.random.default_rng([args.seed, i])
         state = make_state(args.lam, args.theta, args.d, rng)
+        w = None
         if args.t > 0.0:
             steps = int(round(args.t / args.dt))
-            y = evolve_unitary_bm(state.Y, args.dt, steps, rng)
-            state = replace(state, Y=y)
-        spectra.append(jacobi_spectrum(state))
+            w = evolve_unitary_bm(state.U[:state.p_rank], args.dt, steps, rng)
+        spectra.append(jacobi_spectrum(state, w))
     pooled = np.concatenate(spectra)
     lam_r, th_r = state.realized_params()
 
@@ -363,8 +366,14 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        # Before any computation: a simulate run would otherwise sample in
+        # full and only then fail to write.
+        out_dir = os.path.dirname(args.out or "")
+        if out_dir and not os.path.isdir(out_dir):
+            raise FileNotFoundError(
+                f"output directory {out_dir!r} does not exist")
         return args.func(args)
-    except (ConvergenceError, PositivityError, ValueError) as exc:
+    except (ConvergenceError, PositivityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

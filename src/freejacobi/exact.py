@@ -76,6 +76,15 @@ class Quad:
             m = Fraction(0)
         self.a, self.b, self.m = a, b, m
 
+    @classmethod
+    def _of(cls, a, b, m):
+        """a + b*sqrt(m) from Fractions, where m is the radicand of an
+        operand with a surd part and so already known not to be a square:
+        arithmetic results skip the perfect-square test of __init__."""
+        q = object.__new__(cls)
+        q.a, q.b, q.m = a, b, (m if b != 0 else Fraction(0))
+        return q
+
     # -- coercion ----------------------------------------------------------
     @staticmethod
     def _coerce(x):
@@ -97,12 +106,12 @@ class Quad:
         if other is NotImplemented:
             return NotImplemented
         m = self._join(other)
-        return Quad(self.a + other.a, self.b + other.b, m)
+        return Quad._of(self.a + other.a, self.b + other.b, m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Quad(-self.a, -self.b, self.m)
+        return Quad._of(-self.a, -self.b, self.m)
 
     def __sub__(self, other):
         other = Quad._coerce(other)
@@ -121,8 +130,8 @@ class Quad:
         if other is NotImplemented:
             return NotImplemented
         m = self._join(other)
-        return Quad(self.a * other.a + self.b * other.b * m,
-                    self.a * other.b + self.b * other.a, m)
+        return Quad._of(self.a * other.a + self.b * other.b * m,
+                        self.a * other.b + self.b * other.a, m)
 
     __rmul__ = __mul__
 
@@ -133,7 +142,7 @@ class Quad:
         norm = other.a * other.a - other.b * other.b * other.m
         if norm == 0:
             raise ZeroDivisionError("division by zero element")
-        inv = Quad(other.a / norm, -other.b / norm, other.m)
+        inv = Quad._of(other.a / norm, -other.b / norm, other.m)
         return self.__mul__(inv)
 
     def __rtruediv__(self, other):

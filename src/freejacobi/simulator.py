@@ -7,6 +7,12 @@ C = (U Y)[:p, :q].  Its spectrum is stationary in t; the empirical tests
 compare pooled spectra against quadrature CDFs and probe whether
 exponentially-rescaled polynomial trace statistics stay flat in time.
 
+Only the first p rows of U Y are ever read, so a path evolves the p x d row
+block W = U[:p] Y, never the d x d unitary: each Brownian increment
+W <- W exp(i sqrt(dt) H) costs p x d by d x d products, applied as a
+Taylor series with a rigorous tail bound (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 2011) instead of an eigendecomposition of H.
+
 Every sampler takes either an integer seed or a numpy Generator, so trials
 can chain sampling and evolution on one stream; trial i of a sweep uses
 default_rng([seed, i]) to decorrelate paths while staying reproducible.
@@ -15,7 +21,7 @@ default_rng([seed, i]) to decorrelate paths while staying reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,28 +53,78 @@ def sample_haar_unitary(d, seed=None):
     return q * ph
 
 
+# Taylor terms stop once the rigorous tail bound falls below unit roundoff
+# of the block.  A sub-step keeps tau ||H||_1 <= 4, so no term outgrows the
+# block by more than 4^4 / 4! ~ 11 and cancellation in the partial sums costs
+# about one digit, whatever dt is (Al-Mohy & Higham 2011).
+_TAIL_TOL = 2.0 ** -53
+_MAX_SUBSTEP_NORM = 4.0
+
+
 def evolve_unitary_bm(y, dt, steps, seed=None):
-    """Apply `steps` multiplicative increments Y <- Y exp(i sqrt(dt) H) with
+    """Apply `steps` multiplicative increments W <- W exp(i sqrt(dt) H) with
     independent Hermitian Gaussian H normalized so E[H^2] = I (off-diagonal
     entries of variance 1/d).
 
-    The exponential map keeps Y exactly unitary, and the e^{-t/2} decay of
-    the normalized trace is not inserted by hand: it emerges from the
+    `y` is any k x d block with orthonormal rows: the full d x d unitary Y,
+    or the observed rows W = U[:p] Y, whose evolution is the same rows of
+    the evolved unitary.  H is drawn from the same Gaussian matrices, in the
+    same order, as an eigendecomposition route would use, so the random
+    stream of a seed does not depend on k.
+
+    The action of exp(i tau H), tau = sqrt(dt), is a truncated Taylor series
+    sum_k W (i tau H)^k / k!.  Since ||H||_2 <= ||H||_1 for Hermitian H,
+    term k+1 is at most r = tau ||H||_1 / (k+1) times term k, so the tail
+    after term k is at most ||term_k||_F r / (1 - r) once r < 1; terms are
+    added until that bound is at most 2^-53 ||W||_F.  A step is split into
+    s sub-steps with tau ||H||_1 / s <= 4.
+
+    The exponential map keeps the rows orthonormal, and the e^{-t/2} decay
+    of the normalized trace is not inserted by hand: it emerges from the
     second-order term of the exponential, which is the discrete analog of
     the Ito correction.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    y = np.array(y, dtype=complex)
-    d = y.shape[0]
+    w = np.array(y, dtype=complex)
+    # A NaN entry would never meet the series' stopping rule.
+    if w.ndim != 2 or not np.isfinite(w).all():
+        raise ValueError("y must be a finite k x d block")
+    d = w.shape[1]
     rng = _rng(seed)
-    root_dt = math.sqrt(dt)
+    # x = i tau H for H = (A + A*) / sqrt(4 d), A = G_re + i G_im: its real
+    # part is the antisymmetric G_im^T - G_im, its imaginary part the
+    # symmetric G_re + G_re^T, both times tau / sqrt(4 d).
+    scale = math.sqrt(dt) / math.sqrt(4.0 * d)
+    x = np.empty((d, d), dtype=complex)
     for _ in range(steps):
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = (a + a.conj().T) / math.sqrt(4.0 * d)
-        w, v = np.linalg.eigh(h)
-        y = y @ (v * np.exp(1j * root_dt * w)) @ v.conj().T
-    return y
+        g_re, g_im = rng.standard_normal((2, d, d))
+        np.subtract(g_im.T, g_im, out=x.real)
+        np.add(g_re, g_re.T, out=x.imag)
+        x *= scale
+        rho = float(np.abs(x).sum(axis=0).max())       # tau ||H||_1
+        substeps = max(1, math.ceil(rho / _MAX_SUBSTEP_NORM))
+        if substeps > 1:
+            x /= substeps
+            rho /= substeps
+        for _ in range(substeps):
+            w = _taylor_action(w, x, rho)
+    return w
+
+
+def _taylor_action(w, x, rho):
+    """W exp(X) by its Taylor series, for rho >= ||X||_2 (see
+    evolve_unitary_bm for the stopping rule)."""
+    tol = _TAIL_TOL * np.linalg.norm(w)
+    total, term, k = w.copy(), w, 0
+    while True:
+        k += 1
+        term = term @ x
+        term *= 1.0 / k
+        total += term
+        r = rho / (k + 1)
+        if r < 1.0 and np.linalg.norm(term) * r / (1.0 - r) <= tol:
+            return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +165,23 @@ def make_state(lam, theta, d, seed=None):
     return MatrixProcessState(d, p, q, u, np.eye(d, dtype=complex), seed)
 
 
-def jacobi_spectrum(state):
+def jacobi_spectrum(state, w=None):
     """Ascending eigenvalues of the p x p Hermitian compression C C*,
-    C = (U Y)[:p, :q]; all lie in [0, 1] up to roundoff because C is a
-    submatrix of a unitary."""
-    c = (state.U @ state.Y)[: state.p_rank, : state.q_rank]
+    C = W[:, :q], where W is the observed row block U[:p] Y of the state or,
+    when given, a block `w` evolved from it by evolve_unitary_bm.  A given
+    block must be p x d with rows orthonormal to 1e-10, the guarantee the
+    state checks for U and Y; so every eigenvalue lies in [0, 1] up to
+    roundoff, C being a submatrix of a unitary."""
+    p, q = state.p_rank, state.q_rank
+    if w is None:
+        c = state.U[:p] @ state.Y[:, :q]
+    else:
+        if w.shape != (p, state.d):
+            raise ValueError(f"row block must be {p} x {state.d}")
+        if np.max(np.abs(w @ w.conj().T - np.eye(p))) > 1e-10:
+            raise ValueError("row block is not orthonormal to 1e-10 "
+                             f"(seed {state.rng_seed!r})")
+        c = w[:, :q]
     j = c @ c.conj().T
     try:
         return np.linalg.eigvalsh(j)
@@ -145,9 +213,14 @@ def trace_martingale_series(lam, n, times, trials, d, seed=0, theta=0.5,
     martingale produces a mean series that is flat in t; the stderr column
     is the across-trial standard error, so flatness is judged against it.
 
-    Trial i runs on default_rng([seed, i]) and evolves one Y path through
-    the sorted times with steps of size dt (counts rounded; the realized
-    time is used in the e^{nt} prefactor).  n = 0 is the constant 1.
+    The rescaling (2x - 1) / sqrt(lam(2-lam)) and the families P_lambda,
+    Q_lambda are those of theta = 1/2, whatever theta is given: at
+    theta != 1/2 the series tests no martingale property.
+
+    Trial i runs on default_rng([seed, i]) and evolves the observed row
+    block U[:p] Y through the sorted times with steps of size dt (counts
+    rounded; the realized time is used in the e^{nt} prefactor).  n = 0 is
+    the constant 1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -164,13 +237,13 @@ def trace_martingale_series(lam, n, times, trials, d, seed=0, theta=0.5,
     for i in range(trials):
         rng = np.random.default_rng([seed, i])
         state = make_state(lam, theta, d, rng)
-        y, t_now = state.Y, 0.0
+        w, t_now = state.U[:state.p_rank], 0.0
         for j, t in enumerate(ts):
             steps = int(round((t - t_now) / dt))
             if steps > 0:
-                y = evolve_unitary_bm(y, dt, steps, rng)
+                w = evolve_unitary_bm(w, dt, steps, rng)
                 t_now += steps * dt
-            vals = jacobi_spectrum(replace(state, Y=y))
+            vals = jacobi_spectrum(state, w)
             s = (2.0 * vals - 1.0) / math.sqrt(q)
             (f_n,) = family_values(s, [n], beta, gamma, np.ones_like(s))
             stat = np.mean(f_n)

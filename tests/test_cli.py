@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, report schema, file outputs."""
 
+import csv
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from freejacobi import jacobi_spectrum, make_state
 from freejacobi.cli import REPORT_SCHEMA, main
 
 
@@ -229,6 +232,67 @@ def test_simulate_byte_deterministic(tmp_path, capsys):
     mb = json.loads((tmp_path / "b_manifest.json").read_text())
     ma.pop("files"), mb.pop("files")
     assert ma == mb
+
+
+def test_simulate_evolved_spectra(tmp_path, capsys, monkeypatch,
+                                  eigh_bm_reference):
+    # --t > 0 evolves the p observed rows; the spectra must be those of the
+    # full d x d path evolved by eigendecomposition on the same stream.
+    seen = []
+
+    def recording(state, w=None):
+        vals = jacobi_spectrum(state, w)
+        seen.append(vals)
+        return vals
+
+    monkeypatch.setattr("freejacobi.cli.jacobi_spectrum", recording)
+    base = tmp_path / "evolved"
+    files = [f"{base}_spectrum.csv", f"{base}_manifest.json"]
+    args = ("simulate", "--lambda", "0.5", "--d", "24", "--trials", "3",
+            "--t", "0.2", "--times", "", "--bins", "12", "--seed", "4",
+            "--out", str(base))
+    assert run(capsys, *args)[0] == 0
+    first = [_read_bytes(f) for f in files]
+    assert run(capsys, *args)[0] == 0
+    assert [_read_bytes(f) for f in files] == first
+
+    man = json.loads(first[1])
+    counts = [int(r[2]) for r in csv.reader(
+        ln for ln in first[0].decode().splitlines()
+        if ln and not ln.startswith(("#", "bin_")))]
+    assert sum(counts) == man["p_rank"] * 3 == 18
+
+    for i, vals in enumerate(seen[:3]):
+        rng = np.random.default_rng([4, i])
+        state = make_state(0.5, 0.5, 24, rng)
+        y = eigh_bm_reference(state.Y, 1e-2, 20, rng)
+        c = (state.U @ y)[:state.p_rank, :state.q_rank]
+        want = np.linalg.eigvalsh(c @ c.conj().T)
+        assert np.max(np.abs(vals - want)) <= 1e-12
+
+
+def test_simulate_missing_out_directory_fails_fast(tmp_path, capsys):
+    start = time.monotonic()
+    code, _, err = run(capsys, "simulate", "--lambda", "0.5", "--d", "200",
+                       "--trials", "50", "--out",
+                       str(tmp_path / "missing" / "run"))
+    assert code == 2
+    assert "error:" in err and "missing" in err
+    assert time.monotonic() - start < 2.0
+
+
+def test_simulate_notes_theta_rescaling(tmp_path, capsys):
+    base = str(tmp_path / "th")
+    common = ("simulate", "--lambda", "0.5", "--d", "20", "--trials", "2")
+    code, _, err = run(capsys, *common, "--theta", "0.4", "--times", "0,0.05",
+                       "--out", base)
+    assert code == 0
+    assert len(err.splitlines()) == 1 and "theta = 1/2" in err
+    code, _, err = run(capsys, *common, "--theta", "0.4", "--times", "",
+                       "--out", base)
+    assert code == 0 and err == ""
+    code, _, err = run(capsys, *common, "--times", "0,0.05", "--out", base)
+    assert code == 0 and err == ""
 
 
 def test_simulate_seed_from_environment(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from freejacobi import (
     sample_haar_unitary,
     trace_martingale_series,
 )
+from freejacobi.renorm import family_values, u_combination
 
 
 def _unitarity_defect(m):
@@ -52,6 +53,26 @@ def test_evolution_preserves_unitarity():
 def test_evolution_rejects_bad_dt():
     with pytest.raises(ValueError):
         evolve_unitary_bm(np.eye(4, dtype=complex), 0.0, 1)
+
+
+@pytest.mark.parametrize("p", [1, 10, 40])
+@pytest.mark.parametrize("dt", [1e-2, 1.0, 100.0])
+def test_evolution_matches_eigh_reference(p, dt, eigh_bm_reference):
+    # dt = 100 takes many sub-steps per step; the row block must still be
+    # the first p rows of the exactly evolved unitary.
+    w0 = sample_haar_unitary(40, seed=4)[:p]
+    got = evolve_unitary_bm(w0, dt, 3, seed=8)
+    want = eigh_bm_reference(w0, dt, 3, seed=8)
+    assert got.shape == (p, 40)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(got @ got.conj().T - np.eye(p))) <= 1e-12
+
+
+def test_evolution_rejects_non_finite_block():
+    w = np.eye(4, dtype=complex)[:2]
+    w[0, 1] = np.nan
+    with pytest.raises(ValueError):
+        evolve_unitary_bm(w, 1e-2, 1)
 
 
 def test_evolution_trace_decay():
@@ -94,6 +115,19 @@ def test_spectrum_shape_and_range():
     assert vals.shape == (s.p_rank,)
     assert np.all(vals >= -1e-10) and np.all(vals <= 1.0 + 1e-10)
     assert np.all(np.diff(vals) >= 0.0)
+
+
+def test_spectrum_of_evolved_block_checks_rows():
+    s = make_state(0.5, 0.5, 16, seed=3)
+    w = evolve_unitary_bm(s.U[:s.p_rank], 1e-2, 5, seed=3)
+    full = evolve_unitary_bm(s.U, 1e-2, 5, seed=3)
+    np.testing.assert_allclose(
+        jacobi_spectrum(s, w),
+        np.linalg.eigvalsh(full[:4, :8] @ full[:4, :8].conj().T), atol=1e-13)
+    with pytest.raises(ValueError):
+        jacobi_spectrum(s, 1.001 * w)    # rows no longer orthonormal
+    with pytest.raises(ValueError):
+        jacobi_spectrum(s, full)         # d x d, not the p observed rows
 
 
 def test_spectrum_degenerate_full_projection():
@@ -149,6 +183,35 @@ def test_trace_series_deterministic_and_shaped():
     ts = [row[0] for row in a]
     assert ts == [0.0, 0.1]
     assert all(err >= 0.0 for _, _, err in a)
+
+
+def test_trace_series_matches_eigh_reference(eigh_bm_reference):
+    # The series evolves U[:p] Y; the reference evolves the full d x d Y by
+    # eigendecomposition on the same stream and compresses (U Y)[:p, :q].
+    lam, n, d, times, dt = 0.5, 2, 24, [0.0, 0.1, 0.25], 1e-2
+    got = trace_martingale_series(lam, n, times, trials=3, d=d, seed=5)
+    beta, gamma = u_combination("P_lambda", lam)
+    per_trial = []
+    for i in range(3):
+        rng = np.random.default_rng([5, i])
+        s = make_state(lam, 0.5, d, rng)
+        y, t_now, row = s.Y, 0.0, []
+        for t in times:
+            steps = int(round((t - t_now) / dt))
+            y = eigh_bm_reference(y, dt, steps, rng)
+            t_now += steps * dt
+            c = (s.U @ y)[:s.p_rank, :s.q_rank]
+            x = (2.0 * np.linalg.eigvalsh(c @ c.conj().T) - 1.0) \
+                / np.sqrt(lam * (2.0 - lam))
+            (f_n,) = family_values(x, [n], beta, gamma, np.ones_like(x))
+            row.append(np.exp(n * t_now) * np.mean(f_n))
+        per_trial.append(row)
+    per_trial = np.array(per_trial)
+    want_mean = per_trial.mean(axis=0)
+    want_err = per_trial.std(axis=0, ddof=1) / np.sqrt(3)
+    assert [t for t, _, _ in got] == times
+    assert np.max(np.abs([m for _, m, _ in got] - want_mean)) <= 1e-12
+    assert np.max(np.abs([e for _, _, e in got] - want_err)) <= 1e-12
 
 
 def test_trace_series_single_trial_has_zero_stderr():
