@@ -1,4 +1,5 @@
-"""Exact rational arithmetic over the quadratic field Q(sqrt(m)).
+"""Exact rational arithmetic over the quadratic field Q(sqrt(m)), and the
+exact polynomial ring over it.
 
 The drift-cancellation residuals computed in :mod:`freejacobi.martingale`
 involve polynomial coefficients of order 4^n once the family is composed
@@ -6,6 +7,14 @@ with (2x-1)/sqrt(lam*(2-lam)); at n = 15 a float64 evaluation carries
 roughly 1e-2 of roundoff, far above the 1e-9 verification threshold.  Every
 float input is a dyadic rational, so the whole computation can be carried
 out exactly: the only irrationality is sqrt(lam*(2-lam)), one square root.
+
+The ring is numpy's ``Polynomial`` over object coefficients -- Python int,
+Fraction or :class:`Quad` -- generated by ``X`` with unit ``ONE``.  Its sums
+and products never round, so equal ring elements give equal floats.  Two
+limits of numpy's object support: ``Polynomial / Quad`` raises (multiply by
+the reciprocal), and calling such a polynomial on a ring element raises
+over Quad coefficients and rounds to floats over integer ones (evaluate by a
+recurrence such as ``polys.chebyshev_seq`` instead).
 
 Moments of the stationary law at theta = 1/2 are exact rationals because the
 Catalan generating function sum_k C_k w^k = (1 - sqrt(1-4w))/(2w) evaluates
@@ -20,19 +29,11 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .polys import chebyshev_seq
-
 __all__ = [
     "Quad",
     "catalan",
     "nu_even_moment",
     "mu_half_moments",
-    "chebyshev_u_exact",
-    "qp_add",
-    "qp_scale",
-    "qp_mul",
-    "qp_compose_linear",
-    "qp_max_abs",
 ]
 
 
@@ -195,8 +196,7 @@ def exact_sqrt(v):
     return math.sqrt(v)
 
 
-# The exact polynomial ring: numpy polynomials over object coefficients
-# (Python int, Fraction or Quad), whose arithmetic never rounds.
+# Generator and unit of the exact polynomial ring (see the module docstring).
 X = Polynomial(np.array([0, 1], dtype=object))
 ONE = X ** 0
 
@@ -238,53 +238,3 @@ def mu_half_moments(lam, n_max):
                   for i in range(k // 2 + 1))
         out.append(acc / 2 ** k)
     return out
-
-
-def chebyshev_u_exact(n):
-    """Monomial coefficients of U_n as exact integers (list of Fraction)."""
-    if n < 0:
-        return [Fraction(0)]
-    return [Fraction(c) for c in chebyshev_seq(X, n, ONE)[-1].coef]
-
-
-# -- polynomials with Quad coefficients (dense, index = degree) -------------
-
-def qp_add(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else Quad(0)
-        b = q[i] if i < len(q) else Quad(0)
-        out.append(a + b)
-    return out
-
-
-def qp_scale(p, c):
-    return [ci * c for ci in p]
-
-
-def qp_mul(p, q):
-    out = [Quad(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def qp_compose_linear(p, l0, l1):
-    """Horner composition p(l0 + l1*x) for Quad coefficients."""
-    out = [p[-1]]
-    for c in p[-2::-1]:
-        shifted = [Quad(0)] + [ci * l1 for ci in out]
-        shifted[0] = shifted[0] + out[0] * l0 + c
-        for i in range(1, len(out)):
-            shifted[i] = shifted[i] + out[i] * l0
-        out = shifted
-    return out
-
-
-def qp_max_abs(p):
-    """Largest coefficient magnitude, as a float."""
-    return max((abs(float(c)) for c in p), default=0.0)

@@ -25,8 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (ONE, Quad, X, exact_sqrt, mu_half_moments, qp_add,
-                    qp_compose_linear, qp_max_abs, qp_scale)
+from .exact import ONE, X, exact_sqrt, mu_half_moments
 from .measures import (JacobiParams, cauchy_closed_form_mu, moments,
                        mu_lambda_theta)
 from .polys import Poly, _as_poly
@@ -115,15 +114,13 @@ def martingale_residual(lam, n, family="P_lambda", a_variant="sqrt"):
         raise ValueError("n must be >= 1")
     lamF = Fraction(lam)
     beta, gamma = u_combination(family, lamF, a_variant=a_variant)
-    (f_n,) = family_values(X, [n], beta, gamma, ONE)
-    # x -> (2x-1)/sqrt(q) with q = lam(2-lam).
-    rq = exact_sqrt(lamF * (2 - lamF))
-    q_n = qp_compose_linear([Quad._coerce(c) for c in f_n.coef], -1 / rq,
-                            2 / rq)
-    mom = mu_half_moments(lamF, n)
-    resid = qp_add(_drift_coeffs(q_n, lamF, Fraction(1, 2), mom),
-                   qp_scale(q_n, n))
-    return qp_max_abs(resid)
+    # The family evaluated at the ring element (2x-1)/sqrt(q), q = lam(2-lam),
+    # is q_n itself.  Polynomial / Quad raises, hence the reciprocal.
+    inner = (2 * X - ONE) * (1 / exact_sqrt(lamF * (2 - lamF)))
+    (q_n,) = family_values(inner, [n], beta, gamma, ONE)
+    c = q_n.coef
+    d = _drift_coeffs(c, lamF, Fraction(1, 2), mu_half_moments(lamF, n))
+    return max(abs(float(r + n * ci)) for r, ci in zip(d, c))
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,6 @@ class JacobiParams:
             raise ValueError(f"lam = {self.lam} outside (0, 1]")
         if not 0.0 < self.theta <= 0.5:
             raise ValueError(f"theta = {self.theta} outside (0, 1/2]")
-        if self.theta > 1.0 / (self.lam + 1.0) + 1e-12:
-            raise ValueError(
-                f"(lam, theta) = ({self.lam}, {self.theta}) violates "
-                "theta <= 1/(lam+1) (non-injective regime, atoms unspecified)")
 
     @property
     def x_minus(self):

@@ -1,14 +1,14 @@
 """Random-matrix Monte Carlo for the compressed unitary process.
 
-A state carries a Haar unitary U, an evolving unitary Y, and nested
-coordinate projections P <= Q (ranks p <= q), so the compressed matrix
-J = P U Y Q Y* U* P restricted to the range of P is C C* with
-C = (U Y)[:p, :q].  Its spectrum is stationary in t; the empirical tests
-compare pooled spectra against quadrature CDFs and probe whether
-exponentially-rescaled polynomial trace statistics stay flat in time.
+A state carries a Haar unitary U and nested coordinate projections P <= Q
+(ranks p <= q).  A path runs a unitary Brownian motion Y_t from Y_0 = I, so
+the compressed matrix J_t = P U Y_t Q Y_t* U* P restricted to the range of P
+is C C* with C = (U Y_t)[:p, :q].  Its spectrum is stationary in t; the
+empirical tests compare pooled spectra against quadrature CDFs and probe
+whether exponentially-rescaled polynomial trace statistics stay flat in time.
 
-Only the first p rows of U Y are ever read, so a path evolves the p x d row
-block W = U[:p] Y, never the d x d unitary: each Brownian increment
+Only the first p rows of U Y_t are ever read, so a path evolves the p x d
+row block W = U[:p] Y_t, never the d x d unitary: each Brownian increment
 W <- W exp(i sqrt(dt) H) costs p x d by d x d products, applied as a
 Taylor series with a rigorous tail bound (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 2011) instead of an eigendecomposition of H.
@@ -129,14 +129,14 @@ def _taylor_action(w, x, rho):
 
 @dataclass(frozen=True, eq=False)
 class MatrixProcessState:
-    """One realization: dimension, projection ranks p <= q, Haar unitary U,
-    current unitary Y, and the seed that produced them."""
+    """One realization at time zero: dimension, projection ranks p <= q,
+    Haar unitary U, and the seed that produced them.  Paths from it evolve
+    the row block U[:p] (see evolve_unitary_bm)."""
 
     d: int
     p_rank: int
     q_rank: int
     U: np.ndarray
-    Y: np.ndarray
     rng_seed: object = None
 
     def __post_init__(self):
@@ -144,10 +144,9 @@ class MatrixProcessState:
             raise ValueError(
                 f"need 1 <= p = {self.p_rank} <= q = {self.q_rank} "
                 f"<= d = {self.d}")
-        eye = np.eye(self.d)
-        for name, m in (("U", self.U), ("Y", self.Y)):
-            if np.max(np.abs(m.conj().T @ m - eye)) > 1e-10:
-                raise ValueError(f"{name} is not unitary to 1e-10")
+        u = self.U
+        if np.max(np.abs(u.conj().T @ u - np.eye(self.d))) > 1e-10:
+            raise ValueError("U is not unitary to 1e-10")
 
     def realized_params(self):
         """(lam, theta) actually carried by the integer ranks: p/q, q/d."""
@@ -155,26 +154,26 @@ class MatrixProcessState:
 
 
 def make_state(lam, theta, d, seed=None):
-    """Fresh state at time zero: U Haar, Y = I, ranks p = round(lam theta d)
+    """Fresh state at time zero: U Haar, ranks p = round(lam theta d)
     and q = round(theta d).  Rounding shifts the parameters by O(1/d), so
     oracle measures should be built from realized_params(), not (lam, theta).
     """
     p = int(round(lam * theta * d))
     q = int(round(theta * d))
     u = sample_haar_unitary(d, seed)
-    return MatrixProcessState(d, p, q, u, np.eye(d, dtype=complex), seed)
+    return MatrixProcessState(d, p, q, u, seed)
 
 
 def jacobi_spectrum(state, w=None):
     """Ascending eigenvalues of the p x p Hermitian compression C C*,
-    C = W[:, :q], where W is the observed row block U[:p] Y of the state or,
-    when given, a block `w` evolved from it by evolve_unitary_bm.  A given
-    block must be p x d with rows orthonormal to 1e-10, the guarantee the
-    state checks for U and Y; so every eigenvalue lies in [0, 1] up to
-    roundoff, C being a submatrix of a unitary."""
+    C = W[:, :q], where W is the observed row block U[:p] of the state at
+    time zero or, when given, a block `w` evolved from it by
+    evolve_unitary_bm.  A given block must be p x d with rows orthonormal to
+    1e-10, the guarantee the state checks for U; so every eigenvalue lies in
+    [0, 1] up to roundoff, C being a submatrix of a unitary."""
     p, q = state.p_rank, state.q_rank
     if w is None:
-        c = state.U[:p] @ state.Y[:, :q]
+        c = state.U[:p, :q]
     else:
         if w.shape != (p, state.d):
             raise ValueError(f"row block must be {p} x {state.d}")
@@ -218,7 +217,7 @@ def trace_martingale_series(lam, n, times, trials, d, seed=0, theta=0.5,
     theta != 1/2 the series tests no martingale property.
 
     Trial i runs on default_rng([seed, i]) and evolves the observed row
-    block U[:p] Y through the sorted times with steps of size dt (counts
+    block U[:p] Y_t through the sorted times with steps of size dt (counts
     rounded; the realized time is used in the e^{nt} prefactor).  n = 0 is
     the constant 1.
     """

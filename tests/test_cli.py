@@ -265,7 +265,7 @@ def test_simulate_evolved_spectra(tmp_path, capsys, monkeypatch,
     for i, vals in enumerate(seen[:3]):
         rng = np.random.default_rng([4, i])
         state = make_state(0.5, 0.5, 24, rng)
-        y = eigh_bm_reference(state.Y, 1e-2, 20, rng)
+        y = eigh_bm_reference(np.eye(24, dtype=complex), 1e-2, 20, rng)
         c = (state.U @ y)[:state.p_rank, :state.q_rank]
         want = np.linalg.eigvalsh(c @ c.conj().T)
         assert np.max(np.abs(vals - want)) <= 1e-12

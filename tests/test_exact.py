@@ -16,17 +16,14 @@ from freejacobi import (
     nu_lambda,
 )
 from freejacobi.exact import (
+    ONE,
+    X,
     Quad,
     catalan,
-    chebyshev_u_exact,
     mu_half_moments,
     nu_even_moment,
-    qp_add,
-    qp_compose_linear,
-    qp_max_abs,
-    qp_mul,
-    qp_scale,
 )
+from freejacobi.polys import chebyshev_seq
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12
@@ -137,42 +134,53 @@ def test_mu_half_moments_match_quadrature():
 
 
 def test_chebyshev_u_exact_matches_float():
-    for n in range(10):
-        exact = chebyshev_u_exact(n)
+    # The one recurrence, run in the exact ring, gives U_n's integer
+    # coefficients exactly.
+    for n, u in enumerate(chebyshev_seq(X, 9, ONE)):
         flt = chebyshev_U(n).coeffs
-        assert len(exact) == len(flt)
-        assert all(float(e) == f for e, f in zip(exact, flt))
-    assert chebyshev_u_exact(-1) == [Fraction(0)]
+        assert len(u.coef) == len(flt)
+        assert all(float(e) == f for e, f in zip(u.coef, flt))
 
 
 # ---------------------------------------------------------------------------
-# Quad-coefficient polynomials vs float Poly
+# Quad-coefficient ("qp") polynomials in the exact ring vs float Poly
+
+
+def _qp(coeffs):
+    return sum((c * X ** i for i, c in enumerate(coeffs)), 0 * ONE)
 
 
 def _to_poly(qp):
-    return Poly([float(c) for c in qp])
+    return Poly([float(c) for c in qp.coef])
+
+
+def _compose(coeffs, inner):
+    # Horner's rule with ring arithmetic: composition at a ring element.
+    out = 0 * ONE
+    for c in reversed(coeffs):
+        out = out * inner + c * ONE
+    return out
 
 
 def test_qp_ops_match_float_poly():
-    p = [Quad(1), Quad(0, 1, 2), Quad(3)]
-    q = [Quad(-2), Quad(1)]
-    assert _to_poly(qp_add(p, q)).allclose(_to_poly(p) + _to_poly(q))
-    assert _to_poly(qp_mul(p, q)).allclose(_to_poly(p) * _to_poly(q))
-    assert _to_poly(qp_scale(p, Quad(2))).allclose(2.0 * _to_poly(p))
+    p = _qp([Quad(1), Quad(0, 1, 2), Quad(3)])
+    q = _qp([Quad(-2), Quad(1)])
+    assert _to_poly(p + q).allclose(_to_poly(p) + _to_poly(q))
+    assert _to_poly(p * q).allclose(_to_poly(p) * _to_poly(q))
+    assert _to_poly(p * Quad(2)).allclose(2.0 * _to_poly(p))
+    # Exactly: (1 + sqrt(2) x)(1 - sqrt(2) x) = 1 - 2 x^2.
+    s = Quad(0, 1, 2)
+    assert list(((ONE + s * X) * (ONE - s * X)).coef) == [1, 0, -2]
 
 
 def test_qp_compose_linear_matches_float_poly():
-    p = [Quad(1), Quad(-2), Quad(0), Quad(4)]
+    coeffs = [Quad(1), Quad(-2), Quad(0), Quad(4)]
     l0, l1 = Quad(Fraction(1, 3)), Quad(0, 1, 2)
-    got = _to_poly(qp_compose_linear(p, l0, l1))
-    want = _to_poly(p).compose(Poly([float(l0), float(l1)]))
+    got = _to_poly(_compose(coeffs, l0 * ONE + l1 * X))
+    want = _to_poly(_qp(coeffs)).compose(Poly([float(l0), float(l1)]))
     assert got.allclose(want, tol=1e-12)
 
 
 def test_qp_compose_linear_constant():
-    assert qp_compose_linear([Quad(5)], Quad(1), Quad(2)) == [Quad(5)]
-
-
-def test_qp_max_abs():
-    assert qp_max_abs([]) == 0.0
-    assert qp_max_abs([Quad(-3), Quad(0, 1, 4)]) == 3.0
+    got = _compose([Quad(5)], Quad(1) * ONE + Quad(2) * X)
+    assert list(got.coef) == [Quad(5)]

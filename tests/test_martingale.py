@@ -10,6 +10,8 @@ from freejacobi import (
     FlowConstants,
     JacobiParams,
     Poly,
+    build_P_lambda,
+    build_Q_lambda,
     cauchy_closed_form_mu,
     cauchy_mu_half,
     drift,
@@ -128,6 +130,24 @@ def test_residual_rational_shift_control():
     # square-root variant is exact at degree 2.
     got = martingale_residual(0.5, 2, a_variant="rational")
     assert got == pytest.approx(6.158403, rel=1e-5)
+
+
+def test_residual_matches_float_drift_of_composed_family():
+    # The exact path (family evaluated in the Quad ring, closed-form moments)
+    # against the float path (built family, Horner composition, quadrature
+    # moments), at degrees where float64 cancellation is still harmless.
+    for lam in (0.3, 0.5, 1.0):
+        rq = math.sqrt(lam * (2.0 - lam))
+        dm = DriftModel.from_params(JacobiParams(lam, 0.5))
+        for family, build in (("P_lambda", build_P_lambda),
+                              ("Q_lambda", build_Q_lambda)):
+            for n in range(1, 7):
+                q = build(lam, n).compose(Poly([-1.0 / rq, 2.0 / rq]))
+                resid = drift(dm, q) + n * q
+                want = float(np.max(np.abs(resid.coeffs)))
+                got = martingale_residual(lam, n, family=family)
+                scale = float(np.max(np.abs(q.coeffs)))
+                assert abs(got - want) <= 1e-9 * scale, (family, lam, n)
 
 
 def test_residual_input_checks():

@@ -53,6 +53,34 @@ def test_params_validation():
         JacobiParams(0.5, 0.6)
 
 
+@given(st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(0.0, 0.5, exclude_min=True))
+@example(1.0, 0.5)
+@example(5e-324, 0.5)
+@example(5e-324, 5e-324)
+def test_params_domain_boundary_accepted(lam, th):
+    p = JacobiParams(lam, th)
+    assert 0.0 <= p.x_minus <= p.x_plus <= 1.0
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True),
+       st.floats(0.5, 1.0, exclude_min=True))
+@example(0.5, math.nextafter(0.5, 1.0))
+def test_params_rejects_theta_above_half(lam, th):
+    # Includes theta in (1/2, 1/(lam+1)], injective but outside the domain.
+    with pytest.raises(ValueError):
+        JacobiParams(lam, th)
+
+
+@given(st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
+       st.floats(0.0, 0.5, exclude_min=True))
+@example(math.nextafter(1.0, 2.0), 0.5)
+@example(-0.0, 0.5)
+def test_params_rejects_lam_outside(lam, th):
+    with pytest.raises(ValueError):
+        JacobiParams(lam, th)
+
+
 def test_support_endpoints_half_theta():
     # At lam = theta = 1/2 the support is [(2-sqrt(3))/4, (2+sqrt(3))/4].
     p = JacobiParams(0.5, 0.5)

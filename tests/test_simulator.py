@@ -100,13 +100,12 @@ def test_make_state_ranks_and_realized_params():
 
 def test_state_validation():
     u = sample_haar_unitary(6, seed=0)
-    eye = np.eye(6, dtype=complex)
     with pytest.raises(ValueError):
-        MatrixProcessState(6, 4, 3, u, eye)  # p > q
+        MatrixProcessState(6, 4, 3, u)  # p > q
     with pytest.raises(ValueError):
-        MatrixProcessState(6, 0, 3, u, eye)
+        MatrixProcessState(6, 0, 3, u)
     with pytest.raises(ValueError):
-        MatrixProcessState(6, 2, 3, 2.0 * u, eye)  # not unitary
+        MatrixProcessState(6, 2, 3, 2.0 * u)  # not unitary
 
 
 def test_spectrum_shape_and_range():
@@ -195,7 +194,7 @@ def test_trace_series_matches_eigh_reference(eigh_bm_reference):
     for i in range(3):
         rng = np.random.default_rng([5, i])
         s = make_state(lam, 0.5, d, rng)
-        y, t_now, row = s.Y, 0.0, []
+        y, t_now, row = np.eye(d, dtype=complex), 0.0, []
         for t in times:
             steps = int(round((t - t_now) / dt))
             y = eigh_bm_reference(y, dt, steps, rng)
