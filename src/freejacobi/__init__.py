@@ -9,7 +9,8 @@ from .errors import ConvergenceError, PositivityError
 from .fock import FockSpace, build_fock, vacuum_moments
 from .martingale import (DriftModel, FlowConstants, cauchy_mu_half, drift,
                          flow_K, flow_K_ode_residual, flow_Z,
-                         flow_Z_ode_residual, martingale_residual)
+                         flow_Z_ode_residual, martingale_residual,
+                         martingale_residuals)
 from .measures import (JacobiParams, SpectralMeasure, cauchy_closed_form_mu,
                        cauchy_transform, cdf_grid, moments, mu_lambda_theta,
                        nu_lambda, nu_lambda_theta, pushforward_affine,
@@ -24,7 +25,8 @@ from .renorm import (RenormKernel, build_P_lambda, build_Q_lambda,
                      theta_one, theta_ratio, theta_two, u_combination)
 from .simulator import (MatrixProcessState, evolve_unitary_bm,
                         jacobi_spectrum, ks_distance, make_state,
-                        sample_haar_unitary, trace_martingale_series)
+                        sample_haar_unitary, simulate_trials,
+                        trace_martingale_series)
 
 __version__ = "0.1.0"
 
@@ -42,10 +44,11 @@ __all__ = [
     "build_P_lambda", "build_Q_lambda", "build_Q_lambda_theta",
     "JacobiSzego", "stated_params", "extract_from_measure", "monicize",
     "FockSpace", "build_fock", "vacuum_moments",
-    "DriftModel", "drift", "martingale_residual", "FlowConstants",
+    "DriftModel", "drift", "martingale_residual", "martingale_residuals",
+    "FlowConstants",
     "flow_Z", "flow_Z_ode_residual", "flow_K", "flow_K_ode_residual",
     "cauchy_mu_half",
     "MatrixProcessState", "sample_haar_unitary", "evolve_unitary_bm",
     "make_state", "jacobi_spectrum", "ks_distance",
-    "trace_martingale_series",
+    "trace_martingale_series", "simulate_trials",
 ]

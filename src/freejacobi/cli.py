@@ -20,13 +20,12 @@ import numpy as np
 from .errors import ConvergenceError, PositivityError
 from .fock import build_fock, vacuum_moments
 from .martingale import (FlowConstants, flow_K_ode_residual,
-                         flow_Z_ode_residual, martingale_residual)
+                         flow_Z_ode_residual, martingale_residuals)
 from .measures import JacobiParams, cdf_grid, moments, mu_lambda_theta
 from .recurrence import extract_from_measure
 from .renorm import (FAMILIES, RenormKernel, certify_product_dependence,
                      family_gram, rho_trig, u_combination)
-from .simulator import (evolve_unitary_bm, jacobi_spectrum, ks_distance,
-                        make_state, trace_martingale_series)
+from .simulator import ks_distance, simulate_trials
 
 REPORT_SCHEMA = "freejacobi/report-v1"
 
@@ -141,13 +140,11 @@ def _suite_fock(args):
 
 def _suite_martingale(args):
     tol = 1e-9 if args.tol is None else args.tol
-    rows = []
-    worst = 0.0
-    for n in range(1, args.nmax + 1):
-        r = martingale_residual(args.lam, n, family=args.family,
-                                a_variant=args.a_variant)
-        rows.append({"n": n, "residual": r})
-        worst = max(worst, r)
+    degrees = range(1, args.nmax + 1)
+    res = martingale_residuals(args.lam, degrees, family=args.family,
+                               a_variant=args.a_variant)
+    rows = [{"n": n, "residual": r} for n, r in zip(degrees, res)]
+    worst = max(res)
     ok = worst < tol
     return {"suite": "martingale", "family": args.family,
             "a_variant": args.a_variant, "lambda": args.lam,
@@ -199,16 +196,10 @@ def cmd_simulate(args):
         print(f"note: the trace series rescales by the theta = 1/2 map; at "
               f"theta = {_fmt(args.theta)} it tests no martingale property",
               file=sys.stderr)
-    spectra = []
-    state = None
-    for i in range(args.trials):
-        rng = np.random.default_rng([args.seed, i])
-        state = make_state(args.lam, args.theta, args.d, rng)
-        w = None
-        if args.t > 0.0:
-            steps = int(round(args.t / args.dt))
-            w = evolve_unitary_bm(state.U[:state.p_rank], args.dt, steps, rng)
-        spectra.append(jacobi_spectrum(state, w))
+    spectra, series, state = simulate_trials(
+        args.lam, args.theta, args.d, args.trials, t=args.t, times=times,
+        n=args.n, seed=args.seed, dt=args.dt, family=args.family,
+        a_variant=args.a_variant)
     pooled = np.concatenate(spectra)
     lam_r, th_r = state.realized_params()
 
@@ -228,10 +219,6 @@ def cmd_simulate(args):
                [f"d = {args.d}, trials = {args.trials}, t = {_fmt(args.t)}"])
 
     if times:
-        series = trace_martingale_series(
-            args.lam, args.n, times, args.trials, args.d, seed=args.seed,
-            theta=args.theta, dt=args.dt, family=args.family,
-            a_variant=args.a_variant)
         _write_csv(f"{base}_series.csv", ("t", "mean", "stderr"), series,
                    [f"family = {args.family}, n = {args.n}, "
                     f"d = {args.d}, trials = {args.trials}"])

@@ -36,6 +36,9 @@ __all__ = [
     "mu_half_moments",
 ]
 
+# Fractions are immutable, so one zero serves every rational Quad.
+_ZERO = Fraction(0)
+
 
 def _isqrt_exact(n):
     r = math.isqrt(n)
@@ -79,11 +82,12 @@ class Quad:
 
     @classmethod
     def _of(cls, a, b, m):
-        """a + b*sqrt(m) from Fractions, where m is the radicand of an
-        operand with a surd part and so already known not to be a square:
-        arithmetic results skip the perfect-square test of __init__."""
+        """a + b*sqrt(m) from Fractions, where b is zero or m is the
+        radicand of an operand with a surd part and so already known not to
+        be a square: arithmetic results and rational operands skip the
+        perfect-square test of __init__."""
         q = object.__new__(cls)
-        q.a, q.b, q.m = a, b, (m if b != 0 else Fraction(0))
+        q.a, q.b, q.m = a, b, (m if b else _ZERO)
         return q
 
     # -- coercion ----------------------------------------------------------
@@ -92,14 +96,15 @@ class Quad:
         if isinstance(x, Quad):
             return x
         if isinstance(x, (int, Fraction)):
-            return Quad(x)
+            # A rational operand has no surd part: no radicand to check.
+            return Quad._of(Fraction(x), _ZERO, _ZERO)
         return NotImplemented
 
     def _join(self, other):
         """Common radicand for a binary operation, or raise."""
-        if self.b != 0 and other.b != 0 and self.m != other.m:
+        if self.b and other.b and self.m != other.m:
             raise ValueError(f"incompatible radicands {self.m} and {other.m}")
-        return self.m if self.b != 0 else other.m
+        return self.m if self.b else other.m
 
     # -- ring structure ------------------------------------------------------
     def __add__(self, other):
@@ -131,6 +136,11 @@ class Quad:
         if other is NotImplemented:
             return NotImplemented
         m = self._join(other)
+        # A rational factor needs two Fraction products, not four.
+        if not other.b:
+            return Quad._of(self.a * other.a, self.b * other.a, m)
+        if not self.b:
+            return Quad._of(self.a * other.a, self.a * other.b, m)
         return Quad._of(self.a * other.a + self.b * other.b * m,
                         self.a * other.b + self.b * other.a, m)
 

@@ -5,7 +5,10 @@ the stationary process; a family q_n is "martingale" precisely when
 drift(q_n) + n q_n = 0, since the e^{nt} prefactor contributes +n q_n.  The
 residual of that identity is evaluated in exact arithmetic over
 Q(sqrt(lam(2-lam))): composed coefficients reach ~4^n, so at n = 15 float64
-cancellation noise sits near 1e-2 -- far above any 1e-9-scale verdict.
+cancellation noise sits near 1e-2 -- far above any 1e-9-scale verdict.  One
+drift formula serves both paths: a matrix of model scalars (floats for
+drift(), exact rationals for the residuals), which martingale_residuals
+builds once for all the degrees it is asked for.
 
 The flow functions implement the closed forms for Z_t (checked against its
 autonomous ODE) and for the normalizer K_t in two variants: "displayed",
@@ -32,7 +35,7 @@ from .polys import Poly, _as_poly
 from .renorm import family_values, u_combination
 
 __all__ = [
-    "DriftModel", "drift", "martingale_residual",
+    "DriftModel", "drift", "martingale_residual", "martingale_residuals",
     "FlowConstants", "flow_Z", "flow_Z_ode_residual",
     "flow_K", "flow_K_ode_residual", "cauchy_mu_half",
 ]
@@ -77,28 +80,37 @@ def drift(dm, p):
     if p.degree >= dm.m.size:
         raise ValueError(f"degree {p.degree} needs moments up to "
                          f"m_{p.degree}, model holds {dm.m.size - 1}")
-    return Poly(_drift_coeffs(p.coeffs, dm.params.lam, dm.params.theta, dm.m))
+    c = p.coeffs
+    mat = _drift_matrix(dm.params.lam, dm.params.theta, dm.m, c.size - 1)
+    return Poly(_apply(mat, c))
 
 
-def _drift_coeffs(coeffs, lam, th, m):
-    # The monomial action documented on drift(), generic over the scalar
-    # type: floats, or exact Quad coefficients with Fraction lam, th and m.
-    # The model scalars are multiplied together first, so that each term
-    # costs one product with a (possibly Quad) coefficient.
-    out = [0] * len(coeffs)
-    for n in range(1, len(coeffs)):
-        c = coeffs[n]
-        out[n - 1] += c * (n * th * (1 - lam))
-        out[n] -= c * n
+def _drift_matrix(lam, th, m, deg):
+    # The monomial action documented on drift() as a (deg+1) x (deg+1)
+    # upper-triangular matrix, drift(x^k) = sum_j D[j][k] x^j, generic over
+    # the scalar type: floats, or Fractions for the exact path.  Each entry
+    # is a model scalar, so applying D to a (possibly Quad) coefficient
+    # vector costs one product per entry.
+    mat = [[0] * (deg + 1) for _ in range(deg + 1)]
+    for n in range(1, deg + 1):
+        mat[n - 1][n] += n * th * (1 - lam)
+        mat[n][n] -= n
         for l in range(1, n + 1):
             term = m[n - l] + 2 * (l - 1) * (m[n - l] - m[n - l + 1])
-            out[l - 1] += c * (lam * th * term)
-    return out
+            mat[l - 1][n] += lam * th * term
+    return mat
 
 
-def martingale_residual(lam, n, family="P_lambda", a_variant="sqrt"):
-    """Max-magnitude coefficient of drift(q_n) + n q_n at theta = 1/2, where
-    q_n(x) = F_n((2x-1)/sqrt(lam(2-lam))) and F_n is the chosen family.
+def _apply(mat, c):
+    """Coefficients of the drift of the polynomial with coefficients c."""
+    return [sum(c[k] * mat[j][k] for k in range(j, len(c)))
+            for j in range(len(c))]
+
+
+def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt"):
+    """Max-magnitude coefficient of drift(q_n) + n q_n at theta = 1/2 for
+    each n in `degrees`, where q_n(x) = F_n((2x-1)/sqrt(lam(2-lam))) and F_n
+    is the chosen family.
 
     family="P_lambda" is U_n - 2 a U_{n-1} - U_{n-2} with a = (1-lam)/sqrt(q)
     (a_variant="sqrt") or the control value a = (1-lam)/q
@@ -107,20 +119,33 @@ def martingale_residual(lam, n, family="P_lambda", a_variant="sqrt"):
     whose residual vanishes identically.
 
     The computation is exact: `lam` enters at its binary-float rational
-    value, moments come from the closed Catalan-tail form, and the result is
+    value, moments come from the closed Catalan-tail form, and each result is
     the float of an element of Q(sqrt(q)) -- a reported 0.0 is an exact zero.
+    One pass serves every degree: one Chebyshev recurrence up to max(degrees),
+    one set of moments, and one drift matrix of rational scalars applied to
+    the coefficients of each q_n.
     """
-    if n < 1:
+    degrees = list(degrees)
+    if not degrees or min(degrees) < 1:
         raise ValueError("n must be >= 1")
     lamF = Fraction(lam)
     beta, gamma = u_combination(family, lamF, a_variant=a_variant)
     # The family evaluated at the ring element (2x-1)/sqrt(q), q = lam(2-lam),
     # is q_n itself.  Polynomial / Quad raises, hence the reciprocal.
     inner = (2 * X - ONE) * (1 / exact_sqrt(lamF * (2 - lamF)))
-    (q_n,) = family_values(inner, [n], beta, gamma, ONE)
-    c = q_n.coef
-    d = _drift_coeffs(c, lamF, Fraction(1, 2), mu_half_moments(lamF, n))
-    return max(abs(float(r + n * ci)) for r, ci in zip(d, c))
+    top = max(degrees)
+    mat = _drift_matrix(lamF, Fraction(1, 2), mu_half_moments(lamF, top), top)
+    out = []
+    for n, q_n in zip(degrees, family_values(inner, degrees, beta, gamma, ONE)):
+        c = q_n.coef
+        out.append(max(abs(float(r + n * ci))
+                       for r, ci in zip(_apply(mat, c), c)))
+    return out
+
+
+def martingale_residual(lam, n, family="P_lambda", a_variant="sqrt"):
+    """martingale_residuals(lam, [n], family, a_variant)[0]."""
+    return martingale_residuals(lam, [n], family, a_variant)[0]
 
 
 @dataclass(frozen=True)

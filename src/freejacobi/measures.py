@@ -12,7 +12,7 @@ exponentially.  Node counts double until two successive passes agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,6 +86,10 @@ class SpectralMeasure:
     # infinite where x has rounded onto the edge, and the quadrature ends
     # with ConvergenceError.
     density_edges: object = None
+    # Quadrature nodes and weights of the a.c. part by node count, filled by
+    # _ac_nodes.  A dataclasses.replace copy starts with an empty store.
+    _nodes: dict = field(init=False, repr=False, compare=False,
+                         default_factory=dict)
 
     def __post_init__(self):
         lo, hi = self.support
@@ -146,14 +150,28 @@ def _sin_nodes(lo, hi, n):
 def _ac_nodes(m, n):
     """Nodes x and weights (density times Jacobian) of the n-node rule for
     the a.c. part of m; the edge-distance evaluator is preferred when m has
-    one, and a degenerate support has no nodes."""
+    one, and a degenerate support has no nodes.
+
+    The pair is built once per measure and node count and kept on the
+    measure, read-only: every Cauchy transform, moment table and
+    recurrence extraction of m then shares its nodes and density values.
+    The store holds at most one entry per node-doubling level.
+    """
+    nodes = m._nodes.get(n)
+    if nodes is not None:
+        return nodes
     lo, hi = m.support
     if hi <= lo:
-        return np.zeros(0), np.zeros(0)
-    x, jac, dlo, dhi = _sin_nodes(lo, hi, n)
-    if m.density_edges is not None:
-        return x, m.density_edges(x, dlo, dhi) * jac
-    return x, m.density(x) * jac
+        x, w = np.zeros(0), np.zeros(0)
+    else:
+        x, jac, dlo, dhi = _sin_nodes(lo, hi, n)
+        if m.density_edges is not None:
+            w = m.density_edges(x, dlo, dhi) * jac
+        else:
+            w = m.density(x) * jac
+    x.flags.writeable = w.flags.writeable = False
+    m._nodes[n] = x, w
+    return x, w
 
 
 def _integrate_ac(m, f, tol=1e-11, n_max=1 << 17):

@@ -30,6 +30,7 @@ from .renorm import family_values, u_combination
 __all__ = [
     "MatrixProcessState", "sample_haar_unitary", "evolve_unitary_bm",
     "make_state", "jacobi_spectrum", "ks_distance", "trace_martingale_series",
+    "simulate_trials",
 ]
 
 
@@ -221,35 +222,73 @@ def trace_martingale_series(lam, n, times, trials, d, seed=0, theta=0.5,
     rounded; the realized time is used in the e^{nt} prefactor).  n = 0 is
     the constant 1.
     """
+    return simulate_trials(lam, theta, d, trials, times=times, n=n,
+                           seed=seed, dt=dt, family=family,
+                           a_variant=a_variant)[1]
+
+
+def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
+                    dt=1e-2, family="P_lambda", a_variant="sqrt"):
+    """Both Monte Carlo outputs of a `simulate` run from one path per trial.
+
+    Returns (spectra, series, state): the spectrum of each trial at time t
+    (rounded to whole steps of dt; None when t is None), the trace series
+    over `times` as trace_martingale_series defines it, and the last
+    trial's state, whose ranks every trial shares (None when no trial had
+    to be sampled).  Trial i draws its state and then its Brownian steps
+    from default_rng([seed, i]), and the spectra at t and at every series
+    time are read off that one path.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     beta, gamma = u_combination(family, lam, a_variant=a_variant)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ts = sorted(float(t) for t in times)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t is not None and t < 0.0:
+        raise ValueError("t must be nonnegative")
+    ts = sorted(float(x) for x in times)
     if ts and ts[0] < 0.0:
         raise ValueError("times must be nonnegative")
+    # Cumulative step count and realized time of each series time.
+    counts, realized, k, t_now = [], [], 0, 0.0
+    for x in ts:
+        steps = int(round((x - t_now) / dt))
+        if steps > 0:
+            k += steps
+            t_now += steps * dt
+        counts.append(k)
+        realized.append(t_now)
     if n == 0:
-        return [(t, 1.0, 0.0) for t in ts]
+        counts = []
+    k_t = None if t is None else int(round(t / dt))
+    plan = sorted(set(counts) | ({k_t} if k_t is not None else set()))
     q = lam * (2.0 - lam)
-    per_trial = np.empty((trials, len(ts)))
-    for i in range(trials):
+    spectra = None if k_t is None else []
+    per_trial = np.empty((trials, len(counts)))
+    state = None
+    for i in range(trials if plan else 0):      # no path when nothing is read
         rng = np.random.default_rng([seed, i])
         state = make_state(lam, theta, d, rng)
-        w, t_now = state.U[:state.p_rank], 0.0
-        for j, t in enumerate(ts):
-            steps = int(round((t - t_now) / dt))
-            if steps > 0:
-                w = evolve_unitary_bm(w, dt, steps, rng)
-                t_now += steps * dt
-            vals = jacobi_spectrum(state, w)
-            s = (2.0 * vals - 1.0) / math.sqrt(q)
+        w, k_now, seen = state.U[:state.p_rank], 0, {}
+        for k in plan:
+            if k > k_now:
+                w = evolve_unitary_bm(w, dt, k - k_now, rng)
+                k_now = k
+            seen[k] = jacobi_spectrum(state, w)
+        if spectra is not None:
+            spectra.append(seen[k_t])
+        for j, k in enumerate(counts):
+            s = (2.0 * seen[k] - 1.0) / math.sqrt(q)
             (f_n,) = family_values(s, [n], beta, gamma, np.ones_like(s))
-            stat = np.mean(f_n)
-            per_trial[i, j] = math.exp(n * t_now) * stat
+            per_trial[i, j] = math.exp(n * realized[j]) * np.mean(f_n)
+    if n == 0:
+        return spectra, [(x, 1.0, 0.0) for x in ts], state
     means = per_trial.mean(axis=0)
     if trials > 1:
         err = per_trial.std(axis=0, ddof=1) / math.sqrt(trials)
     else:
         err = np.zeros(len(ts))
-    return [(t, float(mu), float(se)) for t, mu, se in zip(ts, means, err)]
+    series = [(x, float(mu), float(se)) for x, mu, se in zip(ts, means, err)]
+    return spectra, series, state

@@ -245,7 +245,7 @@ def test_simulate_evolved_spectra(tmp_path, capsys, monkeypatch,
         seen.append(vals)
         return vals
 
-    monkeypatch.setattr("freejacobi.cli.jacobi_spectrum", recording)
+    monkeypatch.setattr("freejacobi.simulator.jacobi_spectrum", recording)
     base = tmp_path / "evolved"
     files = [f"{base}_spectrum.csv", f"{base}_manifest.json"]
     args = ("simulate", "--lambda", "0.5", "--d", "24", "--trials", "3",
@@ -262,6 +262,8 @@ def test_simulate_evolved_spectra(tmp_path, capsys, monkeypatch,
         if ln and not ln.startswith(("#", "bin_")))]
     assert sum(counts) == man["p_rank"] * 3 == 18
 
+    # One spectrum per trial and run: the path is sampled once per trial.
+    assert len(seen) == 6
     for i, vals in enumerate(seen[:3]):
         rng = np.random.default_rng([4, i])
         state = make_state(0.5, 0.5, 24, rng)
@@ -269,6 +271,40 @@ def test_simulate_evolved_spectra(tmp_path, capsys, monkeypatch,
         c = (state.U @ y)[:state.p_rank, :state.q_rank]
         want = np.linalg.eigvalsh(c @ c.conj().T)
         assert np.max(np.abs(vals - want)) <= 1e-12
+
+
+def test_simulate_samples_each_trial_once(tmp_path, capsys, monkeypatch):
+    # The spectra at --t and the trace series share one path per trial.
+    from freejacobi import simulator
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make_state(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "make_state", counting)
+    code, _, _ = run(capsys, "simulate", "--lambda", "0.5", "--d", "20",
+                     "--trials", "3", "--t", "0.15", "--times", "0,0.1,0.3",
+                     "--out", str(tmp_path / "once"))
+    assert code == 0
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dt", "0", "dt must be positive"),
+    ("--dt", "-0.01", "dt must be positive"),
+    ("--t", "-0.5", "t must be nonnegative"),
+])
+def test_simulate_rejects_bad_times(tmp_path, capsys, flag, value, message):
+    # Rejected before any sampling: otherwise dt = 0 divides by zero, a
+    # negative dt never evolves the paths, and a negative --t labels the
+    # t = 0 spectra with a negative time.
+    code, _, err = run(capsys, "simulate", "--lambda", "0.5", "--d", "8",
+                       "--trials", "1", flag, value, "--times", "0,0.1",
+                       "--out", str(tmp_path / "bad"))
+    assert code == 2
+    assert message in err
 
 
 def test_simulate_missing_out_directory_fails_fast(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Drift operator, exact martingale residuals, and the (Z, K) flow pair."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from freejacobi import (
     flow_Z,
     flow_Z_ode_residual,
     martingale_residual,
+    martingale_residuals,
     moments,
     mu_lambda_theta,
     xi_shift,
 )
+from freejacobi.exact import ONE, X, exact_sqrt, mu_half_moments
+from freejacobi.renorm import family_values, u_combination
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +152,49 @@ def test_residual_matches_float_drift_of_composed_family():
                 got = martingale_residual(lam, n, family=family)
                 scale = float(np.max(np.abs(q.coeffs)))
                 assert abs(got - want) <= 1e-9 * scale, (family, lam, n)
+
+
+def _residual_per_degree(lam, n, family, a_variant):
+    # Reference: the exact residual of one degree, with its own recurrence,
+    # moments and drift scalars for this n alone.
+    lamF = Fraction(lam)
+    beta, gamma = u_combination(family, lamF, a_variant=a_variant)
+    inner = (2 * X - ONE) * (1 / exact_sqrt(lamF * (2 - lamF)))
+    (q_n,) = family_values(inner, [n], beta, gamma, ONE)
+    c = q_n.coef
+    m, th = mu_half_moments(lamF, n), Fraction(1, 2)
+    d = [0] * len(c)
+    for k in range(1, len(c)):
+        d[k - 1] += c[k] * (k * th * (1 - lamF))
+        d[k] -= c[k] * k
+        for l in range(1, k + 1):
+            term = m[k - l] + 2 * (l - 1) * (m[k - l] - m[k - l + 1])
+            d[l - 1] += c[k] * (lamF * th * term)
+    return max(abs(float(r + n * ci)) for r, ci in zip(d, c))
+
+
+@pytest.mark.parametrize("family", ["P_lambda", "Q_lambda"])
+@pytest.mark.parametrize("a_variant", ["sqrt", "rational"])
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
+def test_batched_residuals_match_per_degree(family, a_variant, lam):
+    # One exact pass over n = 1..15 gives, bit for bit, what a separate
+    # computation per degree gives.
+    degrees = range(1, 16)
+    got = martingale_residuals(lam, degrees, family, a_variant)
+    want = [_residual_per_degree(lam, n, family, a_variant) for n in degrees]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    for n in (1, 2, 15):
+        single = martingale_residual(lam, n, family, a_variant)
+        assert single.hex() == want[n - 1].hex()
+    # Any order and repetition of degrees gives the same values.
+    assert martingale_residuals(lam, [15, 3, 3, 1], family, a_variant) == \
+        [want[14], want[2], want[2], want[0]]
+
+
+def test_batched_residuals_input_checks():
+    for bad in ([0], [1, 0, 2], [-3], []):
+        with pytest.raises(ValueError):
+            martingale_residuals(0.5, bad)
 
 
 def test_residual_input_checks():

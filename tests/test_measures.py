@@ -303,6 +303,45 @@ def test_quadrature_budget_exhaustion_raises():
         _integrate_ac(m, lambda x: np.ones_like(x), tol=0.0, n_max=512)
 
 
+def _node_workout(m):
+    """Cauchy transforms near and far from the support plus a moment table:
+    together they fill the measure's node store at several levels."""
+    zs = (1.5, -1.2 + 0.3j, 0.2 + 0.05j, 0.4 + 0.01j, 3.0j)
+    return [cauchy_transform(m, z) for z in zs], moments(m, 12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: nu_lambda(0.5),
+    lambda: xi_lambda(0.3),
+    lambda: mu_lambda_theta(JacobiParams(0.7, 0.4)),
+])
+def test_stored_nodes_give_fresh_values(build):
+    # The nodes and density values kept on a measure are those a fresh
+    # measure would build: a measure that has served many calls gives
+    # bit-identical results.
+    used = build()
+    for _ in range(3):
+        _node_workout(used)
+    g_used, m_used = _node_workout(used)
+    g_fresh, m_fresh = _node_workout(build())
+    assert g_used == g_fresh
+    assert m_used.tobytes() == m_fresh.tobytes()
+
+
+def test_replaced_measure_does_not_reuse_nodes():
+    # A dataclasses.replace copy with another density on the same support
+    # must integrate its own density, not the stored weights of the original.
+    from dataclasses import replace
+
+    m, other = nu_lambda(0.5), nu_lambda(0.9)
+    _node_workout(m)
+    copy = replace(m, density=other.density,
+                   density_edges=other.density_edges)
+    assert moments(copy, 6).tobytes() == moments(nu_lambda(0.9), 6).tobytes()
+    assert moments(copy, 6)[2] != moments(m, 6)[2]
+    assert cauchy_transform(copy, 1.5) == cauchy_transform(other, 1.5)
+
+
 # ---------------------------------------------------------------------------
 # Cauchy transforms
 

@@ -12,6 +12,7 @@ from freejacobi import (
     make_state,
     mu_lambda_theta,
     sample_haar_unitary,
+    simulate_trials,
     trace_martingale_series,
 )
 from freejacobi.renorm import family_values, u_combination
@@ -242,3 +243,25 @@ def test_trace_series_input_checks():
     with pytest.raises(ValueError):
         trace_martingale_series(0.5, 2, [0.0], trials=2, d=16,
                                 a_variant="bogus")
+
+
+def test_simulate_trials_reads_both_outputs_off_one_path():
+    # The spectra at t do not depend on the series times read off the same
+    # path (steps are taken in other chunks, on the same stream), and the
+    # series is the one trace_martingale_series returns.
+    args = (0.7, 0.5, 24, 3)
+    spectra, series, state = simulate_trials(
+        *args, t=0.15, times=(0.3, 0.0, 0.1, 0.1), seed=6)
+    alone, no_series, _ = simulate_trials(*args, t=0.15, seed=6)
+    assert len(spectra) == 3 and no_series == []
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(spectra, alone))
+    assert series == trace_martingale_series(
+        0.7, 2, (0.3, 0.0, 0.1, 0.1), trials=3, d=24, seed=6)
+    assert (state.p_rank, state.q_rank) == (8, 12)
+
+
+def test_simulate_trials_input_checks():
+    with pytest.raises(ValueError):
+        simulate_trials(0.5, 0.5, 16, 2, t=0.1, dt=0.0)
+    with pytest.raises(ValueError):
+        simulate_trials(0.5, 0.5, 16, 0, t=0.1)
