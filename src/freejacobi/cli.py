@@ -70,6 +70,8 @@ def _emit_report(report, out):
 # -- subcommands --------------------------------------------------------------
 
 def cmd_density(args):
+    if args.npoints < 1:
+        raise ValueError(f"npoints = {args.npoints} must be >= 1")
     m = _MEASURES[args.family](args.lam, args.theta)
     lo, hi = m.support
     i = np.arange(args.npoints)
@@ -94,7 +96,8 @@ def cmd_moments(args):
 
 
 def _suite_orthogonality(args):
-    tol = 1e-9 if args.tol is None else args.tol
+    if args.nmax < 1:
+        raise ValueError(f"nmax = {args.nmax} must be >= 1")
     families = _POLY_FAMILIES if args.family == "all" else (args.family,)
     entries = []
     ok = True
@@ -107,54 +110,51 @@ def _suite_orthogonality(args):
         min_norm = float(np.min(diag))
         entries.append({"family": fam, "max_offdiag": max_off,
                         "min_norm": min_norm})
-        ok = ok and max_off < tol and min_norm > 0.0
+        ok = ok and max_off < args.tol and min_norm > 0.0
     return {"suite": "orthogonality", "lambda": args.lam, "theta": args.theta,
-            "n_max": args.nmax, "tol": tol, "families": entries,
+            "n_max": args.nmax, "tol": args.tol, "families": entries,
             "verdict": ok}, (0 if ok else 1)
 
 
 def _suite_renorm(args):
-    tol = 1e-10 if args.tol is None else args.tol
     measure = _MEASURES[args.family](args.lam, args.theta)
     rho = rho_trig if args.rho == "trig" else (lambda u: u)
     kern = RenormKernel(measure, rho=rho)
-    verdict, rep = certify_product_dependence(kern, tol=tol)
+    verdict, rep = certify_product_dependence(kern, tol=args.tol)
     rep.update({"suite": "renorm", "family": args.family, "rho": args.rho,
                 "lambda": args.lam, "theta": args.theta})
     return rep, (0 if verdict else 1)
 
 
 def _suite_fock(args):
-    tol = 1e-8 if args.tol is None else args.tol
     measure = _MEASURES[args.family](args.lam, args.theta)
     dim = args.kmax // 2 + 1
     js = extract_from_measure(measure, dim - 1)
     vac = vacuum_moments(build_fock(js, dim), args.kmax)
     quad = moments(measure, args.kmax)
     diff = float(np.max(np.abs(vac - quad)))
-    ok = diff < tol
+    ok = diff < args.tol
     return {"suite": "fock", "family": args.family, "lambda": args.lam,
-            "theta": args.theta, "k_max": args.kmax, "tol": tol,
+            "theta": args.theta, "k_max": args.kmax, "tol": args.tol,
             "max_difference": diff, "verdict": ok}, (0 if ok else 1)
 
 
 def _suite_martingale(args):
-    tol = 1e-9 if args.tol is None else args.tol
     degrees = range(1, args.nmax + 1)
     res = martingale_residuals(args.lam, degrees, family=args.family,
                                a_variant=args.a_variant)
     rows = [{"n": n, "residual": r} for n, r in zip(degrees, res)]
     worst = max(res)
-    ok = worst < tol
+    ok = worst < args.tol
     return {"suite": "martingale", "family": args.family,
             "a_variant": args.a_variant, "lambda": args.lam,
-            "n_max": args.nmax, "tol": tol, "residuals": rows,
+            "n_max": args.nmax, "tol": args.tol, "residuals": rows,
             "max_residual": worst, "verdict": ok}, (0 if ok else 1)
 
 
 def _suite_flows(args):
-    tol_k = 1e-6 if args.tol is None else args.tol
-    tol_z = args.tol_z
+    if args.ntimes < 1:
+        raise ValueError(f"ntimes = {args.ntimes} must be >= 1")
     p = JacobiParams(args.lam, args.theta)
     fc = FlowConstants.from_params(p, r=args.r)
     rows = []
@@ -166,10 +166,10 @@ def _suite_flows(args):
                                  variant=args.variant)
         rows.append({"t": t, "z_residual": rz, "k_residual": rk})
         worst_z, worst_k = max(worst_z, rz), max(worst_k, rk)
-    ok = worst_z < tol_z and worst_k < tol_k
+    ok = worst_z < args.tol_z and worst_k < args.tol
     return {"suite": "flows", "lambda": args.lam, "theta": args.theta,
             "r": fc.r, "t0": fc.t0, "variant": args.variant,
-            "tol_z": tol_z, "tol_k": tol_k, "residuals": rows,
+            "tol_z": args.tol_z, "tol_k": args.tol, "residuals": rows,
             "max_z_residual": worst_z, "max_k_residual": worst_k,
             "verdict": ok}, (0 if ok else 1)
 
@@ -275,15 +275,15 @@ def _build_parser():
 
     v = sub.add_parser("verify", help="run a verification suite")
     vs = v.add_subparsers(dest="suite", required=True)
+    v.set_defaults(func=cmd_verify)
 
     vo = vs.add_parser("orthogonality",
                        help="pairwise orthogonality of the three families")
     vo.add_argument("--family", choices=_POLY_FAMILIES + ("all",),
                     default="all")
     vo.add_argument("--nmax", type=int, default=12)
-    vo.add_argument("--tol", type=float, default=None)
+    vo.add_argument("--tol", type=float, default=1e-9)
     _add_common(vo)
-    vo.set_defaults(func=cmd_verify)
 
     vr = vs.add_parser("renorm",
                        help="product-dependence certification of the "
@@ -292,17 +292,15 @@ def _build_parser():
     vr.add_argument("--rho", choices=("trig", "id"), default="trig",
                     help="renormalizing map: 2u/(1+u^2) or the identity "
                          "negative control")
-    vr.add_argument("--tol", type=float, default=None)
+    vr.add_argument("--tol", type=float, default=1e-10)
     _add_common(vr)
-    vr.set_defaults(func=cmd_verify)
 
     vf = vs.add_parser("fock",
                        help="tridiagonal vacuum moments vs quadrature")
     vf.add_argument("--family", choices=_MEASURE_FAMILIES, default="mu")
     vf.add_argument("--kmax", type=int, default=16)
-    vf.add_argument("--tol", type=float, default=None)
+    vf.add_argument("--tol", type=float, default=1e-8)
     _add_common(vf)
-    vf.set_defaults(func=cmd_verify)
 
     vm = vs.add_parser("martingale",
                        help="drift-cancellation residuals of a family")
@@ -311,9 +309,8 @@ def _build_parser():
     vm.add_argument("--a-variant", choices=("sqrt", "rational"),
                     default="sqrt")
     vm.add_argument("--nmax", type=int, default=15)
-    vm.add_argument("--tol", type=float, default=None)
+    vm.add_argument("--tol", type=float, default=1e-9)
     _add_common(vm)
-    vm.set_defaults(func=cmd_verify)
 
     vl = vs.add_parser("flows", help="ODE residuals of the closed-form flow")
     vl.add_argument("--variant", choices=("displayed", "ode"),
@@ -321,11 +318,10 @@ def _build_parser():
     vl.add_argument("--r", type=float, default=None,
                     help="flow parameter r in (0, 4 lambda theta^2]")
     vl.add_argument("--ntimes", type=int, default=10)
-    vl.add_argument("--tol", type=float, default=None,
+    vl.add_argument("--tol", type=float, default=1e-6,
                     help="tolerance for the K residual (default 1e-6)")
     vl.add_argument("--tol-z", dest="tol_z", type=float, default=1e-7)
     _add_common(vl)
-    vl.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("simulate", help="random-matrix Monte Carlo run")
     s.add_argument("--d", type=int, default=200)

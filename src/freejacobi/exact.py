@@ -8,13 +8,15 @@ roughly 1e-2 of roundoff, far above the 1e-9 verification threshold.  Every
 float input is a dyadic rational, so the whole computation can be carried
 out exactly: the only irrationality is sqrt(lam*(2-lam)), one square root.
 
-The ring is numpy's ``Polynomial`` over object coefficients -- Python int,
-Fraction or :class:`Quad` -- generated by ``X`` with unit ``ONE``.  Its sums
-and products never round, so equal ring elements give equal floats.  Two
-limits of numpy's object support: ``Polynomial / Quad`` raises (multiply by
-the reciprocal), and calling such a polynomial on a ring element raises
-over Quad coefficients and rounds to floats over integer ones (evaluate by a
-recurrence such as ``polys.chebyshev_seq`` instead).
+The ring is numpy's ``Polynomial``, the same type that ``polys.Poly``
+specializes to float coefficients, here over object coefficients -- Python
+int, Fraction or :class:`Quad` -- generated by ``X`` with unit ``ONE``.
+Where Poly rounds every coefficient, the ring's sums and products never
+round, so equal ring elements give equal floats.  Two limits of numpy's
+object support, which Poly does not share: ``Polynomial / Quad`` raises
+(multiply by the reciprocal), and calling such a polynomial on a ring
+element raises over Quad coefficients and rounds to floats over integer ones
+(evaluate by a recurrence such as ``polys.chebyshev_seq`` instead).
 
 Moments of the stationary law at theta = 1/2 are exact rationals because the
 Catalan generating function sum_k C_k w^k = (1 - sqrt(1-4w))/(2w) evaluates

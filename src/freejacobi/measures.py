@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import errors
 from .errors import ConvergenceError
 from .exact import exact_sqrt
 
@@ -182,19 +183,17 @@ def _integrate_ac(m, f, tol=1e-11, n_max=1 << 17):
     integrated in one pass); convergence requires every component to move by
     less than tol * max(1, |value|) under one doubling.
     """
-    lo, hi = m.support
-    prev = None
-    n = 64
-    while n <= n_max:
+    def compute(n):
         x, w = _ac_nodes(m, n)
-        vals = np.sum(np.asarray(f(x)) * w, axis=-1)
-        if prev is not None:
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            if np.max(np.abs(vals - prev)) < tol * scale:
-                return vals
-        prev = vals
-        n *= 2
-    raise ConvergenceError(
+        return np.sum(np.asarray(f(x)) * w, axis=-1)
+
+    def settled(prev, vals):
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        return np.max(np.abs(vals - prev)) < tol * scale
+
+    lo, hi = m.support
+    return errors.refine(
+        compute, settled, 64, n_max,
         f"quadrature did not settle at {n_max} nodes on [{lo}, {hi}]")
 
 
@@ -266,14 +265,9 @@ def nu_lambda_theta(p):
     # instead of rounding noise of either sign.
     gap_lo = 2.0 * th * (math.sqrt(1.0 - lam * th) - math.sqrt(lam * (1.0 - th))) ** 2
     gap_hi = 2.0 * (math.sqrt((1.0 - th) * (1.0 - lam * th)) - th * math.sqrt(lam)) ** 2
-    # The denominator may vanish at x = +-1 (it does at lam = 1, where the
-    # sqrt(1 - x^2) numerator keeps the density integrable), so positivity
-    # is only required strictly inside the support.
-    grid = np.linspace(-1.0, 1.0, 515)[1:-1]
-    den_grid = (gap_lo + d * (1.0 + grid)) * (gap_hi + d * (1.0 - grid))
-    if np.min(den_grid) <= 0.0:
-        raise ValueError("density denominator vanishes inside [-1, 1]; "
-                         "parameters outside the valid regime")
+    # With gap_lo, gap_hi >= 0 and d > 0 both factors are positive on
+    # (-1, 1); at lam = 1 they vanish at the edges, where the sqrt(1 - x^2)
+    # numerator keeps the density integrable.
     scale = d * d / (2.0 * np.pi * lam * th)
 
     def dens(x):

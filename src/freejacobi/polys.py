@@ -11,9 +11,9 @@ from __future__ import annotations
 import operator
 
 import numpy as np
-from numpy.polynomial import polynomial as npol
+from numpy.polynomial import Polynomial
 
-from .errors import ConvergenceError
+from . import errors
 
 __all__ = [
     "Poly",
@@ -25,76 +25,46 @@ __all__ = [
 ]
 
 
-class Poly:
-    """Real polynomial with dense monomial coefficients.
+class Poly(Polynomial):
+    """Real polynomial with dense monomial coefficients: numpy's
+    ``Polynomial`` over float, with its ring operations, ``deriv`` and
+    evaluation.
 
     ``coeffs[k]`` multiplies ``x**k``.  Trailing zero coefficients are
-    trimmed so the stored leading coefficient is nonzero unless the
-    polynomial is identically zero (stored as the single coefficient 0.0).
+    trimmed, also on every arithmetic result, so the stored leading
+    coefficient is nonzero unless the polynomial is identically zero (stored
+    as the single coefficient 0.0).
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    def __init__(self, coef, domain=None, window=None, symbol="x"):
+        c = np.atleast_1d(np.asarray(coef, dtype=float))
         if c.ndim != 1:
             raise ValueError("coefficients must form a one-dimensional sequence")
         nz = np.nonzero(c)[0]
-        self.coeffs = c[: nz[-1] + 1].copy() if nz.size else np.zeros(1)
+        super().__init__(c[: nz[-1] + 1] if nz.size else [0.0],
+                         domain, window, symbol)
 
-    # -- basic queries ---------------------------------------------------
+    @property
+    def coeffs(self):
+        return self.coef
+
     def is_zero(self):
-        return self.coeffs.size == 1 and self.coeffs[0] == 0.0
+        return self.coef.size == 1 and self.coef[0] == 0.0
 
     @property
     def degree(self):
-        """Polynomial degree; -1 for the zero polynomial."""
-        return -1 if self.is_zero() else self.coeffs.size - 1
+        """Polynomial degree; -1 for the zero polynomial.  A property here,
+        where numpy's ``degree()`` is a method that numpy itself never
+        calls."""
+        return -1 if self.is_zero() else self.coef.size - 1
 
     @property
     def leading(self):
-        return float(self.coeffs[-1])
-
-    def __call__(self, x):
-        return npol.polyval(x, self.coeffs)
-
-    def __repr__(self):
-        return f"Poly({self.coeffs.tolist()})"
-
-    # -- ring operations -------------------------------------------------
-    def __add__(self, other):
-        other = _as_poly(other)
-        return Poly(npol.polyadd(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        return Poly(npol.polysub(self.coeffs, other.coeffs))
-
-    def __rsub__(self, other):
-        return _as_poly(other).__sub__(self)
-
-    def __neg__(self):
-        return Poly(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return Poly(npol.polymul(self.coeffs, other.coeffs))
-        return Poly(self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def deriv(self):
-        return Poly(npol.polyder(self.coeffs))
+        return float(self.coef[-1])
 
     def compose(self, inner):
-        """Horner composition self(inner(x))."""
-        inner = _as_poly(inner)
-        out = Poly([self.coeffs[-1]])
-        for c in self.coeffs[-2::-1]:
-            out = out * inner + Poly([c])
-        return out
+        """Composition self(inner(x)), by numpy's Horner evaluation."""
+        return self(_as_poly(inner))
 
     def allclose(self, other, tol=1e-9):
         """Coefficientwise comparison, absolute tolerance scaled by the
@@ -215,16 +185,10 @@ def taylor_coeffs_in_u(f, order, radius=0.5, max_nodes=1 << 16):
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     tol = 10.0 * np.finfo(float).eps / radius ** np.arange(order + 1)
-    n = 64
-    while n < 2 * (order + 1):
-        n *= 2
-    prev = _contour_coeffs(f, order, radius, n)
-    while n < max_nodes:
-        n *= 2
-        cur = _contour_coeffs(f, order, radius, n)
-        if np.all(np.abs(cur - prev) <= tol):
-            return cur
-        prev = cur
-    raise ConvergenceError(
+    # Start at the smallest 64 * 2^k nodes that is at least 2 (order + 1).
+    n = max(64, 1 << (2 * order + 1).bit_length())
+    return errors.refine(
+        lambda n: _contour_coeffs(f, order, radius, n),
+        lambda prev, cur: np.all(np.abs(cur - prev) <= tol), n, max_nodes,
         f"Taylor coefficients did not settle by {max_nodes} contour nodes; "
         "is f analytic on |u| <= radius?")

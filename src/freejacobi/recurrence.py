@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, PositivityError
+from . import errors
+from .errors import PositivityError
 from .measures import _ac_nodes
 from .renorm import u_combination
 
@@ -96,23 +97,21 @@ def extract_from_measure(m, n_max, tol=1e-10):
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    prev = None
-    n = 64
-    while n <= 32768:
+
+    def compute(n):
         x_ac, w_ac = _ac_nodes(m, n)
         xs = np.concatenate([x_ac, [a for a, _ in m.atoms]])
         ws = np.concatenate([w_ac, [w for _, w in m.atoms]])
-        alpha, omega = _stieltjes_discretized(xs, ws, n_max)
-        if prev is not None:
-            d = max(np.max(np.abs(alpha - prev[0])), np.max(np.abs(omega - prev[1]))
-                    if n_max else 0.0)
-            if d < tol:
-                return JacobiSzego(alpha, omega)
-        prev = (alpha, omega)
-        n *= 2
-    raise ConvergenceError(
+        return _stieltjes_discretized(xs, ws, n_max)
+
+    def settled(prev, cur):
+        return max(np.max(np.abs(cur[0] - prev[0])),
+                   np.max(np.abs(cur[1] - prev[1])) if n_max else 0.0) < tol
+
+    return JacobiSzego(*errors.refine(
+        compute, settled, 64, 32768,
         f"recurrence coefficients did not settle to {tol} by 32768 nodes; "
-        f"n_max = {n_max} may exceed double-precision reach for this measure")
+        f"n_max = {n_max} may exceed double-precision reach for this measure"))
 
 
 def monicize(polys):

@@ -273,6 +273,8 @@ def family_gram(measure, beta, gamma, n_max):
     around six digits at degree ~24 through cancellation; this route keeps
     the off-diagonal of an orthogonal family at ~1e-12.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max = {n_max} must be nonnegative")
     iu, ju = np.triu_indices(n_max + 1)
 
     def pair_values(x):

@@ -34,19 +34,13 @@ __all__ = [
 ]
 
 
-def _rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_haar_unitary(d, seed=None):
     """Haar-distributed d x d unitary: complex Ginibre, QR, then the column
     phase correction that fixes R's diagonal positive -- the normalization
     that makes the QR factor exactly Haar rather than merely unitary."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(a / math.sqrt(2.0))
     ph = np.diagonal(r).copy()
@@ -92,7 +86,7 @@ def evolve_unitary_bm(y, dt, steps, seed=None):
     if w.ndim != 2 or not np.isfinite(w).all():
         raise ValueError("y must be a finite k x d block")
     d = w.shape[1]
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     # x = i tau H for H = (A + A*) / sqrt(4 d), A = G_re + i G_im: its real
     # part is the antisymmetric G_im^T - G_im, its imaginary part the
     # symmetric G_re + G_re^T, both times tau / sqrt(4 d).

@@ -170,6 +170,40 @@ def test_out_of_range_flow_parameter_exit_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "flows", "--lambda", "0.5", "--theta", "0.4", "--ntimes", "0"),
+     "ntimes = 0 must be >= 1"),
+    (("density", "--lambda", "0.5", "--npoints", "0"),
+     "npoints = 0 must be >= 1"),
+    (("density", "--lambda", "0.5", "--npoints", "-3"),
+     "npoints = -3 must be >= 1"),
+    (("verify", "orthogonality", "--lambda", "0.5", "--nmax", "-1"),
+     "nmax = -1 must be >= 1"),
+    (("verify", "orthogonality", "--lambda", "0.5", "--nmax", "0"),
+     "nmax = 0 must be >= 1"),
+])
+def test_empty_input_exit_2(capsys, argv, message):
+    # No verdict without a residual or an off-diagonal pair, and no table
+    # without a row: each used to exit 0 (a verdict of true, an empty
+    # density table) or to fail on an empty max() with a message that named
+    # no input.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_verify_tol_defaults_in_reports(capsys):
+    for argv, key, tol in [
+            (("orthogonality", "--family", "Q_lambda", "--nmax", "3"), "tol", 1e-9),
+            (("fock", "--kmax", "4"), "tol", 1e-8),
+            (("martingale", "--nmax", "2"), "tol", 1e-9),
+            (("flows", "--ntimes", "1"), "tol_k", 1e-6),
+            (("flows", "--ntimes", "1"), "tol_z", 1e-7)]:
+        _, out, _ = run(capsys, "verify", *argv, "--lambda", "1.0")
+        assert json.loads(out)[key] == tol
+
+
 # ---------------------------------------------------------------------------
 # Simulation outputs
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from freejacobi import (
     ConvergenceError,
@@ -14,6 +15,7 @@ from freejacobi import (
     eval_three_term,
     taylor_coeffs_in_u,
 )
+from freejacobi.errors import refine
 
 coeff_lists = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False),
@@ -61,6 +63,23 @@ def test_poly_arithmetic_and_compose():
     assert (-p).allclose(Poly([-1.0, -2.0]))
     # (1 + 2x) o x^2 = 1 + 2x^2
     assert p.compose(q).allclose(Poly([1.0, 0.0, 2.0]))
+
+
+def test_poly_is_numpy_polynomial():
+    p = Poly([1.0, 2.0, 3.0])
+    assert isinstance(p, Polynomial)
+    for r in (p + 1.0, p * p, p - p, -p, p.deriv(), p.compose([0.0, 2.0])):
+        assert type(r) is Poly
+
+
+def test_poly_cancelling_sum_is_trimmed():
+    p = Poly([1.0, 2.0, 3.0])
+    s = p + Poly([0.5, -1.0, -3.0])
+    assert s.coeffs.tolist() == [1.5, 1.0]
+    assert s.degree == 1 and s.leading == 1.0
+    z = p - p
+    assert z.is_zero() and z.degree == -1
+    assert (p * 0.0).degree == -1
 
 
 def test_poly_deriv():
@@ -230,6 +249,18 @@ def test_taylor_pole_on_contour_raises():
                            radius=0.5, max_nodes=4096)
 
 
+def test_taylor_stays_within_node_budget():
+    sizes = []
+
+    def f(u):
+        sizes.append(np.size(u))
+        return 1.0 / (1.0 - 2.0 * u)
+
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+        taylor_coeffs_in_u(f, 4, radius=0.5, max_nodes=200)
+    assert sizes == [64, 128]
+
+
 def test_taylor_input_checks():
     with pytest.raises(ValueError):
         taylor_coeffs_in_u(lambda u: u, -1)
@@ -246,3 +277,40 @@ def test_taylor_scalar_only_callable():
 
     got = taylor_coeffs_in_u(f, 3)
     np.testing.assert_allclose(got, 0.5 ** np.arange(4), atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# The node-doubling driver
+
+
+def test_refine_returns_first_settled_pass():
+    calls = []
+
+    def compute(n):
+        calls.append(n)
+        return 1.0 / n
+
+    got = refine(compute, lambda prev, cur: prev - cur < 0.02, 4, 1024, "no")
+    # 1/32 - 1/64 is the first increment below 0.02.
+    assert got == 1.0 / 64
+    assert calls == [4, 8, 16, 32, 64]
+
+
+def test_refine_raises_when_budget_spent():
+    calls = []
+
+    def compute(n):
+        calls.append(n)
+        return n
+
+    with pytest.raises(ConvergenceError, match="^budget spent at 100$"):
+        refine(compute, lambda prev, cur: False, 5, 100, "budget spent at 100")
+    assert calls == [5, 10, 20, 40, 80]
+    calls.clear()
+    with pytest.raises(ConvergenceError):
+        refine(compute, lambda prev, cur: False, 4, 32, "spent")
+    assert calls == [4, 8, 16, 32]
+    calls.clear()
+    with pytest.raises(ConvergenceError):
+        refine(compute, lambda prev, cur: True, 64, 32, "start above budget")
+    assert calls == []

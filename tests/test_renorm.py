@@ -281,6 +281,12 @@ def test_gram_constant_entry_is_mass():
     assert g[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_gram_rejects_negative_degree():
+    beta, gamma = u_combination("Q_lambda", 0.7)
+    with pytest.raises(ValueError, match="n_max = -1"):
+        family_gram(nu_lambda(0.7), beta, gamma, -1)
+
+
 # ---------------------------------------------------------------------------
 # Generating-function families
 
