@@ -1,0 +1,175 @@
+#!/usr/bin/env python3
+"""One SHA-256 per group of freejacobi outputs, so that two trees can be
+compared with one diff.
+
+The groups:
+
+    residuals          the 120-case martingale residual grid by float.hex:
+                       both families and both a-variants, lambda in
+                       RESIDUAL_LAMS, n in RESIDUAL_DEGREES
+    verify_all         every JSON report of scripts/run_verify_all.py at its
+                       default grid, and the table it prints
+    density            `density` tables of the four measure families at
+                       lambda in TABLE_LAMS, theta in TABLE_THETAS (512 points)
+    moments            `moments` tables on the same grid
+    simulate_csv       spectrum and series CSVs of the `simulate` invocations
+                       in tests/test_cli.py
+    simulate_manifest  their manifests, stdout and stderr
+
+Each CLI output is hashed together with its argv and exit code.  The
+package is imported from the path, so run the script once per tree:
+
+    PYTHONPATH=src python scripts/fingerprint.py > new.txt
+    PYTHONPATH=/path/to/base/src python scripts/fingerprint.py > base.txt
+    diff base.txt new.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import run_verify_all
+from freejacobi.cli import main as fj_main
+from freejacobi.martingale import martingale_residuals
+
+RESIDUAL_LAMS = (0.25, 0.3, 0.5, 0.7, 0.99, 1.0)
+RESIDUAL_DEGREES = (1, 2, 5, 9, 15)
+TABLE_LAMS = ("0.25", "0.5", "0.7", "0.99", "1")
+TABLE_THETAS = ("0.3", "0.5")
+TABLE_FAMILIES = ("mu", "nu", "nu_theta", "xi")
+# The invocations of tests/test_cli.py that write artifacts, each with the
+# seed it runs at.
+SIMULATE_RUNS = (
+    ("--lambda", "1.0", "--d", "24", "--trials", "4", "--times", "0,0.1",
+     "--bins", "10", "--seed", "0"),
+    ("--lambda", "0.5", "--d", "16", "--trials", "2", "--times", "",
+     "--seed", "0"),
+    ("--lambda", "0.8", "--d", "20", "--trials", "3", "--times", "0,0.05",
+     "--seed", "9"),
+    ("--lambda", "0.5", "--d", "24", "--trials", "3", "--t", "0.2",
+     "--times", "", "--bins", "12", "--seed", "4"),
+    ("--lambda", "0.5", "--d", "20", "--trials", "3", "--t", "0.15",
+     "--times", "0,0.1,0.3", "--seed", "0"),
+    ("--lambda", "0.5", "--d", "20", "--trials", "2", "--theta", "0.4",
+     "--times", "0,0.05", "--seed", "0"),
+    ("--lambda", "0.5", "--d", "20", "--trials", "2", "--theta", "0.4",
+     "--times", "", "--seed", "0"),
+    ("--lambda", "0.5", "--d", "20", "--trials", "2", "--times", "0,0.05",
+     "--seed", "0"),
+    ("--lambda", "0.5", "--d", "16", "--trials", "2", "--times", "",
+     "--seed", "123"),
+)
+
+
+class Group:
+    """Running SHA-256 over the items of one group, with their count."""
+
+    def __init__(self):
+        self.sha, self.count = hashlib.sha256(), 0
+
+    def add(self, *parts):
+        for part in parts:
+            data = part if isinstance(part, bytes) else str(part).encode()
+            self.sha.update(len(data).to_bytes(8, "little") + data)
+        self.count += 1
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = fj_main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def residuals():
+    g = Group()
+    for family in ("P_lambda", "Q_lambda"):
+        for variant in ("sqrt", "rational"):
+            for lam in RESIDUAL_LAMS:
+                res = martingale_residuals(lam, RESIDUAL_DEGREES, family,
+                                           variant)
+                for n, r in zip(RESIDUAL_DEGREES, res):
+                    g.add(family, variant, lam.hex(), n, r.hex())
+    return g
+
+
+def verify_all():
+    g = Group()
+    run_one = run_verify_all.run_one
+
+    def recording(argv, report_path):
+        code, headline = run_one(argv, report_path)
+        report = report_path.read_bytes() if report_path.exists() else b""
+        g.add(" ".join(argv), code, report)
+        return code, headline
+
+    run_verify_all.run_one = recording
+    table = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(table):
+            code = run_verify_all.main([])
+    finally:
+        run_verify_all.run_one = run_one
+    g.add("table", code, table.getvalue())
+    return g
+
+
+def tables(command, tmp):
+    g = Group()
+    out = tmp / f"{command}.csv"
+    for family in TABLE_FAMILIES:
+        for lam in TABLE_LAMS:
+            for theta in TABLE_THETAS:
+                argv = (command, "--family", family, "--lambda", lam,
+                        "--theta", theta)
+                out.unlink(missing_ok=True)
+                code, _, _ = run_cli(argv + ("--out", str(out)))
+                g.add(" ".join(argv), code,
+                      out.read_bytes() if out.exists() else b"")
+    return g
+
+
+def simulate(tmp):
+    csvs, manifests = Group(), Group()
+    cwd = os.getcwd()
+    os.chdir(tmp)        # manifests then list relative file names
+    try:
+        for i, argv in enumerate(SIMULATE_RUNS):
+            base = f"run{i}"
+            code, out, err = run_cli(("simulate",) + argv + ("--out", base))
+            for suffix in ("_spectrum.csv", "_series.csv"):
+                path = Path(base + suffix)
+                csvs.add(" ".join(argv), code, suffix,
+                         path.read_bytes() if path.exists() else b"")
+            path = Path(base + "_manifest.json")
+            manifests.add(" ".join(argv), code, out, err,
+                          path.read_bytes() if path.exists() else b"")
+    finally:
+        os.chdir(cwd)
+    return csvs, manifests
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        csvs, manifests = simulate(tmp)
+        groups = {
+            "residuals": residuals(),
+            "verify_all": verify_all(),
+            "density": tables("density", tmp),
+            "moments": tables("moments", tmp),
+            "simulate_csv": csvs,
+            "simulate_manifest": manifests,
+        }
+    for name, g in groups.items():
+        print(f"{name:<18} {g.sha.hexdigest()}  {g.count} outputs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -127,6 +127,8 @@ def _suite_renorm(args):
 
 
 def _suite_fock(args):
+    if args.kmax < 1:
+        raise ValueError(f"kmax = {args.kmax} must be >= 1")
     measure = _MEASURES[args.family](args.lam, args.theta)
     dim = args.kmax // 2 + 1
     js = extract_from_measure(measure, dim - 1)
@@ -192,14 +194,16 @@ def cmd_verify(args):
 
 def cmd_simulate(args):
     times = [float(s) for s in args.times.split(",")] if args.times else []
-    if times and args.theta != 0.5:
-        print(f"note: the trace series rescales by the theta = 1/2 map; at "
-              f"theta = {_fmt(args.theta)} it tests no martingale property",
-              file=sys.stderr)
+    if args.bins < 1:
+        raise ValueError(f"bins = {args.bins} must be >= 1")
     spectra, series, state = simulate_trials(
         args.lam, args.theta, args.d, args.trials, t=args.t, times=times,
         n=args.n, seed=args.seed, dt=args.dt, family=args.family,
         a_variant=args.a_variant)
+    if times and args.theta != 0.5:
+        print(f"note: the trace series rescales by the theta = 1/2 map; at "
+              f"theta = {_fmt(args.theta)} it tests no martingale property",
+              file=sys.stderr)
     pooled = np.concatenate(spectra)
     lam_r, th_r = state.realized_params()
 

@@ -123,7 +123,8 @@ def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt"):
     the float of an element of Q(sqrt(q)) -- a reported 0.0 is an exact zero.
     One pass serves every degree: one Chebyshev recurrence up to max(degrees),
     one set of moments, and one drift matrix of rational scalars applied to
-    the coefficients of each q_n.
+    the coefficients of each q_n.  A residual beyond the float range, as at
+    lam = 1e-300, raises ValueError.
     """
     degrees = list(degrees)
     if not degrees or min(degrees) < 1:
@@ -138,8 +139,12 @@ def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt"):
     out = []
     for n, q_n in zip(degrees, family_values(inner, degrees, beta, gamma, ONE)):
         c = q_n.coef
-        out.append(max(abs(float(r + n * ci))
-                       for r, ci in zip(_apply(mat, c), c)))
+        try:
+            out.append(max(abs(float(r + n * ci))
+                           for r, ci in zip(_apply(mat, c), c)))
+        except OverflowError:
+            raise ValueError(f"the degree-{n} residual at lam = {lam} "
+                             "exceeds the float range") from None
     return out
 
 

@@ -6,7 +6,14 @@ poles just outside them.  All adaptive quadrature therefore uses the
 double-exponential (tanh-sinh) substitution x = c + h*tanh((pi/2) sinh t):
 the Jacobian decays double-exponentially at both ends, which absorbs any
 algebraic edge behaviour, and the trapezoid rule in t then converges
-exponentially.  Node counts double until two successive passes agree.
+exponentially.  Node counts double until two successive passes agree, and
+the distribution-function grid accumulates the same nodes and weights.
+
+Each law of the package (mu_lambda_theta, nu_lambda, nu_lambda_theta,
+xi_lambda) writes its density once, in edge form (see
+SpectralMeasure.density_edges); its density at x is that form at the
+clipped edge distances x - lo and hi - x.  The parameter domain is stated
+once, by JacobiParams: the theta = 1/2 laws check lam through it as well.
 """
 
 from __future__ import annotations
@@ -45,7 +52,9 @@ class JacobiParams:
 
     The domain is 0 < lam <= 1 and 0 < theta <= 1/2.  It lies inside the
     injective regime theta <= 1/(lam + 1), where the stationary spectral
-    measure has no atoms.
+    measure has no atoms.  This is the one statement of the domain: the
+    theta = 1/2 laws, u_combination and simulate_trials check their
+    parameters by building a JacobiParams.
     """
 
     lam: float
@@ -81,11 +90,13 @@ class SpectralMeasure:
     # supplied separately.  Near an edge those distances are far below one
     # ulp of x itself, so a density with an inverse-square-root edge cannot
     # be evaluated accurately (or at all) from the rounded x alone; the
-    # quadrature computes the distances in closed form and prefers this
-    # evaluator when present.  The tanh-sinh nodes reach within ~1e-37 of
-    # each edge, so such a density needs this evaluator: from x alone it is
-    # infinite where x has rounded onto the edge, and the quadrature ends
-    # with ConvergenceError.
+    # quadrature and cdf_grid compute the distances in closed form and
+    # prefer this evaluator when present.  The tanh-sinh nodes reach within
+    # ~1e-37 of each edge, so such a density needs this evaluator: from x
+    # alone it is infinite where x has rounded onto the edge, and the
+    # quadrature ends with ConvergenceError.  The package's laws are written
+    # in this form only, and `density` is derived from it when the law is
+    # built (by _edge_law), so a dataclasses.replace copy must replace both.
     density_edges: object = None
     # Quadrature nodes and weights of the a.c. part by node count, filled by
     # _ac_nodes.  A dataclasses.replace copy starts with an empty store.
@@ -199,17 +210,38 @@ def _integrate_ac(m, f, tol=1e-11, n_max=1 << 17):
 
 # -- constructors ------------------------------------------------------------
 
-def mu_lambda_theta(p):
-    """Stationary spectral measure on [x_-, x_+] (injective regime)."""
-    if not isinstance(p, JacobiParams):
-        p = JacobiParams(*p)
-    xm, xp = p.x_minus, p.x_plus
-    c = 1.0 / (2.0 * np.pi * p.lam * p.theta)
+def _edge_law(support, dens_edges, atoms, label):
+    """SpectralMeasure of a law written once, in edge form: its density at x
+    is the edge form at the edge distances x - lo and hi - x, clipped at 0."""
+    lo, hi = support
 
     def dens(x):
         x = np.asarray(x, dtype=float)
-        rad = np.clip((xp - x) * (x - xm), 0.0, None)
-        return c * np.sqrt(rad) / (x * (1.0 - x))
+        return dens_edges(x, np.clip(x - lo, 0.0, None),
+                          np.clip(hi - x, 0.0, None))
+
+    return SpectralMeasure(support, dens, atoms, label,
+                           density_edges=dens_edges)
+
+
+def _two_pi_lam_theta(p):
+    """2 pi lam theta, the normaliser of mu_{lam,theta} and nu_{lam,theta}.
+    It underflows to 0 for some (lam, theta) that JacobiParams accepts, such
+    as (1e-300, 5e-324); neither law has a float density there."""
+    den = 2.0 * np.pi * p.lam * p.theta
+    if den == 0.0:
+        raise ValueError(f"2 pi lam theta underflows to 0 at lam = {p.lam}, "
+                         f"theta = {p.theta}")
+    return den
+
+
+def mu_lambda_theta(p):
+    """Stationary spectral measure on [x_-, x_+] (injective regime), with
+    density sqrt((x_+ - x)(x - x_-)) / (2 pi lam theta x (1 - x))."""
+    if not isinstance(p, JacobiParams):
+        p = JacobiParams(*p)
+    xm, xp = p.x_minus, p.x_plus
+    c = 1.0 / _two_pi_lam_theta(p)
 
     # At lam = 1 the support reaches x = 0 (and at theta = 1/2 also x = 1),
     # where the x(1-x) denominator vanishes together with the radicand;
@@ -221,22 +253,15 @@ def mu_lambda_theta(p):
         right = dhi if xp == 1.0 else 1.0 - x
         return num / (left * right)
 
-    return SpectralMeasure((xm, xp), dens, (), f"mu[{p.lam},{p.theta}]",
-                           density_edges=dens_edges)
+    return _edge_law((xm, xp), dens_edges, (), f"mu[{p.lam},{p.theta}]")
 
 
 def nu_lambda(lam):
     """Symmetric image of the theta = 1/2 measure on [-1, 1]:
     (2-lam)/pi * sqrt(1-x^2) / (1 - lam(2-lam) x^2)."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lam = {lam} outside (0, 1]")
+    JacobiParams(lam, 0.5)
     q = lam * (2.0 - lam)
     gap = (1.0 - lam) ** 2          # 1 - q, exactly nonnegative
-
-    def dens(x):
-        x = np.asarray(x, dtype=float)
-        rad = np.clip(1.0 - x * x, 0.0, None)
-        return (2.0 - lam) / np.pi * np.sqrt(rad) / (1.0 - q * x * x)
 
     # 1 - q x^2 = (1-lam)^2 + q (1-x)(1+x): at lam = 1 the denominator
     # vanishes at both edges exactly as fast as the numerator (arcsine law),
@@ -245,12 +270,13 @@ def nu_lambda(lam):
         prod = dlo * dhi
         return (2.0 - lam) / np.pi * np.sqrt(prod) / (gap + q * prod)
 
-    return SpectralMeasure((-1.0, 1.0), dens, (), f"nu[{lam}]",
-                           density_edges=dens_edges)
+    return _edge_law((-1.0, 1.0), dens_edges, (), f"nu[{lam}]")
 
 
 def nu_lambda_theta(p):
-    """General-theta symmetric image measure on [-1, 1]."""
+    """General-theta symmetric image measure on [-1, 1]: the image of
+    mu_{lam,theta} under x -> (2x - s)/d, with density
+    d^2 sqrt(1-x^2) / (2 pi lam theta (s + dx)(2 - s - dx))."""
     if not isinstance(p, JacobiParams):
         p = JacobiParams(*p)
     lam, th = p.lam, p.theta
@@ -268,20 +294,13 @@ def nu_lambda_theta(p):
     # With gap_lo, gap_hi >= 0 and d > 0 both factors are positive on
     # (-1, 1); at lam = 1 they vanish at the edges, where the sqrt(1 - x^2)
     # numerator keeps the density integrable.
-    scale = d * d / (2.0 * np.pi * lam * th)
-
-    def dens(x):
-        x = np.asarray(x, dtype=float)
-        rad = np.clip(1.0 - x * x, 0.0, None)
-        den = (gap_lo + d * (1.0 + x)) * (gap_hi + d * (1.0 - x))
-        return scale * np.sqrt(rad) / den
+    scale = d * d / _two_pi_lam_theta(p)
 
     def dens_edges(x, dlo, dhi):
         den = (gap_lo + d * dlo) * (gap_hi + d * dhi)
         return scale * np.sqrt(dlo * dhi) / den
 
-    return SpectralMeasure((-1.0, 1.0), dens, (), f"nu[{lam},{th}]",
-                           density_edges=dens_edges)
+    return _edge_law((-1.0, 1.0), dens_edges, (), f"nu[{lam},{th}]")
 
 
 def xi_shift(lam, variant="sqrt"):
@@ -293,8 +312,7 @@ def xi_shift(lam, variant="sqrt"):
     (1-lam)/(lam(2-lam)) kept as a negative control.  A Fraction lam gives
     the exact value, an element of Q(sqrt(lam(2-lam))).
     """
-    if not 0 < lam <= 1:
-        raise ValueError(f"lam = {lam} outside (0, 1]")
+    JacobiParams(lam, 0.5)
     q = lam * (2 - lam)
     if variant == "sqrt":
         return (1 - lam) / exact_sqrt(q)
@@ -308,11 +326,6 @@ def xi_lambda(lam):
     (-1, 1) plus an atom of weight a/sqrt(a^2+1) at sqrt(a^2+1), a = a(lam)."""
     a = xi_shift(lam)
 
-    def dens(x):
-        x = np.asarray(x, dtype=float)
-        rad = np.clip(1.0 - x * x, 0.0, None)
-        return np.sqrt(rad) / (np.pi * (a * a + 1.0 - x * x))
-
     # a^2 + 1 - x^2 = a^2 + (1-x)(1+x): exact at the edges, where a = 0
     # (lam = 1) turns the law into the arcsine one.
     def dens_edges(x, dlo, dhi):
@@ -322,8 +335,7 @@ def xi_lambda(lam):
     atoms = ()
     if a > 0.0:
         atoms = ((math.sqrt(a * a + 1.0), a / math.sqrt(a * a + 1.0)),)
-    return SpectralMeasure((-1.0, 1.0), dens, atoms, f"xi[{lam}]",
-                           density_edges=dens_edges)
+    return _edge_law((-1.0, 1.0), dens_edges, atoms, f"xi[{lam}]")
 
 
 # -- functionals -------------------------------------------------------------
@@ -462,24 +474,29 @@ def pushforward_affine(m, scale, shift):
                            density_edges=dens_edges)
 
 
-def cdf_grid(m, n=4001):
+# Node count of cdf_grid: one level of the quadrature's node doubling, so
+# the grid shares the nodes a measure already keeps.
+_CDF_NODES = 4096
+
+
+def cdf_grid(m):
     """Monotone grid (xs, Fs) of the distribution function, for interpolation.
 
-    The a.c. part is accumulated by trapezoid in the sin-substituted
-    variable (smooth integrand); atoms contribute jumps.  Intended for
-    empirical-distribution comparisons, where 1e-6 accuracy is ample.
+    The a.c. part is accumulated over the tanh-sinh nodes and weights of the
+    quadrature: at each node, the cumulative weight minus half the node's
+    own weight.  The grid starts at the lower edge with F = 0 and ends at
+    the upper edge with the a.c. mass; atoms contribute jumps.  The nodes
+    crowd double-exponentially towards the edges, so inverse-square-root
+    edges are resolved: for the arcsine law the interpolated grid is within
+    2e-7 of the closed form, up to 1e-9 from either edge.
     """
     lo, hi = m.support
     if hi > lo:
-        phi = np.linspace(-_HALF_PI, _HALF_PI, n)
-        c, h = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        xs = c + h * np.sin(phi)
-        # Midpoint accumulation: the density is never evaluated at the exact
-        # support endpoints, where inverse-square-root laws are 0/0 in floats
-        # (the substituted integrand itself stays bounded there).
-        mid = 0.5 * (phi[1:] + phi[:-1])
-        g = m.density(c + h * np.sin(mid)) * h * np.cos(mid)
-        Fs = np.concatenate([[0.0], np.cumsum(g * np.diff(phi))])
+        x, w = _ac_nodes(m, _CDF_NODES)
+        cum = np.cumsum(w)
+        # The outermost nodes round to within an ulp of an edge, either side.
+        xs = np.concatenate([[lo], np.clip(x, lo, hi), [hi]])
+        Fs = np.concatenate([[0.0], cum - 0.5 * w, cum[-1:]])
     else:
         xs = np.asarray([lo])
         Fs = np.asarray([0.0])

@@ -235,9 +235,9 @@ def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
 
     with a(lam) per ``xi_shift(lam, a_variant)`` and b, c per
     ``build_Q_lambda_theta`` (b depends on b_variant).  This is where the
-    family name, the variants and the parameter domain are checked: lam in
-    (0, 1], and for Q_lambda_theta a theta that JacobiParams accepts
-    (theta <= 1/2).
+    family name, the variants and the parameter domain are checked, the
+    domain by JacobiParams: lam in (0, 1], and for Q_lambda_theta theta in
+    (0, 1/2].
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -245,13 +245,10 @@ def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
         raise ValueError(f"unknown a_variant {a_variant!r}")
     if b_variant not in ("mean", "twice"):
         raise ValueError(f"unknown b_variant {b_variant!r}")
-    if not 0 < lam <= 1:
-        raise ValueError(f"lam = {lam} outside (0, 1]")
     entry = FAMILIES[family]
-    if entry.needs_theta:
-        if theta is None:
-            raise ValueError(f"{family} requires theta")
-        JacobiParams(lam, theta)
+    if entry.needs_theta and theta is None:
+        raise ValueError(f"{family} requires theta")
+    JacobiParams(lam, theta if entry.needs_theta else 0.5)
     return entry.weights(lam, theta, a_variant, b_variant)
 
 

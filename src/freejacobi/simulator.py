@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import JacobiParams
 from .renorm import family_values, u_combination
 
 __all__ = [
@@ -231,8 +232,10 @@ def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
     trial's state, whose ranks every trial shares (None when no trial had
     to be sampled).  Trial i draws its state and then its Brownian steps
     from default_rng([seed, i]), and the spectra at t and at every series
-    time are read off that one path.
+    time are read off that one path.  (lam, theta) must lie in the domain
+    that JacobiParams states; make_state itself samples any ranks.
     """
+    JacobiParams(lam, theta)
     if n < 0:
         raise ValueError("n must be >= 0")
     beta, gamma = u_combination(family, lam, a_variant=a_variant)

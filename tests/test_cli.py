@@ -181,12 +181,31 @@ def test_out_of_range_flow_parameter_exit_2(capsys):
      "nmax = -1 must be >= 1"),
     (("verify", "orthogonality", "--lambda", "0.5", "--nmax", "0"),
      "nmax = 0 must be >= 1"),
+    (("verify", "fock", "--lambda", "0.5", "--kmax", "0"),
+     "kmax = 0 must be >= 1"),
 ])
 def test_empty_input_exit_2(capsys, argv, message):
     # No verdict without a residual or an off-diagonal pair, and no table
     # without a row: each used to exit 0 (a verdict of true, an empty
     # density table) or to fail on an empty max() with a message that named
     # no input.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("density", "--family", "mu", "--lambda", "1e-300", "--theta", "5e-324"),
+     "2 pi lam theta underflows to 0"),
+    (("density", "--family", "nu_theta", "--lambda", "1e-300",
+      "--theta", "5e-324"), "2 pi lam theta underflows to 0"),
+    (("verify", "martingale", "--lambda", "1e-300", "--nmax", "3"),
+     "the degree-3 residual at lam = 1e-300 exceeds the float range"),
+])
+def test_extreme_lambda_exit_2(capsys, argv, message):
+    # Inputs inside the domain whose results floats cannot carry: each used
+    # to end in a traceback (ZeroDivisionError, OverflowError) with exit 1.
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -349,6 +368,26 @@ def test_simulate_missing_out_directory_fails_fast(tmp_path, capsys):
     assert code == 2
     assert "error:" in err and "missing" in err
     assert time.monotonic() - start < 2.0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--bins", "0"), "bins = 0 must be >= 1"),
+    (("--theta", "0.9"), "theta = 0.9 outside (0, 1/2]"),
+])
+def test_simulate_rejects_input_before_sampling(tmp_path, capsys,
+                                                monkeypatch, flags, message):
+    # --bins 0 used to fail only after the whole Monte Carlo, and --theta 0.9
+    # used to run and exit 0 with a null KS distance.  Neither samples now,
+    # and the theta note is not printed.
+    calls = []
+    monkeypatch.setattr("freejacobi.simulator.make_state",
+                        lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(capsys, "simulate", "--lambda", "0.5", "--d", "16",
+                         "--trials", "2", *flags, "--out", str(tmp_path / "r"))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_notes_theta_rescaling(tmp_path, capsys):

@@ -25,6 +25,7 @@ from freejacobi import (
     xi_shift,
 )
 from freejacobi.measures import _integrate_ac, _sin_nodes
+from freejacobi.renorm import u_combination
 
 lams = st.floats(0.05, 1.0, allow_nan=False)
 thetas = st.floats(0.05, 0.5, allow_nan=False)
@@ -234,6 +235,54 @@ def test_xi_total_mass_splits(lam):
     m = xi_lambda(lam)
     ac = float(_integrate_ac(m, lambda x: np.ones_like(x)))
     assert ac + m.atom_weight() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("lam, th", [(0.3, 0.2), (0.7, 0.45), (0.99, 0.5)])
+def test_densities_match_displayed_forms(lam, th):
+    # Each law writes its density once, in edge form; its density at x is
+    # that form at x - lo and hi - x, and equals the displayed closed form.
+    p = JacobiParams(lam, th)
+    q, a = lam * (2.0 - lam), xi_shift(lam)
+    s = 2.0 * th * (1.0 + lam - 2.0 * lam * th)
+    d = 4.0 * th * math.sqrt(lam * (1.0 - th) * (1.0 - lam * th))
+    xm, xp = p.x_minus, p.x_plus
+    laws = [
+        (mu_lambda_theta(p), lambda x: np.sqrt((xp - x) * (x - xm))
+         / (2.0 * np.pi * lam * th * x * (1.0 - x))),
+        (nu_lambda(lam), lambda x: (2.0 - lam) / np.pi * np.sqrt(1.0 - x * x)
+         / (1.0 - q * x * x)),
+        (nu_lambda_theta(p), lambda x: d * d * np.sqrt(1.0 - x * x)
+         / (2.0 * np.pi * lam * th * (s + d * x) * (2.0 - s - d * x))),
+        (xi_lambda(lam), lambda x: np.sqrt(1.0 - x * x)
+         / (np.pi * (a * a + 1.0 - x * x))),
+    ]
+    for m, closed in laws:
+        lo, hi = m.support
+        xs = lo + (hi - lo) * np.linspace(0.01, 0.99, 33)
+        np.testing.assert_allclose(m.density(xs), closed(xs), rtol=1e-12)
+        np.testing.assert_array_equal(
+            m.density(xs), m.density_edges(xs, xs - lo, hi - xs))
+
+
+@pytest.mark.parametrize("call", [
+    lambda lam: nu_lambda(lam),
+    lambda lam: xi_shift(lam),
+    lambda lam: u_combination("Q_lambda", lam),
+    lambda lam: u_combination("Q_lambda_theta", lam, 0.4),
+], ids=["nu_lambda", "xi_shift", "u_combination", "u_combination_theta"])
+@pytest.mark.parametrize("lam", [0.0, 1.5])
+def test_lam_outside_domain_keeps_its_message(call, lam):
+    # These check lam through JacobiParams, the one statement of the domain.
+    with pytest.raises(ValueError, match=rf"^lam = {lam} outside \(0, 1\]$"):
+        call(lam)
+
+
+def test_mu_and_nu_theta_reject_underflowing_normaliser():
+    # JacobiParams accepts (1e-300, 5e-324), where 2 pi lam theta is 0.
+    p = JacobiParams(1e-300, 5e-324)
+    for law in (mu_lambda_theta, nu_lambda_theta):
+        with pytest.raises(ValueError, match="underflows to 0"):
+            law(p)
 
 
 def test_xi_shift_variants():
@@ -478,6 +527,32 @@ def test_cdf_grid_arcsine():
         got = np.interp(q, xs, Fs)
         assert got == pytest.approx(2.0 / np.pi * np.arcsin(np.sqrt(q)),
                                     abs=1e-5)
+
+
+def test_cdf_grid_arcsine_near_edges():
+    # The tanh-sinh nodes crowd double-exponentially towards the edges, so
+    # the grid resolves the inverse-square-root edges up to 1e-9 from them.
+    xs, Fs = cdf_grid(mu_lambda_theta(JacobiParams(1.0, 0.5)))
+    near = np.geomspace(1e-9, 0.5, 400)
+    q = np.concatenate([near, 1.0 - near, np.linspace(0.0, 1.0, 1001)])
+    exact = 2.0 / np.pi * np.arcsin(np.sqrt(q))
+    assert np.max(np.abs(np.interp(q, xs, Fs) - exact)) < 1e-6
+
+
+def test_cdf_grid_against_scipy_quad():
+    from scipy import integrate
+
+    m = mu_lambda_theta(JacobiParams(0.5, 0.3))
+    xs, Fs = cdf_grid(m)
+    assert np.all(np.diff(xs) >= 0.0) and np.all(np.diff(Fs) >= 0.0)
+    assert (xs[0], Fs[0]) == (m.support_lo, 0.0)
+    assert xs[-1] == m.support_hi
+    assert Fs[-1] == pytest.approx(m.total_mass(), abs=1e-12)
+    lo, hi = m.support
+    pts = lo + (hi - lo) * np.linspace(0.0, 1.0, 41)[1:-1]
+    want = [integrate.quad(m.density, lo, x, epsabs=1e-13, limit=200)[0]
+            for x in pts]
+    assert np.max(np.abs(np.interp(pts, xs, Fs) - want)) < 1e-6
 
 
 def test_cdf_grid_atom_jump():

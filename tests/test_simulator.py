@@ -260,6 +260,18 @@ def test_simulate_trials_reads_both_outputs_off_one_path():
     assert (state.p_rank, state.q_rank) == (8, 12)
 
 
+def test_trace_series_rejects_theta_before_sampling(monkeypatch):
+    # (lam, theta) is checked against the domain before any state is drawn;
+    # make_state itself samples any ranks (theta = 1 above).
+    calls = []
+    monkeypatch.setattr("freejacobi.simulator.make_state",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=r"theta = 0\.9 outside"):
+        trace_martingale_series(0.5, 2, [0.0, 0.1], trials=2, d=16,
+                                theta=0.9)
+    assert calls == []
+
+
 def test_simulate_trials_input_checks():
     with pytest.raises(ValueError):
         simulate_trials(0.5, 0.5, 16, 2, t=0.1, dt=0.0)
