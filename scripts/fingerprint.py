@@ -15,6 +15,9 @@ The groups:
     simulate_csv       spectrum and series CSVs of the `simulate` invocations
                        in tests/test_cli.py
     simulate_manifest  their manifests, stdout and stderr
+    cli_errors         exit code and stderr of the rejected invocations in
+                       CLI_ERRORS; an exception that escapes main counts as
+                       exit code 1 with its type and message as stderr
 
 Each CLI output is hashed together with its argv and exit code.  The
 package is imported from the path, so run the script once per tree:
@@ -62,6 +65,33 @@ SIMULATE_RUNS = (
      "--seed", "0"),
     ("--lambda", "0.5", "--d", "16", "--trials", "2", "--times", "",
      "--seed", "123"),
+)
+
+# Rejected invocations, each with the FJL_SEED value it runs under (None:
+# unset): inputs that leave nothing to compute, theta outside the domain for
+# the theta = 1/2 families, a malformed FJL_SEED and non-finite simulate
+# times.
+_SIM = ("simulate", "--lambda", "0.5", "--d", "8", "--trials", "1")
+CLI_ERRORS = (
+    (None, ("verify", "flows", "--lambda", "0.5", "--theta", "0.4",
+            "--ntimes", "0")),
+    (None, ("density", "--lambda", "0.5", "--npoints", "0")),
+    (None, ("density", "--lambda", "0.5", "--npoints", "-3")),
+    (None, ("verify", "orthogonality", "--lambda", "0.5", "--nmax", "-1")),
+    (None, ("verify", "orthogonality", "--lambda", "0.5", "--nmax", "0")),
+    (None, ("verify", "fock", "--lambda", "0.5", "--kmax", "0")),
+    (None, ("density", "--family", "nu", "--lambda", "0.5", "--theta", "-3")),
+    (None, ("moments", "--family", "nu", "--lambda", "0.5", "--theta", "0.9")),
+    (None, ("verify", "renorm", "--family", "xi", "--lambda", "0.5",
+            "--theta", "0.9")),
+    (None, ("verify", "martingale", "--family", "Q_lambda", "--lambda", "0.5",
+            "--theta", "0.9")),
+    (None, ("verify", "orthogonality", "--family", "Q_lambda",
+            "--lambda", "0.5", "--theta", "0.9")),
+    ("abc", _SIM),
+    (None, _SIM + ("--times", "inf")),
+    (None, _SIM + ("--t", "inf")),
+    (None, _SIM + ("--dt", "inf")),
 )
 
 
@@ -154,6 +184,28 @@ def simulate(tmp):
     return csvs, manifests
 
 
+def cli_errors(tmp):
+    g = Group()
+    env = os.environ.pop("FJL_SEED", None)
+    cwd = os.getcwd()
+    os.chdir(tmp)        # a simulate run that is not rejected writes here
+    try:
+        for seed, argv in CLI_ERRORS:
+            if seed is not None:
+                os.environ["FJL_SEED"] = seed
+            try:
+                code, _, err = run_cli(argv)
+            except Exception as exc:
+                code, err = 1, f"{type(exc).__name__}: {exc}"
+            os.environ.pop("FJL_SEED", None)
+            g.add(seed, " ".join(argv), code, err)
+    finally:
+        os.chdir(cwd)
+        if env is not None:
+            os.environ["FJL_SEED"] = env
+    return g
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -165,6 +217,7 @@ def main():
             "moments": tables("moments", tmp),
             "simulate_csv": csvs,
             "simulate_manifest": manifests,
+            "cli_errors": cli_errors(tmp),
         }
     for name, g in groups.items():
         print(f"{name:<18} {g.sha.hexdigest()}  {g.count} outputs")

@@ -4,8 +4,9 @@ with JSON reports, and the random-matrix simulator.
 Exit codes are the contract for scripting: 0 when every check passed (or the
 requested data was written), 1 when a tolerance was violated, 2 on numerical
 non-convergence, invalid input or an output file that cannot be written.
-The default seed is the FJL_SEED environment variable when set, 0 otherwise;
-given identical arguments and seed, every output file is byte-identical.
+The default seed of `simulate` is the FJL_SEED environment variable when
+set, 0 otherwise (other subcommands ignore it); given identical arguments
+and seed, every output file is byte-identical.
 """
 
 from __future__ import annotations
@@ -196,9 +197,16 @@ def cmd_simulate(args):
     times = [float(s) for s in args.times.split(",")] if args.times else []
     if args.bins < 1:
         raise ValueError(f"bins = {args.bins} must be >= 1")
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("FJL_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"FJL_SEED = {env!r} is not an integer") from None
     spectra, series, state = simulate_trials(
         args.lam, args.theta, args.d, args.trials, t=args.t, times=times,
-        n=args.n, seed=args.seed, dt=args.dt, family=args.family,
+        n=args.n, seed=seed, dt=args.dt, family=args.family,
         a_variant=args.a_variant)
     if times and args.theta != 0.5:
         print(f"note: the trace series rescales by the theta = 1/2 map; at "
@@ -232,7 +240,7 @@ def cmd_simulate(args):
         "lambda": args.lam, "theta": args.theta,
         "realized_lambda": lam_r, "realized_theta": th_r,
         "d": args.d, "p_rank": state.p_rank, "q_rank": state.q_rank,
-        "trials": args.trials, "dt": args.dt, "seed": args.seed,
+        "trials": args.trials, "dt": args.dt, "seed": seed,
         "t": args.t, "times": times, "n": args.n,
         "family": args.family, "a_variant": args.a_variant,
         "ks_distance": ks,
@@ -247,10 +255,10 @@ def cmd_simulate(args):
 
 # -- parser -------------------------------------------------------------------
 
-def _add_common(p, *, theta_default=0.5):
+def _add_common(p):
     p.add_argument("--lambda", dest="lam", type=float, required=True,
                    help="spectral parameter lambda in (0, 1]")
-    p.add_argument("--theta", type=float, default=theta_default,
+    p.add_argument("--theta", type=float, default=0.5,
                    help="projection ratio theta (default %(default)s)")
     p.add_argument("--out", default=None,
                    help="output path (default: stdout)")
@@ -263,7 +271,6 @@ def _build_parser():
                     "Monte Carlo checks for the stationary compressed "
                     "unitary process.")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = int(os.environ.get("FJL_SEED", "0"))
 
     d = sub.add_parser("density", help="tabulate a spectral density")
     d.add_argument("--family", choices=_MEASURE_FAMILIES, default="mu")
@@ -343,7 +350,8 @@ def _build_parser():
                    default="P_lambda")
     s.add_argument("--a-variant", choices=("sqrt", "rational"),
                    default="sqrt")
-    s.add_argument("--seed", type=int, default=seed_default)
+    s.add_argument("--seed", type=int, default=None,
+                   help="random seed (default: FJL_SEED when set, else 0)")
     _add_common(s)
     s.set_defaults(func=cmd_simulate)
 
@@ -353,6 +361,9 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        # The one domain check of every subcommand, also of those whose
+        # theta = 1/2 families never read theta.
+        JacobiParams(args.lam, args.theta)
         # Before any computation: a simulate run would otherwise sample in
         # full and only then fail to write.
         out_dir = os.path.dirname(args.out or "")

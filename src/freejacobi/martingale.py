@@ -191,10 +191,14 @@ def flow_Z(fc, t):
     return 4.0 * e / ((e + fc.c1) ** 2 - 4.0 * fc.c2)
 
 
-def flow_Z_ode_residual(fc, t, step=1e-6):
+# Step of the central differences in the flow ODE residuals.
+_FD_STEP = 1e-6
+
+
+def flow_Z_ode_residual(fc, t):
     """|Z' - Z sqrt(1 - c1 Z + c2 Z^2)| with a central finite difference for
     Z' (step 1e-6); the closed form keeps this below 1e-7 at interior t."""
-    zp = (flow_Z(fc, t + step) - flow_Z(fc, t - step)) / (2.0 * step)
+    zp = (flow_Z(fc, t + _FD_STEP) - flow_Z(fc, t - _FD_STEP)) / (2.0 * _FD_STEP)
     z = flow_Z(fc, t)
     rad = 1.0 - fc.c1 * z + fc.c2 * z * z
     return abs(zp - z * math.sqrt(max(rad, 0.0)))
@@ -233,13 +237,13 @@ def flow_K(fc, lam, theta, t, C=1.0, variant="displayed"):
     return C * f1 * f2 * math.sqrt(ratio)
 
 
-def flow_K_ode_residual(fc, lam, theta, t, variant="displayed", step=1e-6):
+def flow_K_ode_residual(fc, lam, theta, t, variant="displayed"):
     """Relative residual |K' + K (lam th G(1/Z) + th (1-lam) Z)| / |K| with a
-    central finite difference for K'.  G is the closed-form Cauchy transform
-    of the stationary law, evaluated at 1/Z_t > 1."""
-    k_hi = flow_K(fc, lam, theta, t + step, variant=variant)
-    k_lo = flow_K(fc, lam, theta, t - step, variant=variant)
-    kp = (k_hi - k_lo) / (2.0 * step)
+    central finite difference for K' (step 1e-6).  G is the closed-form
+    Cauchy transform of the stationary law, evaluated at 1/Z_t > 1."""
+    k_hi = flow_K(fc, lam, theta, t + _FD_STEP, variant=variant)
+    k_lo = flow_K(fc, lam, theta, t - _FD_STEP, variant=variant)
+    kp = (k_hi - k_lo) / (2.0 * _FD_STEP)
     k = flow_K(fc, lam, theta, t, variant=variant)
     z = flow_Z(fc, t)
     g = cauchy_closed_form_mu(JacobiParams(lam, theta), 1.0 / z).real

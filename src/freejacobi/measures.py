@@ -80,24 +80,24 @@ class JacobiParams:
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
     """Probability measure with a density on [support_lo, support_hi] plus
-    finitely many atoms (location, weight) on or outside that interval."""
+    finitely many atoms (location, weight) on or outside that interval.
+
+    The density is given in edge form only: density_edges(x, dlo, dhi) with
+    dlo = x - lo and dhi = hi - x supplied separately.  Near an edge those
+    distances are far below one ulp of x itself, so a density with an
+    inverse-square-root edge cannot be evaluated accurately (or at all) from
+    the rounded x alone; the quadrature and cdf_grid compute the distances
+    in closed form (the tanh-sinh nodes reach within ~1e-37 of each edge).
+    The vectorized density(x) is derived from the edge form at the clipped
+    distances x - lo and hi - x, so a dataclasses.replace copy with another
+    density_edges carries the matching density.
+    """
 
     support: tuple
-    density: object                      # vectorized callable on the open support
+    density_edges: object                # (x, dlo, dhi) -> density, vectorized
     atoms: tuple = ()
     label: str = ""
-    # Optional (x, dlo, dhi) -> density with dlo = x - lo and dhi = hi - x
-    # supplied separately.  Near an edge those distances are far below one
-    # ulp of x itself, so a density with an inverse-square-root edge cannot
-    # be evaluated accurately (or at all) from the rounded x alone; the
-    # quadrature and cdf_grid compute the distances in closed form and
-    # prefer this evaluator when present.  The tanh-sinh nodes reach within
-    # ~1e-37 of each edge, so such a density needs this evaluator: from x
-    # alone it is infinite where x has rounded onto the edge, and the
-    # quadrature ends with ConvergenceError.  The package's laws are written
-    # in this form only, and `density` is derived from it when the law is
-    # built (by _edge_law), so a dataclasses.replace copy must replace both.
-    density_edges: object = None
+    density: object = field(init=False, repr=False)
     # Quadrature nodes and weights of the a.c. part by node count, filled by
     # _ac_nodes.  A dataclasses.replace copy starts with an empty store.
     _nodes: dict = field(init=False, repr=False, compare=False,
@@ -107,6 +107,16 @@ class SpectralMeasure:
         lo, hi = self.support
         if hi < lo:
             raise ValueError("support interval is reversed")
+        # The edge form captured here, not the attribute: a wrapper later
+        # set on density_edges then sees each density(x) point only once.
+        edges = self.density_edges
+
+        def density(x):
+            x = np.asarray(x, dtype=float)
+            return edges(x, np.clip(x - lo, 0.0, None),
+                         np.clip(hi - x, 0.0, None))
+
+        object.__setattr__(self, "density", density)
         object.__setattr__(self, "atoms",
                            tuple((float(x), float(w)) for x, w in self.atoms))
         for x, w in self.atoms:
@@ -161,8 +171,7 @@ def _sin_nodes(lo, hi, n):
 
 def _ac_nodes(m, n):
     """Nodes x and weights (density times Jacobian) of the n-node rule for
-    the a.c. part of m; the edge-distance evaluator is preferred when m has
-    one, and a degenerate support has no nodes.
+    the a.c. part of m; a degenerate support has no nodes.
 
     The pair is built once per measure and node count and kept on the
     measure, read-only: every Cauchy transform, moment table and
@@ -177,10 +186,7 @@ def _ac_nodes(m, n):
         x, w = np.zeros(0), np.zeros(0)
     else:
         x, jac, dlo, dhi = _sin_nodes(lo, hi, n)
-        if m.density_edges is not None:
-            w = m.density_edges(x, dlo, dhi) * jac
-        else:
-            w = m.density(x) * jac
+        w = m.density_edges(x, dlo, dhi) * jac
     x.flags.writeable = w.flags.writeable = False
     m._nodes[n] = x, w
     return x, w
@@ -209,20 +215,6 @@ def _integrate_ac(m, f, tol=1e-11, n_max=1 << 17):
 
 
 # -- constructors ------------------------------------------------------------
-
-def _edge_law(support, dens_edges, atoms, label):
-    """SpectralMeasure of a law written once, in edge form: its density at x
-    is the edge form at the edge distances x - lo and hi - x, clipped at 0."""
-    lo, hi = support
-
-    def dens(x):
-        x = np.asarray(x, dtype=float)
-        return dens_edges(x, np.clip(x - lo, 0.0, None),
-                          np.clip(hi - x, 0.0, None))
-
-    return SpectralMeasure(support, dens, atoms, label,
-                           density_edges=dens_edges)
-
 
 def _two_pi_lam_theta(p):
     """2 pi lam theta, the normaliser of mu_{lam,theta} and nu_{lam,theta}.
@@ -253,7 +245,7 @@ def mu_lambda_theta(p):
         right = dhi if xp == 1.0 else 1.0 - x
         return num / (left * right)
 
-    return _edge_law((xm, xp), dens_edges, (), f"mu[{p.lam},{p.theta}]")
+    return SpectralMeasure((xm, xp), dens_edges, (), f"mu[{p.lam},{p.theta}]")
 
 
 def nu_lambda(lam):
@@ -270,7 +262,7 @@ def nu_lambda(lam):
         prod = dlo * dhi
         return (2.0 - lam) / np.pi * np.sqrt(prod) / (gap + q * prod)
 
-    return _edge_law((-1.0, 1.0), dens_edges, (), f"nu[{lam}]")
+    return SpectralMeasure((-1.0, 1.0), dens_edges, (), f"nu[{lam}]")
 
 
 def nu_lambda_theta(p):
@@ -300,7 +292,7 @@ def nu_lambda_theta(p):
         den = (gap_lo + d * dlo) * (gap_hi + d * dhi)
         return scale * np.sqrt(dlo * dhi) / den
 
-    return _edge_law((-1.0, 1.0), dens_edges, (), f"nu[{lam},{th}]")
+    return SpectralMeasure((-1.0, 1.0), dens_edges, (), f"nu[{lam},{th}]")
 
 
 def xi_shift(lam, variant="sqrt"):
@@ -335,7 +327,7 @@ def xi_lambda(lam):
     atoms = ()
     if a > 0.0:
         atoms = ((math.sqrt(a * a + 1.0), a / math.sqrt(a * a + 1.0)),)
-    return _edge_law((-1.0, 1.0), dens_edges, atoms, f"xi[{lam}]")
+    return SpectralMeasure((-1.0, 1.0), dens_edges, atoms, f"xi[{lam}]")
 
 
 # -- functionals -------------------------------------------------------------
@@ -454,24 +446,15 @@ def pushforward_affine(m, scale, shift):
     inv = 1.0 / scale
     absinv = abs(inv)
 
-    def dens(y):
-        y = np.asarray(y, dtype=float)
-        return m.density((y - shift) * inv) * absinv
-
-    dens_edges = None
-    if m.density_edges is not None:
-        # Edge distances transform linearly (and swap ends when scale < 0).
-        if scale > 0:
-            def dens_edges(y, dlo, dhi):
-                return m.density_edges((y - shift) * inv, dlo * absinv, dhi * absinv) * absinv
-        else:
-            def dens_edges(y, dlo, dhi):
-                return m.density_edges((y - shift) * inv, dhi * absinv, dlo * absinv) * absinv
+    # Edge distances scale by 1/|scale| and swap ends when scale < 0.
+    def dens_edges(y, dlo, dhi):
+        if scale < 0:
+            dlo, dhi = dhi, dlo
+        return m.density_edges((y - shift) * inv, dlo * absinv, dhi * absinv) * absinv
 
     atoms = tuple((x * scale + shift, w) for x, w in m.atoms)
-    return SpectralMeasure((new_lo, new_hi), dens, atoms,
-                           f"{m.label}->affine({scale},{shift})" if m.label else "",
-                           density_edges=dens_edges)
+    return SpectralMeasure((new_lo, new_hi), dens_edges, atoms,
+                           f"{m.label}->affine({scale},{shift})" if m.label else "")
 
 
 # Node count of cdf_grid: one level of the quadrature's node doubling, so

@@ -68,13 +68,17 @@ def theta_one(k, u):
     return float(np.real(cauchy_transform(k.measure, 1.0 / u) / u))
 
 
-def theta_two(k, u, v, step=1e-8):
+# Complex step of the diagonal derivative in theta_two.
+_COMPLEX_STEP = 1e-8
+
+
+def theta_two(k, u, v):
     """theta(u, v) = int (1 - u x)^{-1} (1 - v x)^{-1} dmu(x).
 
     Computed through the partial-fraction identity
     theta(u, v) = (u theta(u) - v theta(v)) / (u - v).  On the diagonal the
     identity degenerates to the derivative d/dw [w theta(w)] = d/dw G(1/w),
-    taken by a complex step: Im G(1/(w + i step)) / step.  Unlike a real
+    taken by a complex step: Im G(1/(w + i h)) / h, h = 1e-8.  Unlike a real
     central difference this has no subtractive cancellation, so the diagonal
     inherits the full quadrature accuracy of the Cauchy transform.
     """
@@ -83,8 +87,8 @@ def theta_two(k, u, v, step=1e-8):
         w = 0.5 * (u + v)
         if w == 0.0:
             return 1.0
-        g = cauchy_transform(k.measure, 1.0 / complex(w, step))
-        return float(g.imag) / step
+        g = cauchy_transform(k.measure, 1.0 / complex(w, _COMPLEX_STEP))
+        return float(g.imag) / _COMPLEX_STEP
     return (u * theta_one(k, u) - v * theta_one(k, v)) / (u - v)
 
 
@@ -114,15 +118,16 @@ def _admissible_u(k):
     return lo_u
 
 
-def _default_grid(k, n_products=40, n_factorizations=5):
-    """Equal-product pairs: products log-spaced in (1e-4, min(0.5, (0.95 u_max)^2)],
-    each realized by n_factorizations different (u, v) splits."""
+def _default_grid(k):
+    """Equal-product pairs: 40 products log-spaced in
+    (1e-4, min(0.5, (0.95 u_max)^2)], each realized by 5 different (u, v)
+    splits."""
     u_max = 0.95 * _admissible_u(k)
     p_hi = min(0.5, u_max * u_max)
-    products = np.geomspace(1e-4, p_hi, n_products)
+    products = np.geomspace(1e-4, p_hi, 40)
     grid = []
     for p in products:
-        for u in np.geomspace(p / u_max, u_max, n_factorizations):
+        for u in np.geomspace(p / u_max, u_max, 5):
             grid.append((float(u), float(p / u)))
     return grid
 

@@ -241,13 +241,14 @@ def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
     beta, gamma = u_combination(family, lam, a_variant=a_variant)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t is not None and t < 0.0:
-        raise ValueError("t must be nonnegative")
+    # The comparisons are false for NaN as well.
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if t is not None and not 0.0 <= t < math.inf:
+        raise ValueError("t must be nonnegative and finite")
     ts = sorted(float(x) for x in times)
-    if ts and ts[0] < 0.0:
-        raise ValueError("times must be nonnegative")
+    if not all(0.0 <= x < math.inf for x in ts):
+        raise ValueError("times must be nonnegative and finite")
     # Cumulative step count and realized time of each series time.
     counts, realized, k, t_now = [], [], 0, 0.0
     for x in ts:

@@ -212,6 +212,21 @@ def test_extreme_lambda_exit_2(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("density", "--family", "nu", "--theta", "-3"),
+    ("moments", "--family", "nu", "--theta", "0.9"),
+    ("verify", "renorm", "--family", "xi", "--theta", "0.9"),
+    ("verify", "martingale", "--family", "Q_lambda", "--theta", "0.9"),
+    ("verify", "orthogonality", "--family", "Q_lambda", "--theta", "0.9"),
+])
+def test_theta_checked_for_every_family(capsys, argv):
+    # The theta = 1/2 families never read theta; they used to exit 0 and
+    # print the invalid theta in their tables and reports.
+    code, out, err = run(capsys, *argv, "--lambda", "0.5")
+    assert code == 2 and out == ""
+    assert f"theta = {float(argv[-1])} outside (0, 1/2]" in err
+
+
 def test_verify_tol_defaults_in_reports(capsys):
     for argv, key, tol in [
             (("orthogonality", "--family", "Q_lambda", "--nmax", "3"), "tol", 1e-9),
@@ -412,6 +427,19 @@ def test_simulate_seed_from_environment(tmp_path, capsys, monkeypatch):
     assert code == 0
     man = json.loads((tmp_path / "env_manifest.json").read_text())
     assert man["seed"] == 123
+
+
+def test_malformed_seed_environment(tmp_path, capsys, monkeypatch):
+    # Only simulate reads FJL_SEED; a value that is not an integer used to
+    # end every subcommand in a traceback with exit code 1.
+    monkeypatch.setenv("FJL_SEED", "abc")
+    code, out, _ = run(capsys, "density", "--lambda", "0.5", "--npoints", "4")
+    assert code == 0 and len(out.splitlines()) == 7
+    code, out, err = run(capsys, "simulate", "--lambda", "0.5", "--d", "8",
+                         "--trials", "1", "--out", str(tmp_path / "r"))
+    assert code == 2 and out == ""
+    assert err == "error: FJL_SEED = 'abc' is not an integer\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -126,18 +126,18 @@ def test_measure_rejects_bad_atom_weight():
 
 def test_measure_rejects_negative_density():
     with pytest.raises(ValueError):
-        SpectralMeasure((0.0, 1.0), lambda x: 2.0 * np.asarray(x) - 1.0)
+        SpectralMeasure((0.0, 1.0), lambda x, dlo, dhi: 2.0 * x - 1.0)
 
 
 def test_measure_rejects_wrong_mass():
     with pytest.raises(ValueError):
-        SpectralMeasure((0.0, 1.0), lambda x: np.full_like(x, 0.7))
+        SpectralMeasure((0.0, 1.0), lambda x, dlo, dhi: np.full_like(x, 0.7))
 
 
 def test_measure_bounded_density_moments():
     # A bounded density gains nothing from the edge clustering of the nodes;
     # its moments must still come out exact.
-    m = SpectralMeasure((0.0, 1.0), lambda x: np.ones_like(x))
+    m = SpectralMeasure((0.0, 1.0), lambda x, dlo, dhi: np.ones_like(x))
     np.testing.assert_allclose(moments(m, 12), 1.0 / np.arange(1, 14),
                                rtol=0.0, atol=1e-12)
 
@@ -384,11 +384,22 @@ def test_replaced_measure_does_not_reuse_nodes():
 
     m, other = nu_lambda(0.5), nu_lambda(0.9)
     _node_workout(m)
-    copy = replace(m, density=other.density,
-                   density_edges=other.density_edges)
+    copy = replace(m, density_edges=other.density_edges)
     assert moments(copy, 6).tobytes() == moments(nu_lambda(0.9), 6).tobytes()
     assert moments(copy, 6)[2] != moments(m, 6)[2]
     assert cauchy_transform(copy, 1.5) == cauchy_transform(other, 1.5)
+
+
+def test_replaced_measure_derives_its_density():
+    # A copy with another edge form evaluates that form at x, not the
+    # density of the original.
+    from dataclasses import replace
+
+    m, other = nu_lambda(0.5), nu_lambda(0.9)
+    copy = replace(m, density_edges=other.density_edges)
+    xs = np.linspace(-0.99, 0.99, 25)
+    np.testing.assert_array_equal(copy.density(xs), other.density(xs))
+    assert copy.density(0.3) != m.density(0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,25 @@ def test_trace_series_rejects_theta_before_sampling(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"t": float("inf")}, "t must be nonnegative and finite"),
+    ({"t": float("nan")}, "t must be nonnegative and finite"),
+    ({"times": (0.0, float("inf"))}, "times must be nonnegative and finite"),
+    ({"dt": float("inf")}, "dt must be positive and finite"),
+], ids=["t_inf", "t_nan", "times_inf", "dt_inf"])
+def test_simulate_trials_rejects_non_finite_before_sampling(monkeypatch,
+                                                            kwargs, message):
+    # An infinite t or time used to end in an OverflowError from the step
+    # count, a NaN t in a ValueError that named no input, and dt = inf
+    # sampled every trial without ever evolving a path.
+    calls = []
+    monkeypatch.setattr("freejacobi.simulator.make_state",
+                        lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        simulate_trials(0.5, 0.5, 16, 2, **kwargs)
+    assert calls == []
+
+
 def test_simulate_trials_input_checks():
     with pytest.raises(ValueError):
         simulate_trials(0.5, 0.5, 16, 2, t=0.1, dt=0.0)
