@@ -7,6 +7,8 @@ The groups:
     residuals          the 120-case martingale residual grid by float.hex:
                        both families and both a-variants, lambda in
                        RESIDUAL_LAMS, n in RESIDUAL_DEGREES
+    residuals_theta    the same for Q_lambda_theta, both b-variants, at the
+                       theta != 1/2 points of THETA_POINTS
     verify_all         every JSON report of scripts/run_verify_all.py at its
                        default grid, and the table it prints
     density            `density` tables of the four measure families at
@@ -41,6 +43,8 @@ from freejacobi.martingale import martingale_residuals
 
 RESIDUAL_LAMS = (0.25, 0.3, 0.5, 0.7, 0.99, 1.0)
 RESIDUAL_DEGREES = (1, 2, 5, 9, 15)
+THETA_POINTS = ((0.5, 0.4), (0.7, 0.3), (0.25, 0.1), (1.0, 0.4),
+                (0.3, 0.45), (1.0, 0.05))
 TABLE_LAMS = ("0.25", "0.5", "0.7", "0.99", "1")
 TABLE_THETAS = ("0.3", "0.5")
 TABLE_FAMILIES = ("mu", "nu", "nu_theta", "xi")
@@ -128,6 +132,17 @@ def residuals():
     return g
 
 
+def residuals_theta():
+    g = Group()
+    for variant in ("mean", "twice"):
+        for lam, theta in THETA_POINTS:
+            res = martingale_residuals(lam, RESIDUAL_DEGREES, "Q_lambda_theta",
+                                       theta=theta, b_variant=variant)
+            for n, r in zip(RESIDUAL_DEGREES, res):
+                g.add(variant, lam.hex(), theta.hex(), n, r.hex())
+    return g
+
+
 def verify_all():
     g = Group()
     run_one = run_verify_all.run_one
@@ -212,6 +227,7 @@ def main():
         csvs, manifests = simulate(tmp)
         groups = {
             "residuals": residuals(),
+            "residuals_theta": residuals_theta(),
             "verify_all": verify_all(),
             "density": tables("density", tmp),
             "moments": tables("moments", tmp),

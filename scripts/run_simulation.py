@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from freejacobi.cli import main as fj_main
+from freejacobi.renorm import FAMILIES
 
 
 def series_drift_sigmas(path):
@@ -49,8 +50,7 @@ def main(argv=None):
                     help="trace-series times; empty string skips the series")
     ap.add_argument("--n", type=int, default=2,
                     help="polynomial degree for the trace series")
-    ap.add_argument("--family", choices=("P_lambda", "Q_lambda"),
-                    default="P_lambda")
+    ap.add_argument("--family", choices=tuple(FAMILIES), default="P_lambda")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 

@@ -145,12 +145,12 @@ def _suite_fock(args):
 def _suite_martingale(args):
     degrees = range(1, args.nmax + 1)
     res = martingale_residuals(args.lam, degrees, family=args.family,
-                               a_variant=args.a_variant)
+                               a_variant=args.a_variant, theta=args.theta)
     rows = [{"n": n, "residual": r} for n, r in zip(degrees, res)]
     worst = max(res)
     ok = worst < args.tol
     return {"suite": "martingale", "family": args.family,
-            "a_variant": args.a_variant, "lambda": args.lam,
+            "a_variant": args.a_variant, "lambda": args.lam, "theta": args.theta,
             "n_max": args.nmax, "tol": args.tol, "residuals": rows,
             "max_residual": worst, "verdict": ok}, (0 if ok else 1)
 
@@ -187,6 +187,11 @@ _SUITES = {
 
 
 def cmd_verify(args):
+    # Every tolerance option (tol, tol_z); the comparisons are false for
+    # NaN as well.
+    for name, tol in vars(args).items():
+        if name.startswith("tol") and not 0.0 < tol < np.inf:
+            raise ValueError(f"{name} = {tol} must be positive and finite")
     report, code = _SUITES[args.suite](args)
     report["schema"] = REPORT_SCHEMA
     _emit_report(report, args.out)
@@ -208,7 +213,7 @@ def cmd_simulate(args):
         args.lam, args.theta, args.d, args.trials, t=args.t, times=times,
         n=args.n, seed=seed, dt=args.dt, family=args.family,
         a_variant=args.a_variant)
-    if times and args.theta != 0.5:
+    if times and args.theta != 0.5 and not FAMILIES[args.family].needs_theta:
         print(f"note: the trace series rescales by the theta = 1/2 map; at "
               f"theta = {_fmt(args.theta)} it tests no martingale property",
               file=sys.stderr)
@@ -315,8 +320,7 @@ def _build_parser():
 
     vm = vs.add_parser("martingale",
                        help="drift-cancellation residuals of a family")
-    vm.add_argument("--family", choices=("P_lambda", "Q_lambda"),
-                    default="P_lambda")
+    vm.add_argument("--family", choices=_POLY_FAMILIES, default="P_lambda")
     vm.add_argument("--a-variant", choices=("sqrt", "rational"),
                     default="sqrt")
     vm.add_argument("--nmax", type=int, default=15)
@@ -346,8 +350,7 @@ def _build_parser():
                    help="degree of the trace statistic")
     s.add_argument("--dt", type=float, default=1e-2)
     s.add_argument("--bins", type=int, default=40)
-    s.add_argument("--family", choices=("P_lambda", "Q_lambda"),
-                   default="P_lambda")
+    s.add_argument("--family", choices=_POLY_FAMILIES, default="P_lambda")
     s.add_argument("--a-variant", choices=("sqrt", "rational"),
                    default="sqrt")
     s.add_argument("--seed", type=int, default=None,

@@ -3,10 +3,11 @@ exact polynomial ring over it.
 
 The drift-cancellation residuals computed in :mod:`freejacobi.martingale`
 involve polynomial coefficients of order 4^n once the family is composed
-with (2x-1)/sqrt(lam*(2-lam)); at n = 15 a float64 evaluation carries
+with the affine map (2x-s)/d; at n = 15 a float64 evaluation carries
 roughly 1e-2 of roundoff, far above the 1e-9 verification threshold.  Every
 float input is a dyadic rational, so the whole computation can be carried
-out exactly: the only irrationality is sqrt(lam*(2-lam)), one square root.
+out exactly: the only irrationality is d, one square root (sqrt(lam*(2-lam))
+at theta = 1/2), and the family weights lie in the same field.
 
 The ring is numpy's ``Polynomial``, the same type that ``polys.Poly``
 specializes to float coefficients, here over object coefficients -- Python
@@ -20,7 +21,9 @@ element raises over Quad coefficients and rounds to floats over integer ones
 
 Moments of the stationary law at theta = 1/2 are exact rationals because the
 Catalan generating function sum_k C_k w^k = (1 - sqrt(1-4w))/(2w) evaluates
-rationally at w = lam*(2-lam)/4, where sqrt(1-4w) = 1-lam.
+rationally at w = lam*(2-lam)/4, where sqrt(1-4w) = 1-lam.  This Catalan
+route is an oracle, independent of the drift, for
+``martingale.stationary_moments``.
 """
 
 from __future__ import annotations
@@ -63,9 +66,10 @@ class Quad:
     """Element a + b*sqrt(m) of Q(sqrt(m)), a and b exact rationals.
 
     If m is a perfect rational square the surd collapses into the rational
-    part, so division by nonzero elements is always well defined.  Elements
-    of different fields may be combined only when at least one of them is
-    rational (b == 0).
+    part, so division by nonzero elements is always well defined.  Two
+    elements combine when at least one of them is rational (b == 0) or
+    their radicands differ by a rational square factor (one field, see
+    _join); any other pair raises ValueError.
     """
 
     __slots__ = ("a", "b", "m")
@@ -103,17 +107,22 @@ class Quad:
         return NotImplemented
 
     def _join(self, other):
-        """Common radicand for a binary operation, or raise."""
+        """Common radicand m of a binary operation and `other` written over
+        it, or raise.  Radicands whose ratio is a rational square r^2 name
+        one field: b sqrt(r^2 m) = (b r) sqrt(m)."""
         if self.b and other.b and self.m != other.m:
-            raise ValueError(f"incompatible radicands {self.m} and {other.m}")
-        return self.m if self.b else other.m
+            r = _sqrt_exact(other.m / self.m)
+            if r is None:
+                raise ValueError(f"incompatible radicands {self.m}, {other.m}")
+            other = Quad._of(other.a, other.b * r, self.m)
+        return (self.m if self.b else other.m), other
 
     # -- ring structure ------------------------------------------------------
     def __add__(self, other):
         other = Quad._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self._join(other)
+        m, other = self._join(other)
         return Quad._of(self.a + other.a, self.b + other.b, m)
 
     __radd__ = __add__
@@ -137,7 +146,7 @@ class Quad:
         other = Quad._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self._join(other)
+        m, other = self._join(other)
         # A rational factor needs two Fraction products, not four.
         if not other.b:
             return Quad._of(self.a * other.a, self.b * other.a, m)
@@ -184,12 +193,15 @@ class Quad:
         other = Quad._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.b != 0 and other.b != 0 and self.m != other.m:
+        try:
+            _, other = self._join(other)
+        except ValueError:          # radicands of two different fields
             return False
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b, self.m))
+        # b^2 m is the same whichever radicand the surd is written over.
+        return hash((self.a, self.b * self.b * self.m))
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(float(self.m))

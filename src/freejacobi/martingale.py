@@ -3,12 +3,13 @@
 The drift sends a polynomial p to the finite-variation part of p applied to
 the stationary process; a family q_n is "martingale" precisely when
 drift(q_n) + n q_n = 0, since the e^{nt} prefactor contributes +n q_n.  The
-residual of that identity is evaluated in exact arithmetic over
-Q(sqrt(lam(2-lam))): composed coefficients reach ~4^n, so at n = 15 float64
-cancellation noise sits near 1e-2 -- far above any 1e-9-scale verdict.  One
-drift formula serves both paths: a matrix of model scalars (floats for
-drift(), exact rationals for the residuals), which martingale_residuals
-builds once for all the degrees it is asked for.
+residual of that identity is evaluated in exact arithmetic over Q(d), d the
+scale of the affine map (2x - s)/d onto nu_{lam,theta}: composed
+coefficients reach ~4^n, so at n = 15 float64 cancellation noise sits near
+1e-2 -- far above any 1e-9-scale verdict.  One drift formula serves every
+path: a matrix of model scalars (floats for drift(), exact rationals for the
+residuals), whose columns also give the stationary moments as the fixed
+point E_mu[drift(x^n)] = 0, at every theta.
 
 The flow functions implement the closed forms for Z_t (checked against its
 autonomous ODE) and for the normalizer K_t in two variants: "displayed",
@@ -28,15 +29,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import ONE, X, exact_sqrt, mu_half_moments
-from .measures import (JacobiParams, cauchy_closed_form_mu, moments,
-                       mu_lambda_theta)
+from .exact import ONE, X, exact_sqrt
+from .measures import JacobiParams, cauchy_closed_form_mu, nu_map
 from .polys import Poly, _as_poly
-from .renorm import family_values, u_combination
+from .renorm import FAMILIES, family_values, u_combination
 
 __all__ = [
-    "DriftModel", "drift", "martingale_residual", "martingale_residuals",
-    "FlowConstants", "flow_Z", "flow_Z_ode_residual",
+    "DriftModel", "drift", "stationary_moments", "martingale_residual",
+    "martingale_residuals", "FlowConstants", "flow_Z", "flow_Z_ode_residual",
     "flow_K", "flow_K_ode_residual", "cauchy_mu_half",
 ]
 
@@ -63,7 +63,7 @@ class DriftModel:
 
     @classmethod
     def from_params(cls, params, n_max=32):
-        return cls(params, moments(mu_lambda_theta(params), n_max))
+        return cls(params, stationary_moments(params.lam, params.theta, n_max))
 
 
 def drift(dm, p):
@@ -81,76 +81,111 @@ def drift(dm, p):
         raise ValueError(f"degree {p.degree} needs moments up to "
                          f"m_{p.degree}, model holds {dm.m.size - 1}")
     c = p.coeffs
-    mat = _drift_matrix(dm.params.lam, dm.params.theta, dm.m, c.size - 1)
-    return Poly(_apply(mat, c))
+    cols = _drift_columns(dm.params.lam, dm.params.theta, dm.m, c.size - 1)
+    return Poly(_apply(cols, c))
 
 
-def _drift_matrix(lam, th, m, deg):
-    # The monomial action documented on drift() as a (deg+1) x (deg+1)
-    # upper-triangular matrix, drift(x^k) = sum_j D[j][k] x^j, generic over
-    # the scalar type: floats, or Fractions for the exact path.  Each entry
-    # is a model scalar, so applying D to a (possibly Quad) coefficient
-    # vector costs one product per entry.
-    mat = [[0] * (deg + 1) for _ in range(deg + 1)]
-    for n in range(1, deg + 1):
-        mat[n - 1][n] += n * th * (1 - lam)
-        mat[n][n] -= n
-        for l in range(1, n + 1):
-            term = m[n - l] + 2 * (l - 1) * (m[n - l] - m[n - l + 1])
-            mat[l - 1][n] += lam * th * term
-    return mat
+def _drift_column(lam, th, m, n):
+    # Column n >= 1 of the monomial action documented on drift(): the
+    # coefficients D[0..n][n] of drift(x^n), generic over the scalar type
+    # (floats, or Fractions for the exact path).  The diagonal is -n and the
+    # column reads only m_0 .. m_{n-1}.  Each entry is a model scalar, so
+    # applying D to a (possibly Quad) coefficient vector costs one product
+    # per entry.
+    col = [0] * (n - 1) + [n * th * (1 - lam), -n]
+    for l in range(1, n + 1):
+        term = (m[n - l] + 2 * (l - 1) * (m[n - l] - m[n - l + 1])
+                if l > 1 else m[n - 1])
+        col[l - 1] += lam * th * term
+    return col
 
 
-def _apply(mat, c):
+def _drift_columns(lam, th, m, deg):
+    # Columns 0 .. deg of the upper-triangular drift matrix, column k of
+    # length k + 1; constants are annihilated.
+    return [[0]] + [_drift_column(lam, th, m, n) for n in range(1, deg + 1)]
+
+
+def stationary_moments(lam, theta, n_max):
+    """Moments m_0 .. m_{n_max} of the stationary law mu_{lam,theta}, from
+    the drift alone.
+
+    Stationarity means E_mu[drift(x^n)] = sum_j D[j][n] m_j = 0.  Column n
+    has -n on its diagonal and reads only m_0 .. m_{n-1}, so m_0 = 1 and
+
+        m_n = (1/n) sum_{j<n} D[j][n] m_j.
+
+    Generic over the scalar type: Fractions give the exact rational moments
+    (at theta = 1/2 they equal exact.mu_half_moments), floats agree with
+    them to about 1e-14 relative for n <= 32.  (lam, theta) is taken to lie
+    in the JacobiParams domain; the callers in this module check it.
+    """
+    m = [1]
+    for n in range(1, n_max + 1):
+        col = _drift_column(lam, theta, m, n)
+        m.append(sum(c * mj for c, mj in zip(col, m)) / n)
+    return m
+
+
+def _apply(cols, c):
     """Coefficients of the drift of the polynomial with coefficients c."""
-    return [sum(c[k] * mat[j][k] for k in range(j, len(c)))
+    return [sum(c[k] * cols[k][j] for k in range(j, len(c)))
             for j in range(len(c))]
 
 
-def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt"):
-    """Max-magnitude coefficient of drift(q_n) + n q_n at theta = 1/2 for
-    each n in `degrees`, where q_n(x) = F_n((2x-1)/sqrt(lam(2-lam))) and F_n
-    is the chosen family.
+def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt",
+                         theta=0.5, b_variant="mean"):
+    """Max-magnitude coefficient of drift(q_n) + n q_n for each n in
+    `degrees`, where q_n(x) = F_n((2x - s)/d) with F_n the chosen family and
+    (s, d^2) = nu_map(lam, theta).
 
-    family="P_lambda" is U_n - 2 a U_{n-1} - U_{n-2} with a = (1-lam)/sqrt(q)
-    (a_variant="sqrt") or the control value a = (1-lam)/q
-    (a_variant="rational"), q = lam(2-lam).  family="Q_lambda" is
-    U_n - lam/(2-lam) U_{n-2}, the family orthogonal for the stationary law,
-    whose residual vanishes identically.
+    The family table says which theta applies: Q_lambda_theta reads
+    `theta` (U_n - 2b U_{n-1} + (1-2c) U_{n-2}, b per `b_variant`), while
+    P_lambda and Q_lambda are theta = 1/2 families and stay there whatever
+    theta is given, with the map (2x - 1)/sqrt(lam(2-lam)).  P_lambda is
+    U_n - 2 a U_{n-1} - U_{n-2} with a = (1-lam)/sqrt(q) (a_variant="sqrt")
+    or the control value a = (1-lam)/q (a_variant="rational"),
+    q = lam(2-lam).  Q_lambda, U_n - lam/(2-lam) U_{n-2}, and Q_lambda_theta
+    with b_variant="mean" are orthogonal for nu, the image of the
+    stationary law, and their residuals vanish identically;
+    b_variant="twice" is the doubled-shift control.
 
-    The computation is exact: `lam` enters at its binary-float rational
-    value, moments come from the closed Catalan-tail form, and each result is
-    the float of an element of Q(sqrt(q)) -- a reported 0.0 is an exact zero.
-    One pass serves every degree: one Chebyshev recurrence up to max(degrees),
-    one set of moments, and one drift matrix of rational scalars applied to
-    the coefficients of each q_n.  A residual beyond the float range, as at
-    lam = 1e-300, raises ValueError.
+    The computation is exact: `lam` and `theta` enter at their binary-float
+    rational values, the moments are the drift's own fixed point
+    (stationary_moments), and each result is the float of an element of
+    Q(d) -- a reported 0.0 is an exact zero.  One pass serves every degree:
+    one Chebyshev recurrence up to max(degrees), one set of moments, and
+    one drift matrix of rational scalars applied to the coefficients of
+    each q_n.  A residual beyond the float range, as at lam = 1e-300,
+    raises ValueError.
     """
     degrees = list(degrees)
     if not degrees or min(degrees) < 1:
         raise ValueError("n must be >= 1")
-    lamF = Fraction(lam)
-    beta, gamma = u_combination(family, lamF, a_variant=a_variant)
-    # The family evaluated at the ring element (2x-1)/sqrt(q), q = lam(2-lam),
-    # is q_n itself.  Polynomial / Quad raises, hence the reciprocal.
-    inner = (2 * X - ONE) * (1 / exact_sqrt(lamF * (2 - lamF)))
+    lamF, thF = Fraction(lam), Fraction(theta)
+    beta, gamma = u_combination(family, lamF, thF, a_variant, b_variant)
+    thF = thF if FAMILIES[family].needs_theta else Fraction(1, 2)
+    # The family evaluated at the ring element (2x - s)/d is q_n itself.
+    # Polynomial / Quad raises, hence the reciprocal.
+    s, d2 = nu_map(lamF, thF)
+    inner = (2 * X - s) * (1 / exact_sqrt(d2))
     top = max(degrees)
-    mat = _drift_matrix(lamF, Fraction(1, 2), mu_half_moments(lamF, top), top)
+    cols = _drift_columns(lamF, thF, stationary_moments(lamF, thF, top), top)
     out = []
     for n, q_n in zip(degrees, family_values(inner, degrees, beta, gamma, ONE)):
         c = q_n.coef
         try:
             out.append(max(abs(float(r + n * ci))
-                           for r, ci in zip(_apply(mat, c), c)))
+                           for r, ci in zip(_apply(cols, c), c)))
         except OverflowError:
             raise ValueError(f"the degree-{n} residual at lam = {lam} "
                              "exceeds the float range") from None
     return out
 
 
-def martingale_residual(lam, n, family="P_lambda", a_variant="sqrt"):
-    """martingale_residuals(lam, [n], family, a_variant)[0]."""
-    return martingale_residuals(lam, [n], family, a_variant)[0]
+def martingale_residual(lam, n, *args, **kwargs):
+    """martingale_residuals(lam, [n], *args, **kwargs)[0]."""
+    return martingale_residuals(lam, [n], *args, **kwargs)[0]
 
 
 @dataclass(frozen=True)

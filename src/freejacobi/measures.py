@@ -33,6 +33,7 @@ __all__ = [
     "mu_lambda_theta",
     "nu_lambda",
     "nu_lambda_theta",
+    "nu_map",
     "xi_lambda",
     "xi_shift",
     "moments",
@@ -293,6 +294,20 @@ def nu_lambda_theta(p):
         return scale * np.sqrt(dlo * dhi) / den
 
     return SpectralMeasure((-1.0, 1.0), dens_edges, (), f"nu[{lam},{th}]")
+
+
+def nu_map(lam, theta):
+    """(s, d^2) of the affine map y = (2x - s)/d that takes mu_{lam,theta}
+    to nu_{lam,theta}, generic over float and Fraction:
+
+        s = 2 th + 2 lam th (1 - 2 th),
+        d^2 = lam (4 th (1 - th)) (4 th (1 - lam th)).
+
+    In this operation order the floats at theta = 1/2 are exactly 1.0 and
+    lam * (2.0 - lam): the theta = 1/2 map (2x - 1)/sqrt(lam(2-lam)).
+    """
+    return (2 * theta + 2 * lam * theta * (1 - 2 * theta),
+            lam * (4 * theta * (1 - theta)) * (4 * theta * (1 - lam * theta)))
 
 
 def xi_shift(lam, variant="sqrt"):

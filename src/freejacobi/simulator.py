@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import JacobiParams
-from .renorm import family_values, u_combination
+from .measures import JacobiParams, nu_map
+from .renorm import FAMILIES, family_values, u_combination
 
 __all__ = [
     "MatrixProcessState", "sample_haar_unitary", "evolve_unitary_bm",
@@ -80,8 +80,11 @@ def evolve_unitary_bm(y, dt, steps, seed=None):
     second-order term of the exponential, which is the discrete analog of
     the Ito correction.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    # The comparisons are false for NaN as well.
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if steps < 0:
+        raise ValueError(f"steps = {steps} must be >= 0")
     w = np.array(y, dtype=complex)
     # A NaN entry would never meet the series' stopping rule.
     if w.ndim != 2 or not np.isfinite(w).all():
@@ -199,38 +202,42 @@ def ks_distance(sample, xs, cdf):
 
 
 def trace_martingale_series(lam, n, times, trials, d, seed=0, theta=0.5,
-                            dt=1e-2, family="P_lambda", a_variant="sqrt"):
+                            **options):
     """Monte Carlo series [(t, mean, stderr)] of the rescaled trace statistic
 
-        e^{n t} * (1/p) * sum_i F_n((2 eig_i(J_t) - 1) / sqrt(lam(2-lam)))
+        e^{n t} * (1/p) * sum_i F_n((2 eig_i(J_t) - s) / d)
 
-    over independent paths.  A family whose rescaled traces form a
-    martingale produces a mean series that is flat in t; the stderr column
-    is the across-trial standard error, so flatness is judged against it.
+    over independent paths, where (s, d^2) = nu_map(lam, theta') at the
+    theta' that the family F reads: theta for Q_lambda_theta, 1/2 for the
+    theta = 1/2 families P_lambda and Q_lambda, whose map is
+    (2x - 1)/sqrt(lam(2-lam)) whatever theta is sampled.  A family whose
+    rescaled traces form a martingale produces a mean series that is flat
+    in t; the stderr column is the across-trial standard error, so flatness
+    is judged against it.  A theta = 1/2 family sampled at theta != 1/2
+    tests no martingale property.
 
-    The rescaling (2x - 1) / sqrt(lam(2-lam)) and the families P_lambda,
-    Q_lambda are those of theta = 1/2, whatever theta is given: at
-    theta != 1/2 the series tests no martingale property.
-
-    Trial i runs on default_rng([seed, i]) and evolves the observed row
-    block U[:p] Y_t through the sorted times with steps of size dt (counts
-    rounded; the realized time is used in the e^{nt} prefactor).  n = 0 is
-    the constant 1.
+    The other options (dt = 1e-2, family = "P_lambda", a_variant = "sqrt",
+    b_variant = "mean") are those of simulate_trials.  Trial i runs on
+    default_rng([seed, i]) and evolves the observed row block U[:p] Y_t
+    through the sorted times with steps of size dt (counts rounded; the
+    realized time is used in the e^{nt} prefactor).  n = 0 is the constant
+    1.
     """
     return simulate_trials(lam, theta, d, trials, times=times, n=n,
-                           seed=seed, dt=dt, family=family,
-                           a_variant=a_variant)[1]
+                           seed=seed, **options)[1]
 
 
 def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
-                    dt=1e-2, family="P_lambda", a_variant="sqrt"):
+                    dt=1e-2, family="P_lambda", a_variant="sqrt",
+                    b_variant="mean"):
     """Both Monte Carlo outputs of a `simulate` run from one path per trial.
 
     Returns (spectra, series, state): the spectrum of each trial at time t
     (rounded to whole steps of dt; None when t is None), the trace series
-    over `times` as trace_martingale_series defines it, and the last
-    trial's state, whose ranks every trial shares (None when no trial had
-    to be sampled).  Trial i draws its state and then its Brownian steps
+    over `times` as trace_martingale_series defines it (the family and
+    its variants as in u_combination), and the last trial's state, whose
+    ranks every trial shares (None when no trial had to be sampled).
+    Trial i draws its state and then its Brownian steps
     from default_rng([seed, i]), and the spectra at t and at every series
     time are read off that one path.  (lam, theta) must lie in the domain
     that JacobiParams states; make_state itself samples any ranks.
@@ -238,7 +245,8 @@ def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
     JacobiParams(lam, theta)
     if n < 0:
         raise ValueError("n must be >= 0")
-    beta, gamma = u_combination(family, lam, a_variant=a_variant)
+    beta, gamma = u_combination(family, lam, theta, a_variant, b_variant)
+    s, d2 = nu_map(lam, theta if FAMILIES[family].needs_theta else 0.5)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     # The comparisons are false for NaN as well.
@@ -262,7 +270,6 @@ def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
         counts = []
     k_t = None if t is None else int(round(t / dt))
     plan = sorted(set(counts) | ({k_t} if k_t is not None else set()))
-    q = lam * (2.0 - lam)
     spectra = None if k_t is None else []
     per_trial = np.empty((trials, len(counts)))
     state = None
@@ -278,8 +285,8 @@ def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
         if spectra is not None:
             spectra.append(seen[k_t])
         for j, k in enumerate(counts):
-            s = (2.0 * seen[k] - 1.0) / math.sqrt(q)
-            (f_n,) = family_values(s, [n], beta, gamma, np.ones_like(s))
+            y = (2.0 * seen[k] - s) / math.sqrt(d2)
+            (f_n,) = family_values(y, [n], beta, gamma, np.ones_like(y))
             per_trial[i, j] = math.exp(n * realized[j]) * np.mean(f_n)
     if n == 0:
         return spectra, [(x, 1.0, 0.0) for x in ts], state

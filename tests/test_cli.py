@@ -130,6 +130,22 @@ def test_verify_martingale_shifted_family_fails(capsys):
     assert rep["max_residual"] > 1.0
 
 
+def test_verify_martingale_general_theta(capsys):
+    # Q_lambda_theta reads --theta: its mean-shift residual is an exact zero
+    # at theta != 1/2.  The theta = 1/2 families ignore --theta (the exit
+    # codes of Finding 2 at any theta), and every report records it.
+    code, out, _ = run(capsys, "verify", "martingale", "--family",
+                       "Q_lambda_theta", "--lambda", "0.5", "--theta", "0.4")
+    rep = json.loads(out)
+    assert code == 0 and rep["max_residual"] == 0.0
+    assert rep["theta"] == 0.4 and rep["n_max"] == 15
+    for family, lam, want in (("Q_lambda", "0.5", 0), ("P_lambda", "0.5", 1),
+                              ("P_lambda", "1.0", 0)):
+        code, out, _ = run(capsys, "verify", "martingale", "--family", family,
+                           "--lambda", lam, "--theta", "0.3", "--nmax", "6")
+        assert code == want and json.loads(out)["theta"] == 0.3
+
+
 def test_verify_flows_symmetric_point_passes(capsys):
     code, out, _ = run(capsys, "verify", "flows", "--lambda", "1.0",
                        "--theta", "0.5")
@@ -225,6 +241,24 @@ def test_theta_checked_for_every_family(capsys, argv):
     code, out, err = run(capsys, *argv, "--lambda", "0.5")
     assert code == 2 and out == ""
     assert f"theta = {float(argv[-1])} outside (0, 1/2]" in err
+
+
+@pytest.mark.parametrize("suite, flag", [
+    (("orthogonality", "--nmax", "2"), "--tol"), (("renorm",), "--tol"),
+    (("fock", "--kmax", "4"), "--tol"), (("martingale", "--nmax", "2"), "--tol"),
+    (("flows", "--ntimes", "1"), "--tol"), (("flows", "--ntimes", "1"), "--tol-z"),
+], ids=["orthogonality", "renorm", "fock", "martingale", "flows", "flows_z"])
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+def test_verify_rejects_bad_tolerance(capsys, suite, flag, value):
+    # A tolerance that is NaN, <= 0 or infinite makes every verdict vacuous
+    # (always false, or always true): `verify fock --tol nan` used to exit 1
+    # with a max_difference of 2.2e-16, `verify martingale --tol -1` too.
+    code, out, err = run(capsys, "verify", *suite, flag, value,
+                         "--lambda", "0.5")
+    assert code == 2 and out == ""
+    name = flag[2:].replace("-", "_")
+    assert err == (f"error: {name} = {float(value)} must be positive and "
+                   "finite\n")
 
 
 def test_verify_tol_defaults_in_reports(capsys):
@@ -417,6 +451,21 @@ def test_simulate_notes_theta_rescaling(tmp_path, capsys):
     assert code == 0 and err == ""
     code, _, err = run(capsys, *common, "--times", "0,0.05", "--out", base)
     assert code == 0 and err == ""
+
+
+def test_simulate_general_theta_family(tmp_path, capsys):
+    # Q_lambda_theta rescales by the map of the theta it is sampled at, so
+    # the theta = 1/2 note is not printed for it.
+    base = str(tmp_path / "gt")
+    code, out, err = run(capsys, "simulate", "--lambda", "0.5", "--theta",
+                         "0.4", "--d", "20", "--trials", "2", "--times",
+                         "0,0.05", "--family", "Q_lambda_theta", "--out", base)
+    assert code == 0 and err == "" and out.startswith("KS distance")
+    with open(base + "_manifest.json") as fh:
+        assert json.load(fh)["family"] == "Q_lambda_theta"
+    with open(base + "_series.csv") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    assert rows[0] == ["t", "mean", "stderr"] and len(rows) == 3
 
 
 def test_simulate_seed_from_environment(tmp_path, capsys, monkeypatch):

@@ -69,6 +69,28 @@ def test_quad_incompatible_radicands():
     assert Quad(2) + Quad(0, 1, 7) == Quad(2, 1, 7)
 
 
+def test_quad_joins_radicands_with_square_ratio():
+    # sqrt(8) = 2 sqrt(2) and sqrt(1/2) = sqrt(2)/2 name the field Q(sqrt 2).
+    r2, r8, rh = Quad(0, 1, 2), Quad(0, 1, 8), Quad(0, 1, Fraction(1, 2))
+    assert r2 + r8 == Quad(0, 3, 2)
+    assert r8 + r2 == Quad(0, Fraction(3, 2), 8)
+    assert r2 * r8 == Quad(4)
+    assert r8 - 2 * r2 == 0
+    assert r2 * rh == Quad(1)
+    assert r8 / r2 == Quad(2)
+    assert float(r8 + rh) == pytest.approx(2.5 * math.sqrt(2.0), rel=1e-15)
+    # Equal elements compare and hash equal whichever radicand they carry.
+    assert r8 == Quad(0, 2, 2) and hash(r8) == hash(Quad(0, 2, 2))
+    assert r8 != Quad(0, -2, 2)
+    # Any other pair still raises, and compares unequal.
+    for a, b in ((2, 3), (2, 6), (Fraction(1, 2), 3), (8, 18 * 3)):
+        with pytest.raises(ValueError, match="incompatible radicands"):
+            Quad(0, 1, a) + Quad(0, 1, b)
+        with pytest.raises(ValueError, match="incompatible radicands"):
+            Quad(1, 1, a) * Quad(1, 1, b)
+        assert Quad(0, 1, a) != Quad(0, 1, b)
+
+
 def test_quad_misc_guards():
     with pytest.raises(ValueError):
         Quad(0, 1, -2)

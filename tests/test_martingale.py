@@ -27,6 +27,9 @@ from freejacobi import (
     xi_shift,
 )
 from freejacobi.exact import ONE, X, exact_sqrt, mu_half_moments
+from freejacobi.martingale import _drift_columns, stationary_moments
+from freejacobi.measures import nu_map
+from freejacobi.polys import chebyshev_seq
 from freejacobi.renorm import family_values, u_combination
 
 
@@ -195,6 +198,128 @@ def test_batched_residuals_input_checks():
     for bad in ([0], [1, 0, 2], [-3], []):
         with pytest.raises(ValueError):
             martingale_residuals(0.5, bad)
+
+
+# ---------------------------------------------------------------------------
+# Stationary moments as the drift's fixed point, and general theta
+
+
+def test_stationary_moments_equal_catalan_route_at_half():
+    # Two independent exact routes to the theta = 1/2 moments: the drift's
+    # fixed point and the closed Catalan-tail form.
+    for lam in (0.25, 0.3, 0.5, 0.7, 1.0):
+        lamF = Fraction(lam)
+        got = stationary_moments(lamF, Fraction(1, 2), 30)
+        assert got == mu_half_moments(lamF, 30), lam
+        assert all(isinstance(v, (int, Fraction)) for v in got)
+
+
+def test_stationary_moments_match_quadrature_off_half():
+    for lam, th in ((0.5, 0.4), (0.7, 0.3), (0.25, 0.1), (1.0, 0.4),
+                    (0.9, 0.2)):
+        quad = moments(mu_lambda_theta(JacobiParams(lam, th)), 24)
+        got = stationary_moments(lam, th, 24)
+        assert np.max(np.abs(np.asarray(got) - quad)) < 1e-14, (lam, th)
+
+
+def test_stationary_moments_float_route_matches_exact():
+    for lam, th in ((0.5, 0.4), (0.7, 0.3), (0.25, 0.1), (1.0, 0.4),
+                    (0.3, 0.45), (0.5, 0.5)):
+        exact = stationary_moments(Fraction(lam), Fraction(th), 32)
+        got = stationary_moments(lam, th, 32)
+        for n, (e, g) in enumerate(zip(exact, got)):
+            assert abs(g - float(e)) <= 1e-14 * float(e), (lam, th, n)
+
+
+def test_drift_model_moments_are_stationary_moments():
+    p = JacobiParams(0.7, 0.3)
+    dm = DriftModel.from_params(p, 10)
+    assert dm.m.tolist() == stationary_moments(0.7, 0.3, 10)
+
+
+def test_nu_map_at_half_is_the_half_map():
+    for lam in (1e-300, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+        assert nu_map(lam, 0.5) == (1.0, lam * (2.0 - lam))
+    assert nu_map(Fraction(1, 3), Fraction(1, 2)) == (1, Fraction(5, 9))
+
+
+GENERAL_THETA = [(0.5, 0.4), (0.7, 0.3), (0.25, 0.1), (1.0, 0.4),
+                 (0.3, 0.45), (1.0, 0.05), (0.9, 0.2)]
+
+
+@pytest.mark.parametrize("lam, th", GENERAL_THETA)
+def test_general_theta_residual_grid(lam, th):
+    # Q_lambda_theta at its orthogonality-consistent shift is exactly
+    # martingale; the doubled shift is not, and its degree-1 residual is
+    # the shift difference 2|b|, b the first moment of nu_{lam,theta}.
+    degrees = range(1, 16)
+    mean = martingale_residuals(lam, degrees, "Q_lambda_theta", theta=th)
+    assert mean == [0.0] * 15
+    twice = martingale_residuals(lam, degrees, "Q_lambda_theta", theta=th,
+                                 b_variant="twice")
+    assert all(r > 0.0 for r in twice)
+    b = math.sqrt(lam / ((1 - th) * (1 - lam * th))) * (1 - 2 * th) / 2
+    assert twice[0] == pytest.approx(2.0 * b, rel=1e-12)
+
+
+def test_half_families_ignore_theta():
+    # P_lambda and Q_lambda are theta = 1/2 families and stay there; at
+    # theta = 1/2 Q_lambda_theta is Q_lambda.
+    degrees = range(1, 10)
+    for family in ("P_lambda", "Q_lambda"):
+        want = martingale_residuals(0.5, degrees, family)
+        for th in (0.05, 0.3, 0.4):
+            assert martingale_residuals(0.5, degrees, family,
+                                        theta=th) == want
+    assert martingale_residuals(0.5, degrees, "Q_lambda_theta") == [0.0] * 9
+    with pytest.raises(ValueError, match="unknown family"):
+        martingale_residuals(0.5, degrees, "R_lambda", theta=0.4)
+
+
+def _u_expansion(p, n):
+    # Coefficients w_0 .. w_n of p = sum_k w_k U_k for an exact polynomial
+    # p of degree <= n in y, peeling the leading term (U_k leads with 2^k).
+    coef = list(p.coef) + [0] * (n + 1 - len(p.coef))
+    u = chebyshev_seq(X, n, ONE)
+    w = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        w[k] = coef[k] * Fraction(1, 2 ** k)
+        for i, c in enumerate(u[k].coef):
+            coef[i] = coef[i] - w[k] * c
+    return w
+
+
+@pytest.mark.parametrize("lam, th", [
+    (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(2, 5)),
+    (Fraction(7, 10), Fraction(3, 10)), (Fraction(1), Fraction(2, 5)),
+    (Fraction(0.25), Fraction(0.1))])
+def test_drift_eigenpolynomials_are_the_general_theta_family(lam, th):
+    # The exact drift matrix is upper triangular with diagonal -k, so each
+    # degree n has one monic eigenpolynomial p_n with eigenvalue -n, found
+    # by back substitution.  Written in y = (2x - s)/d, every p_n is a
+    # multiple of U_n + beta U_{n-1} + gamma U_{n-2}, with the same beta,
+    # gamma for all n: the table's weights of Q_lambda_theta at
+    # b_variant="mean".
+    top = 8
+    cols = _drift_columns(lam, th, stationary_moments(lam, th, top), top)
+    s, d2 = nu_map(lam, th)
+    x_of_y = (s * ONE + exact_sqrt(d2) * X) * Fraction(1, 2)
+    beta, gamma = u_combination("Q_lambda_theta", lam, th)
+    for n in range(1, top + 1):
+        p = [0] * n + [Fraction(1)]
+        for j in range(n - 1, -1, -1):
+            p[j] = -sum(cols[k][j] * p[k] for k in range(j + 1, n + 1)) \
+                / (n - j)
+        p_y = 0 * ONE
+        for c in reversed(p):
+            p_y = p_y * x_of_y + c * ONE
+        w = _u_expansion(p_y, n)
+        lead = 1 / w[n]
+        rel = [v * lead for v in w]
+        assert all(v == 0 for v in rel[:max(n - 2, 0)]), n
+        assert rel[n - 1] == beta, n
+        if n >= 2:
+            assert rel[n - 2] == gamma, n
 
 
 def test_residual_input_checks():

@@ -1,5 +1,8 @@
 """Random-matrix Monte Carlo: samplers, spectra, trace statistics."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,9 @@ from freejacobi import (
     simulate_trials,
     trace_martingale_series,
 )
+from freejacobi.exact import ONE, X, exact_sqrt
+from freejacobi.martingale import stationary_moments
+from freejacobi.measures import nu_map
 from freejacobi.renorm import family_values, u_combination
 
 
@@ -54,6 +60,25 @@ def test_evolution_preserves_unitarity():
 def test_evolution_rejects_bad_dt():
     with pytest.raises(ValueError):
         evolve_unitary_bm(np.eye(4, dtype=complex), 0.0, 1)
+
+
+@pytest.mark.parametrize("dt, steps, message", [
+    (float("inf"), 1, "dt must be positive and finite"),
+    (float("nan"), 1, "dt must be positive and finite"),
+    (-1.0, 1, "dt must be positive and finite"),
+    (1e-2, -1, "steps = -1 must be >= 0"),
+], ids=["dt_inf", "dt_nan", "dt_negative", "steps_negative"])
+def test_evolution_rejects_bad_step_before_drawing(dt, steps, message):
+    # dt = inf used to end in an OverflowError and dt = nan in "cannot
+    # convert float NaN to integer", and steps < 0 returned the block
+    # unchanged.  The generator is left untouched.
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        evolve_unitary_bm(np.eye(4, dtype=complex), dt, steps, rng)
+    assert rng.bit_generator.state == before
+    y = np.eye(4, dtype=complex)
+    assert evolve_unitary_bm(y, 1e-2, 0, rng).tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 10, 40])
@@ -228,6 +253,38 @@ def test_trace_series_orthogonal_family_centers_at_zero():
                                    family="Q_lambda")
     ((_, mean, err),) = rows
     assert abs(mean) < max(5.0 * err, 0.05)
+
+
+def test_general_theta_trace_series():
+    # At lam = 0.5, theta = 0.4 (d = 40 realizes both exactly: p = 8,
+    # q = 16) the series rescales by (2x - s)/d of that theta.  Every J_t has
+    # the stationary law, so the mean of the statistic is e^{nt} E_mu[F_n]
+    # up to finite-d corrections: 0 for the mean shift, whose traces form a
+    # martingale, and -4 b^2 e^{nt} for the doubled shift.
+    lam, th, n, times = 0.5, 0.4, 2, (0.0, 0.2, 0.4)
+    lamF, thF = Fraction(lam), Fraction(th)
+    s, d2 = nu_map(lamF, thF)
+    inner = (2 * X - s) * (1 / exact_sqrt(d2))
+    m = stationary_moments(lamF, thF, n)
+    for b_variant in ("mean", "twice"):
+        beta, gamma = u_combination("Q_lambda_theta", lamF, thF,
+                                    b_variant=b_variant)
+        (q,) = family_values(inner, [n], beta, gamma, ONE)
+        e_mu = float(sum(c * mk for c, mk in zip(q.coef, m)))
+        _, series, state = simulate_trials(lam, th, 40, 48, times=times,
+                                           n=n, family="Q_lambda_theta",
+                                           b_variant=b_variant)
+        assert state.realized_params() == (lam, th)
+        (_, m0, e0) = series[0]
+        if b_variant == "mean":
+            assert e_mu == 0.0
+            for _, mt, et in series[1:]:
+                assert abs(mt - m0) <= 3.0 * math.hypot(et, e0), series
+        else:
+            b = math.sqrt(lam / ((1 - th) * (1 - lam * th))) * (th - 0.5)
+            assert e_mu == pytest.approx(-4.0 * b * b, rel=1e-12)
+            for t, mt, et in series:
+                assert abs(mt - math.exp(n * t) * e_mu) <= 4.0 * et, series
 
 
 def test_trace_series_input_checks():
