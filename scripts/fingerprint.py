@@ -27,8 +27,18 @@ package is imported from the path, so run the script once per tree:
     PYTHONPATH=src python scripts/fingerprint.py > new.txt
     PYTHONPATH=/path/to/base/src python scripts/fingerprint.py > base.txt
     diff base.txt new.txt
+
+With --dump DIR, each hashed output is also written to its own file,
+DIR/<group>/<index>.txt (its parts one after another, the argv and exit
+code first), so that two trees whose hashes differ can be compared number
+by number:
+
+    PYTHONPATH=src python scripts/fingerprint.py --dump new
+    PYTHONPATH=/path/to/base/src python scripts/fingerprint.py --dump base
+    diff -r base new
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -100,15 +110,23 @@ CLI_ERRORS = (
 
 
 class Group:
-    """Running SHA-256 over the items of one group, with their count."""
+    """Running SHA-256 over the items of one group, with their count.  Given
+    a dump directory, each item also goes to <dump>/<name>/<index>.txt."""
 
-    def __init__(self):
+    def __init__(self, name, dump=None):
         self.sha, self.count = hashlib.sha256(), 0
+        self.dump = dump and dump / name
+        if self.dump:
+            self.dump.mkdir(parents=True, exist_ok=True)
 
     def add(self, *parts):
-        for part in parts:
-            data = part if isinstance(part, bytes) else str(part).encode()
+        datas = [part if isinstance(part, bytes) else str(part).encode()
+                 for part in parts]
+        for data in datas:
             self.sha.update(len(data).to_bytes(8, "little") + data)
+        if self.dump:
+            path = self.dump / f"{self.count:04d}.txt"
+            path.write_bytes(b"\n".join(datas) + b"\n")
         self.count += 1
 
 
@@ -120,8 +138,8 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def residuals():
-    g = Group()
+def residuals(dump):
+    g = Group("residuals", dump)
     for family in ("P_lambda", "Q_lambda"):
         for variant in ("sqrt", "rational"):
             for lam in RESIDUAL_LAMS:
@@ -132,8 +150,8 @@ def residuals():
     return g
 
 
-def residuals_theta():
-    g = Group()
+def residuals_theta(dump):
+    g = Group("residuals_theta", dump)
     for variant in ("mean", "twice"):
         for lam, theta in THETA_POINTS:
             res = martingale_residuals(lam, RESIDUAL_DEGREES, "Q_lambda_theta",
@@ -143,8 +161,8 @@ def residuals_theta():
     return g
 
 
-def verify_all():
-    g = Group()
+def verify_all(dump):
+    g = Group("verify_all", dump)
     run_one = run_verify_all.run_one
 
     def recording(argv, report_path):
@@ -164,8 +182,8 @@ def verify_all():
     return g
 
 
-def tables(command, tmp):
-    g = Group()
+def tables(command, tmp, dump):
+    g = Group(command, dump)
     out = tmp / f"{command}.csv"
     for family in TABLE_FAMILIES:
         for lam in TABLE_LAMS:
@@ -179,8 +197,9 @@ def tables(command, tmp):
     return g
 
 
-def simulate(tmp):
-    csvs, manifests = Group(), Group()
+def simulate(tmp, dump):
+    csvs = Group("simulate_csv", dump)
+    manifests = Group("simulate_manifest", dump)
     cwd = os.getcwd()
     os.chdir(tmp)        # manifests then list relative file names
     try:
@@ -199,8 +218,8 @@ def simulate(tmp):
     return csvs, manifests
 
 
-def cli_errors(tmp):
-    g = Group()
+def cli_errors(tmp, dump):
+    g = Group("cli_errors", dump)
     env = os.environ.pop("FJL_SEED", None)
     cwd = os.getcwd()
     os.chdir(tmp)        # a simulate run that is not rejected writes here
@@ -221,19 +240,28 @@ def cli_errors(tmp):
     return g
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--dump", type=Path, default=None, metavar="DIR",
+                        help="also write each hashed output to its own file "
+                             "under DIR")
+    args = parser.parse_args(argv)
+    # Absolute: simulate and cli_errors run in a temporary directory.
+    dump = args.dump and args.dump.resolve()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        csvs, manifests = simulate(tmp)
+        csvs, manifests = simulate(tmp, dump)
         groups = {
-            "residuals": residuals(),
-            "residuals_theta": residuals_theta(),
-            "verify_all": verify_all(),
-            "density": tables("density", tmp),
-            "moments": tables("moments", tmp),
+            "residuals": residuals(dump),
+            "residuals_theta": residuals_theta(dump),
+            "verify_all": verify_all(dump),
+            "density": tables("density", tmp, dump),
+            "moments": tables("moments", tmp, dump),
             "simulate_csv": csvs,
             "simulate_manifest": manifests,
-            "cli_errors": cli_errors(tmp),
+            "cli_errors": cli_errors(tmp, dump),
         }
     for name, g in groups.items():
         print(f"{name:<18} {g.sha.hexdigest()}  {g.count} outputs")

@@ -213,7 +213,7 @@ def cmd_simulate(args):
         args.lam, args.theta, args.d, args.trials, t=args.t, times=times,
         n=args.n, seed=seed, dt=args.dt, family=args.family,
         a_variant=args.a_variant)
-    if times and args.theta != 0.5 and not FAMILIES[args.family].needs_theta:
+    if times and FAMILIES[args.family].reads(args.theta) != args.theta:
         print(f"note: the trace series rescales by the theta = 1/2 map; at "
               f"theta = {_fmt(args.theta)} it tests no martingale property",
               file=sys.stderr)

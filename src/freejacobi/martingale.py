@@ -102,8 +102,17 @@ def _drift_column(lam, th, m, n):
 
 def _drift_columns(lam, th, m, deg):
     # Columns 0 .. deg of the upper-triangular drift matrix, column k of
-    # length k + 1; constants are annihilated.
-    return [[0]] + [_drift_column(lam, th, m, n) for n in range(1, deg + 1)]
+    # length k + 1; constants are annihilated.  Column n reads only
+    # m_0 .. m_{n-1}; a moment that the list m lacks is filled in place by
+    # the stationary fixed point (see stationary_moments) as soon as its
+    # column is built, so each column is built once.
+    cols = [[0]]
+    for n in range(1, deg + 1):
+        col = _drift_column(lam, th, m, n)
+        if len(m) == n:
+            m.append(sum(c * mj for c, mj in zip(col, m)) / n)
+        cols.append(col)
+    return cols
 
 
 def stationary_moments(lam, theta, n_max):
@@ -113,17 +122,16 @@ def stationary_moments(lam, theta, n_max):
     Stationarity means E_mu[drift(x^n)] = sum_j D[j][n] m_j = 0.  Column n
     has -n on its diagonal and reads only m_0 .. m_{n-1}, so m_0 = 1 and
 
-        m_n = (1/n) sum_{j<n} D[j][n] m_j.
+        m_n = (1/n) sum_{j<n} D[j][n] m_j,
 
-    Generic over the scalar type: Fractions give the exact rational moments
-    (at theta = 1/2 they equal exact.mu_half_moments), floats agree with
-    them to about 1e-14 relative for n <= 32.  (lam, theta) is taken to lie
-    in the JacobiParams domain; the callers in this module check it.
+    which _drift_columns fills in as it builds each column.  Generic over
+    the scalar type: Fractions give the exact rational moments (at
+    theta = 1/2 they equal exact.mu_half_moments), floats agree with them to
+    about 1e-14 relative for n <= 32.  (lam, theta) is taken to lie in the
+    JacobiParams domain; the callers in this module check it.
     """
     m = [1]
-    for n in range(1, n_max + 1):
-        col = _drift_column(lam, theta, m, n)
-        m.append(sum(c * mj for c, mj in zip(col, m)) / n)
+    _drift_columns(lam, theta, m, n_max)
     return m
 
 
@@ -131,6 +139,10 @@ def _apply(cols, c):
     """Coefficients of the drift of the polynomial with coefficients c."""
     return [sum(c[k] * cols[k][j] for k in range(j, len(c)))
             for j in range(len(c))]
+
+
+# Bound on the estimated size of the exact operands of martingale_residuals.
+_MAX_OPERAND_BITS = 16384
 
 
 def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt",
@@ -158,19 +170,32 @@ def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt",
     one drift matrix of rational scalars applied to the coefficients of
     each q_n.  A residual beyond the float range, as at lam = 1e-300,
     raises ValueError.
+
+    The exact operands grow like the denominators of lam and theta to the
+    power max(degrees), and the time with their size: at theta = 5e-324,
+    whose denominator 2^1074 has 1075 bits, degree 30 would run for
+    minutes.  Their size, estimated as max(degrees) times the denominator
+    bits of lam and of the theta read, is bounded by _MAX_OPERAND_BITS;
+    beyond it ValueError names the size before any column is built.
     """
     degrees = list(degrees)
     if not degrees or min(degrees) < 1:
         raise ValueError("n must be >= 1")
     lamF, thF = Fraction(lam), Fraction(theta)
     beta, gamma = u_combination(family, lamF, thF, a_variant, b_variant)
-    thF = thF if FAMILIES[family].needs_theta else Fraction(1, 2)
+    thF = FAMILIES[family].reads(thF)
+    top = max(degrees)
+    bits = top * (lamF.denominator.bit_length() + thF.denominator.bit_length())
+    if bits > _MAX_OPERAND_BITS:
+        raise ValueError(
+            f"exact residuals to degree {top} at lam = {lam}, theta = "
+            f"{float(thF)} need operands of about {bits} bits, more than "
+            f"{_MAX_OPERAND_BITS}")
     # The family evaluated at the ring element (2x - s)/d is q_n itself.
     # Polynomial / Quad raises, hence the reciprocal.
     s, d2 = nu_map(lamF, thF)
     inner = (2 * X - s) * (1 / exact_sqrt(d2))
-    top = max(degrees)
-    cols = _drift_columns(lamF, thF, stationary_moments(lamF, thF, top), top)
+    cols = _drift_columns(lamF, thF, [1], top)
     out = []
     for n, q_n in zip(degrees, family_values(inner, degrees, beta, gamma, ONE)):
         c = q_n.coef
@@ -223,7 +248,14 @@ def flow_Z(fc, t):
     if t < -1e-12 or t > fc.t0 + 1e-12:
         raise ValueError(f"t = {t} outside [0, {fc.t0}]")
     e = fc.r * math.exp(t)
-    return 4.0 * e / ((e + fc.c1) ** 2 - 4.0 * fc.c2)
+    # The denominator is (e + c1 - 2 sqrt(c2))(e + c1 + 2 sqrt(c2)) > 0, but
+    # its first factor, e + 4 lam th (1-th), is lost to cancellation once
+    # lam is near unit roundoff.
+    den = (e + fc.c1) ** 2 - 4.0 * fc.c2
+    if den <= 0.0:
+        raise ValueError(f"Z_t at t = {t}: (r e^t + c1)^2 - 4 c2 cancels "
+                         f"to {den} in floats")
+    return 4.0 * e / den
 
 
 # Step of the central differences in the flow ODE residuals.

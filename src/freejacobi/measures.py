@@ -9,11 +9,12 @@ algebraic edge behaviour, and the trapezoid rule in t then converges
 exponentially.  Node counts double until two successive passes agree, and
 the distribution-function grid accumulates the same nodes and weights.
 
-Each law of the package (mu_lambda_theta, nu_lambda, nu_lambda_theta,
-xi_lambda) writes its density once, in edge form (see
+Three laws have a density of their own (mu_lambda_theta, nu_lambda_theta,
+xi_lambda), each written once, in edge form (see
 SpectralMeasure.density_edges); its density at x is that form at the
-clipped edge distances x - lo and hi - x.  The parameter domain is stated
-once, by JacobiParams: the theta = 1/2 laws check lam through it as well.
+clipped edge distances x - lo and hi - x.  nu_lambda is nu_lambda_theta at
+theta = 1/2.  The parameter domain is stated once, by JacobiParams: the
+theta = 1/2 laws check lam through it as well.
 """
 
 from __future__ import annotations
@@ -218,9 +219,10 @@ def _integrate_ac(m, f, tol=1e-11, n_max=1 << 17):
 # -- constructors ------------------------------------------------------------
 
 def _two_pi_lam_theta(p):
-    """2 pi lam theta, the normaliser of mu_{lam,theta} and nu_{lam,theta}.
-    It underflows to 0 for some (lam, theta) that JacobiParams accepts, such
-    as (1e-300, 5e-324); neither law has a float density there."""
+    """2 pi lam theta, the normaliser of mu_{lam,theta}.  It underflows to 0
+    for some (lam, theta) that JacobiParams accepts, such as
+    (1e-300, 5e-324); neither mu_{lam,theta} nor its image nu_{lam,theta}
+    has a float density there, and both laws raise."""
     den = 2.0 * np.pi * p.lam * p.theta
     if den == 0.0:
         raise ValueError(f"2 pi lam theta underflows to 0 at lam = {p.lam}, "
@@ -250,31 +252,19 @@ def mu_lambda_theta(p):
 
 
 def nu_lambda(lam):
-    """Symmetric image of the theta = 1/2 measure on [-1, 1]:
-    (2-lam)/pi * sqrt(1-x^2) / (1 - lam(2-lam) x^2)."""
-    JacobiParams(lam, 0.5)
-    q = lam * (2.0 - lam)
-    gap = (1.0 - lam) ** 2          # 1 - q, exactly nonnegative
-
-    # 1 - q x^2 = (1-lam)^2 + q (1-x)(1+x): at lam = 1 the denominator
-    # vanishes at both edges exactly as fast as the numerator (arcsine law),
-    # and this form evaluates the ratio without cancellation.
-    def dens_edges(x, dlo, dhi):
-        prod = dlo * dhi
-        return (2.0 - lam) / np.pi * np.sqrt(prod) / (gap + q * prod)
-
-    return SpectralMeasure((-1.0, 1.0), dens_edges, (), f"nu[{lam}]")
+    """nu_{lam,theta} at theta = 1/2, the symmetric image of the theta = 1/2
+    law on [-1, 1]: (2-lam)/pi * sqrt(1-x^2) / (1 - lam(2-lam) x^2)."""
+    return nu_lambda_theta(JacobiParams(lam, 0.5))
 
 
 def nu_lambda_theta(p):
     """General-theta symmetric image measure on [-1, 1]: the image of
-    mu_{lam,theta} under x -> (2x - s)/d, with density
-    d^2 sqrt(1-x^2) / (2 pi lam theta (s + dx)(2 - s - dx))."""
+    mu_{lam,theta} under x -> (2x - s)/d, (s, d^2) = nu_map(lam, theta),
+    with density d^2 sqrt(1-x^2) / (2 pi lam theta (s + dx)(2 - s - dx))."""
     if not isinstance(p, JacobiParams):
         p = JacobiParams(*p)
     lam, th = p.lam, p.theta
-    d = 4.0 * th * math.sqrt(lam * (1.0 - th) * (1.0 - lam * th))
-    s = 2.0 * th * (1.0 + lam - 2.0 * lam * th)
+    d = math.sqrt(nu_map(lam, th)[1])
     # The quadratic denominator factors through its roots -s/d and (2-s)/d:
     #     s(2-s) + 2d(1-s)x - d^2 x^2 = (s + dx)(2 - s - dx),
     # and the factor gaps at the edges x = -+1 are squares,
@@ -286,8 +276,12 @@ def nu_lambda_theta(p):
     gap_hi = 2.0 * (math.sqrt((1.0 - th) * (1.0 - lam * th)) - th * math.sqrt(lam)) ** 2
     # With gap_lo, gap_hi >= 0 and d > 0 both factors are positive on
     # (-1, 1); at lam = 1 they vanish at the edges, where the sqrt(1 - x^2)
-    # numerator keeps the density integrable.
-    scale = d * d / _two_pi_lam_theta(p)
+    # numerator keeps the density integrable.  The normaliser
+    # d^2/(2 pi lam theta) = 8 th (1-th)(1 - lam th)/pi is written without
+    # lam, which a subnormal lam would not carry through 2 pi lam; the
+    # domain gate of mu_{lam,theta} still applies.
+    _two_pi_lam_theta(p)
+    scale = 8.0 * th * (1.0 - th) * (1.0 - lam * th) / np.pi
 
     def dens_edges(x, dlo, dhi):
         den = (gap_lo + d * dlo) * (gap_hi + d * dhi)
@@ -351,7 +345,8 @@ def moments(m, n_max, tol=1e-10):
     """Moments m_0..m_{n_max} including atom contributions.
 
     Signals ConvergenceError if one node doubling still moves any moment by
-    more than tol (absolute).
+    more than tol (absolute), and ValueError if a moment exceeds the float
+    range.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -361,9 +356,17 @@ def moments(m, n_max, tol=1e-10):
         return x[None, :] ** ks[:, None]
 
     ac = _integrate_ac(m, powers, tol=tol)
-    for x, w in m.atoms:
-        ac = ac + w * np.float64(x) ** ks
-    return np.asarray(ac, dtype=float)
+    with np.errstate(over="ignore"):
+        for x, w in m.atoms:
+            ac = ac + w * np.float64(x) ** ks
+    ac = np.asarray(ac, dtype=float)
+    # An atom far out (xi_lambda at lam = 1e-300 has one near 7e149)
+    # carries its high powers beyond the float range.
+    bad = np.flatnonzero(~np.isfinite(ac))
+    if bad.size:
+        raise ValueError(f"moment m_{bad[0]} of {m.label or 'the measure'} "
+                         "exceeds the float range")
+    return ac
 
 
 def cauchy_transform(m, z, tol=1e-12):

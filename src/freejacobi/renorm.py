@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
 
 from .exact import exact_sqrt
 from .measures import (JacobiParams, _integrate_ac, cauchy_transform,
-                       nu_lambda, nu_lambda_theta, xi_lambda, xi_shift)
+                       nu_lambda_theta, xi_lambda, xi_shift)
 from .polys import _X, _as_poly, chebyshev_seq
 
 __all__ = [
@@ -192,11 +193,24 @@ class Family:
     """One entry of FAMILIES: the weights (beta, gamma) of the combination
     as a function of (lam, theta, a_variant, b_variant), generic over the
     scalar type (a Fraction lam gives exact weights with an exact square
-    root), and the orthogonality measure as a function of (lam, theta)."""
+    root), the law of its orthogonality measure as a function of
+    (lam, theta), and the theta it is pinned to (None: it reads the theta
+    it is given)."""
 
     weights: object
-    measure: object
-    needs_theta: bool = False
+    law: object
+    theta: object = None
+
+    def reads(self, theta):
+        """The theta the family reads: its pinned theta, else `theta`.
+        This is where every path (u_combination, the orthogonality measure,
+        the exact martingale residuals, the simulator's rescaling and the
+        cli's note) learns which theta applies."""
+        return theta if self.theta is None else self.theta
+
+    def measure(self, lam, theta):
+        """The orthogonality measure at (lam, theta), theta as read."""
+        return self.law(lam, self.reads(theta))
 
 
 def _general_theta_weights(lam, theta, a_variant, b_variant):
@@ -210,39 +224,47 @@ def _general_theta_weights(lam, theta, a_variant, b_variant):
     return -2 * b, 1 - 2 * c
 
 
-# The three polynomial families.  P_lambda's weight is -2 a(lam) with
-# a(lam) = xi_shift(lam) = (1-lam)/sqrt(lam(2-lam)) (a_variant="sqrt") or the
-# control value (1-lam)/(lam(2-lam)) (a_variant="rational").  The tabulated
-# Jacobi-Szego data of each family (``stated_params``) are the recurrence of
-# its combination at the tabulated weights (b_variant="twice"):
-# alpha_0 = -beta/2, omega_1 = (1-gamma)/4, then alpha = 0 and omega = 1/4.
+def _nu_theta_law(lam, theta):
+    return nu_lambda_theta(JacobiParams(lam, theta))
+
+
+# The theta = 1/2 families are pinned there, exactly: one Fraction serves
+# float and exact lam alike, and nu_map takes it to the floats 1.0 and
+# lam * (2.0 - lam) at a float lam.
+_HALF = Fraction(1, 2)
+
+# The three polynomial families.  Q_lambda is Q_lambda_theta at theta = 1/2:
+# the same weights (b = 0 and 1 - 2c = -lam/(2-lam)) and the same law,
+# nu_lambda.  P_lambda's weight is -2 a(lam) with a(lam) = xi_shift(lam) =
+# (1-lam)/sqrt(lam(2-lam)) (a_variant="sqrt") or the control value
+# (1-lam)/(lam(2-lam)) (a_variant="rational"), and its law is xi_lambda.
+# The tabulated Jacobi-Szego data of each family (``stated_params``) are the
+# recurrence of its combination at the tabulated weights
+# (b_variant="twice"): alpha_0 = -beta/2, omega_1 = (1-gamma)/4, then
+# alpha = 0 and omega = 1/4.
 FAMILIES = MappingProxyType({
-    "Q_lambda": Family(
-        weights=lambda lam, theta, a_variant, b_variant: (0, -lam / (2 - lam)),
-        measure=lambda lam, theta: nu_lambda(lam)),
+    "Q_lambda": Family(_general_theta_weights, _nu_theta_law, _HALF),
     "P_lambda": Family(
-        weights=lambda lam, theta, a_variant, b_variant:
+        lambda lam, theta, a_variant, b_variant:
             (-2 * xi_shift(lam, a_variant), -1),
-        measure=lambda lam, theta: xi_lambda(lam)),
-    "Q_lambda_theta": Family(
-        weights=_general_theta_weights,
-        measure=lambda lam, theta: nu_lambda_theta(JacobiParams(lam, theta)),
-        needs_theta=True),
+        lambda lam, theta: xi_lambda(lam), _HALF),
+    "Q_lambda_theta": Family(_general_theta_weights, _nu_theta_law),
 })
 
 
 def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
     """Weights (beta, gamma) of the named family's Chebyshev combination.
 
-    family = "Q_lambda":       (0,          -lam/(2-lam))
-    family = "P_lambda":       (-2 a(lam),  -1)
     family = "Q_lambda_theta": (-2 b,       1 - 2c)
+    family = "Q_lambda":       the same at theta = 1/2, (0, -lam/(2-lam))
+    family = "P_lambda":       (-2 a(lam),  -1)
 
     with a(lam) per ``xi_shift(lam, a_variant)`` and b, c per
-    ``build_Q_lambda_theta`` (b depends on b_variant).  This is where the
-    family name, the variants and the parameter domain are checked, the
-    domain by JacobiParams: lam in (0, 1], and for Q_lambda_theta theta in
-    (0, 1/2].
+    ``build_Q_lambda_theta`` (b depends on b_variant).  The theta = 1/2
+    families read theta = 1/2 whatever `theta` is (Family.reads).  This is
+    where the family name, the variants and the parameter domain are
+    checked, the domain by JacobiParams: lam in (0, 1], and for
+    Q_lambda_theta theta in (0, 1/2].
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -251,9 +273,10 @@ def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
     if b_variant not in ("mean", "twice"):
         raise ValueError(f"unknown b_variant {b_variant!r}")
     entry = FAMILIES[family]
-    if entry.needs_theta and theta is None:
+    theta = entry.reads(theta)
+    if theta is None:
         raise ValueError(f"{family} requires theta")
-    JacobiParams(lam, theta if entry.needs_theta else 0.5)
+    JacobiParams(lam, theta)
     return entry.weights(lam, theta, a_variant, b_variant)
 
 
@@ -273,7 +296,8 @@ def family_gram(measure, beta, gamma, n_max):
     inner products from quadrature plus exact atom terms.  Expanding the
     products into monomial coefficients and pairing with raw moments loses
     around six digits at degree ~24 through cancellation; this route keeps
-    the off-diagonal of an orthogonal family at ~1e-12.
+    the off-diagonal of an orthogonal family at ~1e-12.  An entry beyond
+    the float range raises ValueError.
     """
     if n_max < 0:
         raise ValueError(f"n_max = {n_max} must be nonnegative")
@@ -286,8 +310,15 @@ def family_gram(measure, beta, gamma, n_max):
         return fam[iu] * fam[ju]
 
     vals = np.asarray(_integrate_ac(measure, pair_values), dtype=float)
-    for x0, w0 in measure.atoms:
-        vals = vals + w0 * pair_values([x0])[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x0, w0 in measure.atoms:
+            vals = vals + w0 * pair_values([x0])[:, 0]
+    # An atom far out (xi_lambda at lam = 1e-100 has one near 7e49) carries
+    # the high-degree values beyond the float range.
+    if not np.isfinite(vals).all():
+        raise ValueError(f"the degree-{n_max} Gram matrix under "
+                         f"{measure.label or 'the measure'} exceeds the float "
+                         "range")
     g = np.zeros((n_max + 1, n_max + 1))
     g[iu, ju] = vals
     g[ju, iu] = vals

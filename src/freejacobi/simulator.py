@@ -246,7 +246,7 @@ def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
     if n < 0:
         raise ValueError("n must be >= 0")
     beta, gamma = u_combination(family, lam, theta, a_variant, b_variant)
-    s, d2 = nu_map(lam, theta if FAMILIES[family].needs_theta else 0.5)
+    s, d2 = nu_map(lam, FAMILIES[family].reads(theta))
     if trials < 1:
         raise ValueError("trials must be >= 1")
     # The comparisons are false for NaN as well.

@@ -1,13 +1,18 @@
 """Command-line interface: exit codes, report schema, file outputs."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freejacobi import jacobi_spectrum, make_state
 from freejacobi.cli import REPORT_SCHEMA, main
@@ -62,6 +67,45 @@ def test_density_writes_file(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "x,density" in out.read_text()
+
+
+# The edges of the parameter domain (0, 1] x (0, 1/2], with points just
+# outside it, plus uniform draws.
+_EDGES = (5e-324, 1e-300, 1e-16, 0.5, math.nextafter(0.5, 1.0),
+          math.nextafter(1.0, 0.0), 1.0)
+_PARAMS = st.sampled_from(_EDGES) | st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.sampled_from(("density", "moments")),
+       st.sampled_from(("mu", "nu", "nu_theta", "xi")), _PARAMS, _PARAMS)
+# nu at a subnormal lam: 2 pi lam does not carry lam, so a normaliser
+# written with it misses the mass by 4.7 %.
+@example("density", "nu", 5e-324, 0.5)
+# The atom of xi near 7e149 carries m_3 beyond the float range.
+@example("moments", "xi", 1e-300, 0.5)
+def test_measure_tables_exit_0_or_2(command, family, lam, theta):
+    # Every table either is written with finite values (densities also
+    # nonnegative) and exit code 0, or is refused with exit code 2 and a
+    # message; nothing escapes main.  nu, whose edge form holds in floats
+    # on the whole domain, is never refused inside it.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--family", family, "--lambda", repr(lam),
+                     "--theta", repr(theta)])
+    assert code in (0, 2)
+    if family == "nu" and 0.0 < lam <= 1.0 and 0.0 < theta <= 0.5:
+        assert code == 0, err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        return
+    lines = out.getvalue().splitlines()
+    rows = [ln.split(",") for ln in lines if ln[0].isdigit() or ln[0] == "-"]
+    atoms = [ln.split(",")[1:] for ln in lines if ln.startswith("# atom,")]
+    values = np.array([[float(v) for v in row] for row in rows + atoms])
+    assert len(rows) > 0 and np.isfinite(values).all()
+    if command == "density":
+        assert (values[:len(rows), 1] >= 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +266,27 @@ def test_empty_input_exit_2(capsys, argv, message):
 def test_extreme_lambda_exit_2(capsys, argv, message):
     # Inputs inside the domain whose results floats cannot carry: each used
     # to end in a traceback (ZeroDivisionError, OverflowError) with exit 1.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "flows", "--lambda", "1e-16", "--theta", "0.5"),
+     "(r e^t + c1)^2 - 4 c2 cancels to 0.0 in floats"),
+    (("verify", "flows", "--lambda", "1e-16", "--theta", "0.3"),
+     "(r e^t + c1)^2 - 4 c2 cancels to 0.0 in floats"),
+    (("verify", "orthogonality", "--family", "P_lambda", "--lambda", "1e-200"),
+     "the degree-12 Gram matrix under xi[1e-200] exceeds the float range"),
+    (("moments", "--family", "xi", "--lambda", "1e-300", "--nmax", "6"),
+     "moment m_3 of xi[1e-300] exceeds the float range"),
+])
+def test_results_beyond_floats_exit_2(capsys, argv, message):
+    # Inputs inside the domain whose results floats cannot carry: the flows
+    # ended in a ZeroDivisionError traceback (exit 1), the orthogonality
+    # report carried "max_offdiag": NaN, which is not JSON (exit 1), and the
+    # moment table printed inf from m_3 on (exit 0).
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -26,6 +26,7 @@ from freejacobi import (
     mu_lambda_theta,
     xi_shift,
 )
+from freejacobi import martingale
 from freejacobi.exact import ONE, X, exact_sqrt, mu_half_moments
 from freejacobi.martingale import _drift_columns, stationary_moments
 from freejacobi.measures import nu_map
@@ -274,6 +275,57 @@ def test_half_families_ignore_theta():
     assert martingale_residuals(0.5, degrees, "Q_lambda_theta") == [0.0] * 9
     with pytest.raises(ValueError, match="unknown family"):
         martingale_residuals(0.5, degrees, "R_lambda", theta=0.4)
+
+
+def test_nu_map_at_exact_half_is_the_float_half_map():
+    # The theta = 1/2 families are pinned at Fraction(1, 2); at a float lam
+    # the map is then the same floats as at theta = 0.5.
+    rng = np.random.default_rng(14)
+    lams = [5e-324, 1e-300, 1e-16, math.nextafter(1.0, 0.0), 1.0]
+    lams += rng.uniform(0.0, 1.0, 2000).tolist()
+    for lam in lams:
+        got = nu_map(lam, Fraction(1, 2))
+        assert got == nu_map(lam, 0.5)
+        assert all(type(v) is float for v in got)
+
+
+def test_drift_columns_fill_the_moments_once(monkeypatch):
+    # One column per degree: the fixed point fills each moment as its
+    # column is built, and the residuals reuse those columns.
+    calls = []
+    column = martingale._drift_column
+
+    def counting(lam, th, m, n):
+        calls.append(n)
+        return column(lam, th, m, n)
+
+    monkeypatch.setattr(martingale, "_drift_column", counting)
+    lam, th = Fraction(0.6), Fraction(1, 2)
+    m = [1]
+    cols = _drift_columns(lam, th, m, 15)
+    assert calls == list(range(1, 16)) and len(cols) == 16
+    assert m == mu_half_moments(lam, 15)
+    calls.clear()
+    martingale_residuals(0.6, range(1, 16))
+    assert calls == list(range(1, 16))
+
+
+@pytest.mark.parametrize("family, lam, th", [
+    ("Q_lambda_theta", 0.5, 5e-324), ("Q_lambda", 5e-324, 0.5),
+    ("P_lambda", 5e-324, 0.3)])
+def test_residuals_bound_the_operand_size(monkeypatch, family, lam, th):
+    # Long binary expansions make every exact operand long: the request is
+    # refused, naming the size, before any drift column is built.  The
+    # denominators 2 and 2^1074 have 2 and 1075 bits; theta = 0.3 is not
+    # read by the theta = 1/2 family P_lambda.
+    bits = 30 * (2 + 1075)
+
+    def no_column(*args):
+        raise AssertionError("a drift column was built")
+
+    monkeypatch.setattr(martingale, "_drift_column", no_column)
+    with pytest.raises(ValueError, match=f"operands of about {bits} bits"):
+        martingale_residuals(lam, range(1, 31), family, theta=th)
 
 
 def _u_expansion(p, n):

@@ -30,7 +30,7 @@ from freejacobi import (
     xi_shift,
 )
 from freejacobi.exact import ONE, X
-from freejacobi.renorm import family_values
+from freejacobi.renorm import FAMILIES, family_values
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +235,25 @@ def test_u_combination_errors():
         u_combination("Q_lambda", 1.5)
     with pytest.raises(ValueError):
         u_combination("Q_lambda_theta", 0.5, 0.6)  # theta > 1/2
+
+
+@pytest.mark.parametrize("lam", [5e-324, 0.3, 0.5, 0.7, 1.0])
+def test_Q_lambda_is_Q_lambda_theta_at_half(lam):
+    # One family table entry pinned at theta = 1/2: the same weights (exact
+    # and float) and the same law as Q_lambda_theta there, whatever theta
+    # is given.
+    lamF = Fraction(lam)
+    assert u_combination("Q_lambda", lamF) == \
+        u_combination("Q_lambda_theta", lamF, Fraction(1, 2)) == \
+        (0, -lamF / (2 - lamF))
+    assert u_combination("Q_lambda", lam, 0.3) == \
+        u_combination("Q_lambda_theta", lam, 0.5)
+    xs = np.linspace(-0.99, 0.99, 23)
+    want = nu_lambda_theta(JacobiParams(lam, 0.5)).density(xs)
+    for m in (nu_lambda(lam), FAMILIES["Q_lambda"].measure(lam, 0.3)):
+        np.testing.assert_array_equal(m.density(xs), want)
+    assert FAMILIES["Q_lambda"].reads(0.3) == Fraction(1, 2)
+    assert FAMILIES["Q_lambda_theta"].reads(0.3) == 0.3
 
 
 # ---------------------------------------------------------------------------
