@@ -141,8 +141,12 @@ def _apply(cols, c):
             for j in range(len(c))]
 
 
-# Bound on the estimated size of the exact operands of martingale_residuals.
+# Bounds on the estimated size of the exact operands of martingale_residuals
+# and on its estimated work, max(degrees)^3 operations on operands of that
+# size.  Requests near the work bound took 0.9 to 1.5 s on a 2-CPU x86-64
+# machine, and the time grows about as the work.
 _MAX_OPERAND_BITS = 16384
+_MAX_WORK = 10 ** 8
 
 
 def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt",
@@ -175,8 +179,11 @@ def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt",
     power max(degrees), and the time with their size: at theta = 5e-324,
     whose denominator 2^1074 has 1075 bits, degree 30 would run for
     minutes.  Their size, estimated as max(degrees) times the denominator
-    bits of lam and of the theta read, is bounded by _MAX_OPERAND_BITS;
-    beyond it ValueError names the size before any column is built.
+    bits of lam and of the theta read, is bounded by _MAX_OPERAND_BITS.
+    The time also grows with the number of operations, about as
+    max(degrees)^4 at fixed parameters, so the work, max(degrees)^3 times
+    that size, is bounded by _MAX_WORK.  Beyond either bound ValueError
+    names the request, its size and its work before any column is built.
     """
     degrees = list(degrees)
     if not degrees or min(degrees) < 1:
@@ -186,11 +193,12 @@ def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt",
     thF = FAMILIES[family].reads(thF)
     top = max(degrees)
     bits = top * (lamF.denominator.bit_length() + thF.denominator.bit_length())
-    if bits > _MAX_OPERAND_BITS:
+    if bits > _MAX_OPERAND_BITS or top ** 3 * bits > _MAX_WORK:
         raise ValueError(
             f"exact residuals to degree {top} at lam = {lam}, theta = "
-            f"{float(thF)} need operands of about {bits} bits, more than "
-            f"{_MAX_OPERAND_BITS}")
+            f"{float(thF)} need operands of about {bits} bits and about "
+            f"{top ** 3 * bits:.3g} bit operations, more than "
+            f"{_MAX_OPERAND_BITS} bits or {_MAX_WORK:.3g} operations")
     # The family evaluated at the ring element (2x - s)/d is q_n itself.
     # Polynomial / Quad raises, hence the reciprocal.
     s, d2 = nu_map(lamF, thF)

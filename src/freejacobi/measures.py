@@ -206,14 +206,20 @@ def _integrate_ac(m, f, tol=1e-11, n_max=1 << 17):
         x, w = _ac_nodes(m, n)
         return np.sum(np.asarray(f(x)) * w, axis=-1)
 
-    def settled(prev, vals):
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        return np.max(np.abs(vals - prev)) < tol * scale
-
     lo, hi = m.support
     return errors.refine(
-        compute, settled, 64, n_max,
+        compute, _settled_within(tol), 64, n_max,
         f"quadrature did not settle at {n_max} nodes on [{lo}, {hi}]")
+
+
+def _settled_within(tol):
+    """Settle test of the quadrature's node doubling: no component moved by
+    tol * max(1, |value|) or more (an empty pass settles)."""
+    def settled(prev, vals):
+        scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+        return np.max(np.abs(vals - prev), initial=0.0) < tol * scale
+
+    return settled
 
 
 # -- constructors ------------------------------------------------------------
@@ -335,7 +341,12 @@ def xi_lambda(lam):
 
     atoms = ()
     if a > 0.0:
-        atoms = ((math.sqrt(a * a + 1.0), a / math.sqrt(a * a + 1.0)),)
+        # a * a overflows below lam of about 1e-308; hypot keeps the atom
+        # there, while sqrt keeps the floats of every other lam.
+        x = math.sqrt(a * a + 1.0)
+        if x == math.inf:
+            x = math.hypot(a, 1.0)
+        atoms = ((x, a / x),)
     return SpectralMeasure((-1.0, 1.0), dens_edges, atoms, f"xi[{lam}]")
 
 
@@ -369,6 +380,20 @@ def moments(m, n_max, tol=1e-10):
     return ac
 
 
+def _off_support(m, z):
+    """complex(z), after a ValueError if z lies on the a.c. interval of m or
+    on an atom: the poles of the Cauchy kernel 1/(z - x), and at z = 1/r of
+    the theta kernel 1/(1 - r x) of renorm."""
+    z = complex(z)
+    lo, hi = m.support
+    if z.imag == 0.0 and lo <= z.real <= hi and hi > lo:
+        raise ValueError(f"z = {z} lies on the a.c. support [{lo}, {hi}]")
+    for x, _ in m.atoms:
+        if z == complex(x):
+            raise ValueError(f"z = {z} coincides with an atom")
+    return z
+
+
 def cauchy_transform(m, z, tol=1e-12):
     """G(z) = int (z - x)^{-1} dm(x) for z off the support.
 
@@ -377,13 +402,7 @@ def cauchy_transform(m, z, tol=1e-12):
     the support at a distance of about 1e-9, say).  Rejects z exactly on the
     a.c. interval or on an atom.
     """
-    z = complex(z)
-    lo, hi = m.support
-    if z.imag == 0.0 and lo <= z.real <= hi and hi > lo:
-        raise ValueError(f"z = {z} lies on the a.c. support [{lo}, {hi}]")
-    for x, _ in m.atoms:
-        if z == complex(x):
-            raise ValueError(f"z = {z} coincides with an atom")
+    z = _off_support(m, z)
 
     def kern(x):
         return 1.0 / (z - x)

@@ -9,6 +9,12 @@ generates the orthogonal polynomials of mu exactly when
 
 depends on (u, v) only through the product uv.  ``certify_product_dependence``
 tests that criterion on a grid of equal-product pairs.
+
+The kernels are one integral, theta(u, v) = int a_u a_v dmu with
+a_u(x) = 1/(1 - u x), taken directly over the measure's tanh-sinh nodes and
+atoms (theta(u) is the case v = 0), so that no difference quotient cancels
+near the diagonal.  A certification takes every kernel value of its grid
+from one node-doubling pass.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import errors
 from .exact import exact_sqrt
-from .measures import (JacobiParams, _integrate_ac, cauchy_transform,
-                       nu_lambda_theta, xi_lambda, xi_shift)
+from .measures import (JacobiParams, _ac_nodes, _integrate_ac, _off_support,
+                       _settled_within, nu_lambda_theta, xi_lambda, xi_shift)
 from .polys import _X, _as_poly, chebyshev_seq
 
 __all__ = [
@@ -62,41 +69,61 @@ class RenormKernel:
 
 
 def theta_one(k, u):
-    """theta(u) = int (1 - u x)^{-1} dmu(x), evaluated as (1/u) G(1/u)."""
-    u = float(u)
-    if u == 0.0:
-        return 1.0
-    return float(np.real(cauchy_transform(k.measure, 1.0 / u) / u))
-
-
-# Complex step of the diagonal derivative in theta_two.
-_COMPLEX_STEP = 1e-8
+    """theta(u) = int (1 - u x)^{-1} dmu(x), the case v = 0 of theta_two."""
+    return theta_two(k, u, 0.0)
 
 
 def theta_two(k, u, v):
-    """theta(u, v) = int (1 - u x)^{-1} (1 - v x)^{-1} dmu(x).
-
-    Computed through the partial-fraction identity
-    theta(u, v) = (u theta(u) - v theta(v)) / (u - v).  On the diagonal the
-    identity degenerates to the derivative d/dw [w theta(w)] = d/dw G(1/w),
-    taken by a complex step: Im G(1/(w + i h)) / h, h = 1e-8.  Unlike a real
-    central difference this has no subtractive cancellation, so the diagonal
-    inherits the full quadrature accuracy of the Cauchy transform.
-    """
-    u, v = float(u), float(v)
-    if abs(u - v) < 1e-9:
-        w = 0.5 * (u + v)
-        if w == 0.0:
-            return 1.0
-        g = cauchy_transform(k.measure, 1.0 / complex(w, _COMPLEX_STEP))
-        return float(g.imag) / _COMPLEX_STEP
-    return (u * theta_one(k, u) - v * theta_one(k, v)) / (u - v)
+    """theta(u, v) = int (1 - u x)^{-1} (1 - v x)^{-1} dmu(x), integrated
+    directly on and off the diagonal (_thetas); theta(0, 0) is the total
+    mass, 1.  Raises ValueError when 1/u or 1/v lies on the a.c. support or
+    on an atom."""
+    return 1.0 if u == v == 0 else float(_thetas(k.measure, [(u, v)])[0])
 
 
 def theta_ratio(k, u, v):
     """Theta_rho(u, v) = theta(rho u, rho v) / (theta(rho u) theta(rho v))."""
-    ru, rv = k.rho(u), k.rho(v)
-    return theta_two(k, ru, rv) / (theta_one(k, ru) * theta_one(k, rv))
+    return float(_theta_ratios(k, [(u, v)])[0])
+
+
+def _theta_ratios(k, pairs):
+    """Theta_rho(u, v) for each (u, v) in pairs, from one _thetas pass; rho
+    is called per point."""
+    rs = [(k.rho(u), k.rho(v)) for u, v in pairs]
+    t = _thetas(k.measure, rs + [(r, 0.0) for uv in rs for r in uv])
+    n = len(rs)
+    return t[:n] / (t[n::2] * t[n + 1::2])
+
+
+def _thetas(m, pairs):
+    """theta(r, s) = int a_r a_s dm, a_r(x) = 1/(1 - r x), for each (r, s)
+    in pairs, from one node-doubling pass.
+
+    Each pass evaluates a_r once per distinct r, on the tanh-sinh nodes of
+    the a.c. part and on the atoms, and contracts the pairs as (a w) a^T,
+    128 nodes at a time, so that the working set stays near 1 KiB per
+    distinct r at any node count.  The contraction is an einsum: a BLAS
+    product would add buffers of about 1.4 MB to the process.  The pass
+    settles at 1e-12 relative, the tolerance of cauchy_transform, and raises
+    ValueError where cauchy_transform would at z = 1/r.
+    """
+    r, idx = np.unique(np.ravel(pairs), return_inverse=True)
+    i, j = idx.reshape(-1, 2).T
+    for z in 1.0 / r[r != 0.0]:
+        _off_support(m, z)
+    ax, aw = np.array(m.atoms).reshape(-1, 2).T
+
+    def compute(n):
+        x, w = _ac_nodes(m, n)
+        x, w = np.concatenate([x, ax]), np.concatenate([w, aw])
+        t = 0.0
+        for s in range(0, x.size, 128):
+            a = 1.0 / (1.0 - np.outer(r, x[s:s + 128]))
+            t = t + np.einsum("in,jn->ij", a * w[s:s + 128], a)
+        return t[i, j]
+
+    return errors.refine(compute, _settled_within(1e-12), 64, 1 << 17,
+                         f"theta kernel did not settle on {m.support}")
 
 
 def _admissible_u(k):
@@ -110,6 +137,11 @@ def _admissible_u(k):
     lo_u, hi_u = 0.0, 0.999
     if k.rho(hi_u) <= w_max:
         return hi_u
+    # Halving first finds the octave of u: a far atom (xi at lam = 1e-300
+    # has one near 7e149) puts it below any fixed bisection depth.  Where
+    # that depth sufficed, the bisection ends on the same float.
+    while hi_u > 0.0 and k.rho(0.5 * hi_u) >= w_max:
+        hi_u *= 0.5
     for _ in range(80):
         mid = 0.5 * (lo_u + hi_u)
         if k.rho(mid) < w_max:
@@ -120,12 +152,19 @@ def _admissible_u(k):
 
 
 def _default_grid(k):
-    """Equal-product pairs: 40 products log-spaced in
-    (1e-4, min(0.5, (0.95 u_max)^2)], each realized by 5 different (u, v)
-    splits."""
+    """Equal-product pairs: 40 products log-spaced in [p_lo, p_hi],
+    p_hi = min(0.5, u_max^2) with u_max = 0.95 times the admissible u, each
+    realized by 5 different (u, v) splits in (0, u_max].  p_lo is 1e-4, or
+    1e-4 p_hi where p_hi <= 1e-4; products below the normal float range
+    raise ValueError."""
     u_max = 0.95 * _admissible_u(k)
     p_hi = min(0.5, u_max * u_max)
-    products = np.geomspace(1e-4, p_hi, 40)
+    p_lo = 1e-4 if p_hi > 1e-4 else 1e-4 * p_hi
+    if p_lo < np.finfo(float).tiny:
+        raise ValueError(f"the admissible u = {u_max:.3g} of "
+                         f"{k.measure.label or 'the measure'} leaves its "
+                         "products below the normal float range")
+    products = np.geomspace(p_lo, p_hi, 40)
     grid = []
     for p in products:
         for u in np.geomspace(p / u_max, u_max, 5):
@@ -136,35 +175,25 @@ def _default_grid(k):
 def certify_product_dependence(k, grid=None, tol=1e-10):
     """Check that Theta_rho(u, v) depends only on the product uv.
 
-    Pairs in ``grid`` whose products agree within 1e-14 are grouped; within
-    each group the spread max - min of Theta_rho must not exceed tol.
-    Returns (verdict, report).
+    Theta_rho is evaluated at every pair of ``grid``, all its kernel values
+    in one node-doubling pass.  Sorted by product, pairs whose consecutive
+    products agree to 1e-14 relative form a group; within each group the
+    spread max - min of Theta_rho must not exceed tol.  Returns (verdict,
+    report).
     """
-    if grid is None:
-        grid = _default_grid(k)
-    entries = sorted(((u * v, u, v) for u, v in grid), key=lambda e: e[0])
-    groups = []
-    for p, u, v in entries:
-        if groups and abs(p - groups[-1][0]) <= 1e-14:
-            groups[-1][1].append((u, v))
-        else:
-            groups.append((p, [(u, v)]))
-
-    worst = 0.0
-    worst_product = None
-    n_multi = 0
-    for p, pairs in groups:
-        if len(pairs) < 2:
-            continue
-        n_multi += 1
-        vals = [theta_ratio(k, u, v) for u, v in pairs]
-        spread = max(vals) - min(vals)
-        if spread > worst:
-            worst, worst_product = spread, p
+    grid = _default_grid(k) if grid is None else list(grid)
+    p = np.array([u * v for u, v in grid])
+    order = np.argsort(p, kind="stable")
+    p, ratios = p[order], _theta_ratios(k, grid)[order]
+    cuts = np.flatnonzero(np.diff(p) > 1e-14 * np.abs(p[1:])) + 1
+    groups = [g for g in np.split(np.arange(p.size), cuts) if g.size > 1]
+    spreads = [float(np.ptp(ratios[g])) for g in groups]
+    worst = max(spreads, default=0.0)
+    worst_product = float(p[groups[np.argmax(spreads)][0]]) if worst else None
     verdict = bool(worst <= tol)
     report = {
-        "pairs": len(entries),
-        "product_groups": n_multi,
+        "pairs": len(grid),
+        "product_groups": len(groups),
         "max_violation": worst,
         "worst_product": worst_product,
         "tol": tol,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freejacobi import jacobi_spectrum, make_state
+from freejacobi import jacobi_spectrum, make_state, martingale
 from freejacobi.cli import REPORT_SCHEMA, main
 
 
@@ -108,6 +108,33 @@ def test_measure_tables_exit_0_or_2(command, family, lam, theta):
         assert (values[:len(rows), 1] >= 0.0).all()
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(("mu", "nu", "nu_theta", "xi")),
+       st.sampled_from(("trig", "id")), _PARAMS, _PARAMS)
+# xi at small lam: its atom far out pushed the default grid beyond the
+# admissible u (exit 1) or below the bisection's reach (a numpy message).
+@example("xi", "trig", 1e-16, 0.5)
+@example("xi", "trig", 1e-300, 0.5)
+@example("xi", "trig", 5e-324, 0.5)
+def test_verify_renorm_exit_0_1_or_2(family, rho, lam, theta):
+    # A certification either compares at least one product group and exits
+    # 0 or 1, or is refused with exit code 2 and a message; nothing escapes
+    # main.  The trig kernel certifies the three centred image laws
+    # wherever it runs; mu is not one of them and may exit 1.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "renorm", "--family", family, "--rho", rho,
+                     "--lambda", repr(lam), "--theta", repr(theta)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        return
+    rep = json.loads(out.getvalue())
+    assert rep["product_groups"] > 0 and math.isfinite(rep["max_violation"])
+    if rho == "trig" and family != "mu":
+        assert code == 0, rep
+
+
 # ---------------------------------------------------------------------------
 # Verification suites
 
@@ -147,6 +174,28 @@ def test_verify_renorm_identity_control_fails(capsys):
     rep = json.loads(out)
     assert rep["verdict"] is False
     assert rep["max_violation"] > rep["tol"]
+
+
+@pytest.mark.parametrize("lam", ["1e-4", "1e-5", "1e-8", "1e-16"])
+def test_verify_renorm_xi_small_lambda_passes(capsys, lam):
+    # The atom of xi far out makes the admissible u small; the grid stays
+    # below it, and the direct kernel certifies to rounding.
+    code, out, _ = run(capsys, "verify", "renorm", "--family", "xi",
+                       "--lambda", lam)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["product_groups"] == 40 and rep["max_violation"] < 1e-13
+
+
+def test_verify_martingale_refuses_long_work(capsys, monkeypatch):
+    def no_column(*args):
+        raise AssertionError("a drift column was built")
+
+    monkeypatch.setattr(martingale, "_drift_column", no_column)
+    code, out, err = run(capsys, "verify", "martingale", "--family",
+                         "P_lambda", "--lambda", "0.5", "--nmax", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("error: exact residuals to degree 100 at lam = 0.5")
 
 
 def test_verify_fock_passes(capsys):

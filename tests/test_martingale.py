@@ -1,6 +1,7 @@
 """Drift operator, exact martingale residuals, and the (Z, K) flow pair."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -326,6 +327,23 @@ def test_residuals_bound_the_operand_size(monkeypatch, family, lam, th):
     monkeypatch.setattr(martingale, "_drift_column", no_column)
     with pytest.raises(ValueError, match=f"operands of about {bits} bits"):
         martingale_residuals(lam, range(1, 31), family, theta=th)
+
+
+@pytest.mark.parametrize("family, lam, th, top, work", [
+    ("Q_lambda_theta", 0.3, 0.45, 60, 60 ** 3 * 60 * (55 + 55)),
+    ("P_lambda", 0.5, 0.5, 100, 100 ** 3 * 100 * (2 + 2))])
+def test_residuals_bound_the_work(monkeypatch, family, lam, th, top, work):
+    # Operands of ordinary size, but max(degrees)^3 operations on them: the
+    # request is refused, naming it and its work, before any drift column
+    # is built.  0.3 and 0.45 have 55-bit denominators, 0.5 a 2-bit one.
+    def no_column(*args):
+        raise AssertionError("a drift column was built")
+
+    monkeypatch.setattr(martingale, "_drift_column", no_column)
+    with pytest.raises(ValueError, match=(
+            f"degree {top} at lam = {lam}, theta = {th} .* about "
+            + re.escape(f"{work:.3g}") + " bit operations")):
+        martingale_residuals(lam, range(1, top + 1), family, theta=th)
 
 
 def _u_expansion(p, n):

@@ -221,6 +221,21 @@ def test_xi_atom_location_and_weight():
     assert w == pytest.approx(a / math.sqrt(a * a + 1.0), abs=1e-15)
 
 
+def test_xi_atom_beyond_the_square_range():
+    # At lam = 5e-324, a = xi_shift(lam) is about 3.2e161 and a * a
+    # overflows; the atom stays at hypot(a, 1) = a with weight 1.
+    a = xi_shift(5e-324)
+    m = xi_lambda(5e-324)
+    assert m.atoms == ((math.hypot(a, 1.0), 1.0),)
+    assert 3.1e161 < m.atoms[0][0] < 3.2e161
+    assert m.total_mass() == 1.0
+    # Wherever a * a is finite, the atom is sqrt(a * a + 1) as before.
+    for lam in (1e-300, 1e-16, 1e-4, 0.1, 0.3, 0.5, 0.7, 0.999):
+        a = xi_shift(lam)
+        x = math.sqrt(a * a + 1.0)
+        assert xi_lambda(lam).atoms == ((x, a / x),)
+
+
 def test_xi_lam_one_has_no_atom():
     m = xi_lambda(1.0)
     assert m.atoms == ()

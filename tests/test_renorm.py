@@ -29,8 +29,10 @@ from freejacobi import (
     xi_lambda,
     xi_shift,
 )
+from freejacobi import errors
 from freejacobi.exact import ONE, X
-from freejacobi.renorm import FAMILIES, family_values
+from freejacobi.renorm import (FAMILIES, _admissible_u, _default_grid,
+                               family_values)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +143,42 @@ def test_theta_two_diagonal_is_continuous_limit():
     assert on_diag == pytest.approx(near, abs=1e-4)
 
 
+@pytest.mark.parametrize("gap", [1e-6, 2e-9])
+def test_theta_two_near_diagonal_against_quad(gap):
+    # The direct integral has no difference quotient to cancel near the
+    # diagonal; the reference integrates the product kernel with scipy.
+    u, v = 0.3, 0.3 - gap
+    for m in (nu_lambda(0.5), xi_lambda(0.5)):
+
+        def integrand(phi):
+            x = math.sin(phi)
+            return (float(m.density(x)) * math.cos(phi)
+                    / ((1.0 - u * x) * (1.0 - v * x)))
+
+        want, err = integrate.quad(integrand, -math.pi / 2, math.pi / 2,
+                                   epsabs=1e-13, epsrel=1e-13, limit=200)
+        want += sum(w / ((1.0 - u * x) * (1.0 - v * x)) for x, w in m.atoms)
+        assert err < 1e-13
+        assert abs(theta_two(RenormKernel(m), u, v) - want) < 1e-12
+
+
+def test_theta_kernels_reject_rho_on_the_support():
+    # 1/rho on the a.c. support (inside or at an edge) or on an atom.
+    k = RenormKernel(nu_lambda(0.5))
+    for u, v in ((2.0, 0.0), (0.3, 1.0), (-1.5, 0.2), (0.2, -1.0)):
+        with pytest.raises(ValueError, match="a.c. support"):
+            theta_two(k, u, v)
+    with pytest.raises(ValueError, match="a.c. support"):
+        theta_one(k, 2.0)
+    m = xi_lambda(0.5)
+    (x, _), = m.atoms
+    k = RenormKernel(m)
+    with pytest.raises(ValueError, match="atom"):
+        theta_one(k, 1.0 / x)
+    with pytest.raises(ValueError, match="atom"):
+        theta_two(k, 0.1, 1.0 / x)
+
+
 # ---------------------------------------------------------------------------
 # Product-dependence certification
 
@@ -171,6 +209,51 @@ def test_certify_respects_custom_tol():
     ok, report = certify_product_dependence(k, tol=1e-16)
     # An absurdly tight tolerance flips the verdict on quadrature noise.
     assert report["verdict"] == ok
+
+
+def test_certify_runs_one_refine(monkeypatch):
+    # Every kernel value of the grid comes from one node-doubling pass.
+    m = xi_lambda(0.5)
+    k = RenormKernel(m)
+    calls = []
+    refine = errors.refine
+
+    def counting(*args):
+        calls.append(args[2])
+        return refine(*args)
+
+    monkeypatch.setattr(errors, "refine", counting)
+    ok, report = certify_product_dependence(k)
+    assert ok and report["product_groups"] == 40
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-8, 1e-16, 1e-300])
+def test_default_grid_stays_admissible(lam):
+    # A far atom (xi at small lam) pushes the admissible u below 1e-2, and
+    # at 1e-300 below any fixed bisection depth; every pair stays in
+    # (0, u_max] and the products span four decades below u_max^2.
+    k = RenormKernel(xi_lambda(lam))
+    u_max = 0.95 * _admissible_u(k)
+    assert 0.0 < u_max < 1e-2
+    grid = _default_grid(k)
+    assert len(grid) == 200
+    # Within rounding: at the top product every split is (u_max, u_max),
+    # and geomspace's interior points carry a relative error of about 1e-14
+    # at u near 1e-151.
+    assert all(0.0 < w <= u_max * (1.0 + 1e-13) for uv in grid for w in uv)
+    products = sorted(u * v for u, v in grid)
+    assert products[-1] <= u_max * u_max * (1.0 + 1e-13)
+    assert products[0] == pytest.approx(1e-4 * u_max * u_max, rel=1e-12)
+    ok, report = certify_product_dependence(k)
+    assert ok and report["product_groups"] == 40, report
+
+
+def test_default_grid_refuses_products_below_float_range():
+    # At lam = 5e-324 the atom of xi sits near 3.2e161: the admissible u
+    # squares into the subnormal range.
+    with pytest.raises(ValueError, match="normal float range"):
+        certify_product_dependence(RenormKernel(xi_lambda(5e-324)))
 
 
 def test_rho_trig_addition_identity():
