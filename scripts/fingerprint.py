@@ -20,6 +20,12 @@ The groups:
     cli_errors         exit code and stderr of the rejected invocations in
                        CLI_ERRORS; an exception that escapes main counts as
                        exit code 1 with its type and message as stderr
+    recurrence         extract_from_measure alpha and omega by float.hex
+                       for the measures of acceptance criteria 2 and 3: nu
+                       and xi at lambda in CRITERION_LAMS, nu_theta and mu
+                       at the pairs of CRITERION_LAMS x CRITERION_THETAS;
+                       n = 10 as in criterion 2, and n = 8 for mu as in
+                       criterion 3
 
 Each CLI output is hashed together with its argv and exit code.  The
 package is imported from the path, so run the script once per tree:
@@ -48,6 +54,8 @@ import tempfile
 from pathlib import Path
 
 import run_verify_all
+from freejacobi import (JacobiParams, extract_from_measure, mu_lambda_theta,
+                        nu_lambda, nu_lambda_theta, xi_lambda)
 from freejacobi.cli import main as fj_main
 from freejacobi.martingale import martingale_residuals
 
@@ -58,6 +66,9 @@ THETA_POINTS = ((0.5, 0.4), (0.7, 0.3), (0.25, 0.1), (1.0, 0.4),
 TABLE_LAMS = ("0.25", "0.5", "0.7", "0.99", "1")
 TABLE_THETAS = ("0.3", "0.5")
 TABLE_FAMILIES = ("mu", "nu", "nu_theta", "xi")
+# The grid of acceptance criteria 2 and 3; every pair lies in the domain.
+CRITERION_LAMS = (0.3, 0.6, 1.0)
+CRITERION_THETAS = (0.3, 0.4, 0.5)
 # The invocations of tests/test_cli.py that write artifacts, each with the
 # seed it runs at.
 SIMULATE_RUNS = (
@@ -240,6 +251,21 @@ def cli_errors(tmp, dump):
     return g
 
 
+def recurrence(dump):
+    g = Group("recurrence", dump)
+    measures = [(nu_lambda(lam), 10) for lam in CRITERION_LAMS]
+    measures += [(xi_lambda(lam), 10) for lam in CRITERION_LAMS]
+    for lam in CRITERION_LAMS:
+        for theta in CRITERION_THETAS:
+            p = JacobiParams(lam, theta)
+            measures += [(nu_lambda_theta(p), 10), (mu_lambda_theta(p), 8)]
+    for m, n in measures:
+        js = extract_from_measure(m, n)
+        g.add(m.label, n, " ".join(float(a).hex() for a in js.alpha),
+              " ".join(float(w).hex() for w in js.omega))
+    return g
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -262,6 +288,7 @@ def main(argv=None):
             "simulate_csv": csvs,
             "simulate_manifest": manifests,
             "cli_errors": cli_errors(tmp, dump),
+            "recurrence": recurrence(dump),
         }
     for name, g in groups.items():
         print(f"{name:<18} {g.sha.hexdigest()}  {g.count} outputs")

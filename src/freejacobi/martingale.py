@@ -326,10 +326,21 @@ def flow_K_ode_residual(fc, lam, theta, t, variant="displayed"):
 
 
 def cauchy_mu_half(lam, z):
-    """Cauchy transform of the stationary law at theta = 1/2,
+    """Cauchy transform of the stationary law at theta = 1/2:
 
-        G(z) = ((1-lam)(2z-1) - sqrt(4z^2 - 4z + (1-lam)^2)) / (2 lam z (1-z)),
+        G(z) = ((1-lam)(2z-1) - sqrt(4z^2 - 4z + (1-lam)^2)) / (2 lam z (1-z))
 
-    for z outside [0, 1]: ``cauchy_closed_form_mu`` at (lam, 1/2).
+    for z outside [0, 1].  The radicand factors through z_pm = (1 +-
+    sqrt(lam(2-lam)))/2 and the root is taken factor-by-factor, which places
+    the branch cut exactly on [z_-, z_+] and yields G(z) ~ 1/z at infinity.
+    Written apart from ``cauchy_closed_form_mu``, so that the two are
+    independent routes to the same transform.
     """
-    return cauchy_closed_form_mu(JacobiParams(lam, 0.5), z)
+    JacobiParams(lam, 0.5)
+    z = complex(z)
+    if z.imag == 0.0 and 0.0 <= z.real <= 1.0:
+        raise ValueError(f"z = {z} lies in [0, 1]")
+    rq = math.sqrt(lam * (2.0 - lam))
+    w = 2.0 * np.sqrt(z - 0.5 * (1.0 + rq)) * np.sqrt(z - 0.5 * (1.0 - rq))
+    num = (1.0 - lam) * (2.0 * z - 1.0) - w
+    return complex(num / (2.0 * lam * z * (1.0 - z)))

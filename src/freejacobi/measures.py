@@ -243,6 +243,11 @@ def mu_lambda_theta(p):
         p = JacobiParams(*p)
     xm, xp = p.x_minus, p.x_plus
     c = 1.0 / _two_pi_lam_theta(p)
+    # The support is 4 theta sqrt(lam (1 - theta)(1 - lam theta)) wide: at
+    # theta = 1/2 and lam below about 1e-32 it rounds to one float.
+    if xm >= xp:
+        raise ValueError(f"the support of mu at lam = {p.lam}, theta = "
+                         f"{p.theta} collapses to the one float {xm}")
 
     # At lam = 1 the support reaches x = 0 (and at theta = 1/2 also x = 1),
     # where the x(1-x) denominator vanishes together with the radicand;
@@ -270,7 +275,14 @@ def nu_lambda_theta(p):
     if not isinstance(p, JacobiParams):
         p = JacobiParams(*p)
     lam, th = p.lam, p.theta
-    d = math.sqrt(nu_map(lam, th)[1])
+    # The domain gate of mu_{lam,theta} applies.  d^2, about 16 lam theta^2
+    # at small theta, also underflows where 2 pi lam theta does not.
+    _two_pi_lam_theta(p)
+    d2 = nu_map(lam, th)[1]
+    if d2 == 0.0:
+        raise ValueError(f"the scale d^2 of nu_map underflows to 0 at "
+                         f"lam = {lam}, theta = {th}")
+    d = math.sqrt(d2)
     # The quadratic denominator factors through its roots -s/d and (2-s)/d:
     #     s(2-s) + 2d(1-s)x - d^2 x^2 = (s + dx)(2 - s - dx),
     # and the factor gaps at the edges x = -+1 are squares,
@@ -284,9 +296,7 @@ def nu_lambda_theta(p):
     # (-1, 1); at lam = 1 they vanish at the edges, where the sqrt(1 - x^2)
     # numerator keeps the density integrable.  The normaliser
     # d^2/(2 pi lam theta) = 8 th (1-th)(1 - lam th)/pi is written without
-    # lam, which a subnormal lam would not carry through 2 pi lam; the
-    # domain gate of mu_{lam,theta} still applies.
-    _two_pi_lam_theta(p)
+    # lam, which a subnormal lam would not carry through 2 pi lam.
     scale = 8.0 * th * (1.0 - th) * (1.0 - lam * th) / np.pi
 
     def dens_edges(x, dlo, dhi):

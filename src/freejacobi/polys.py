@@ -8,6 +8,7 @@ interoperate directly with numpy.
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
@@ -127,6 +128,23 @@ def chebyshev_T(n):
     return _as_poly(chebyshev_seq(_X, operator.index(n), before=_X)[-1])
 
 
+def monic_seq(x, alpha, omega, one):
+    """p_0(x), p_1(x), ... of the monic three-term recurrence
+
+        p_{k+1}(x) = (x - alpha[k]) p_k(x) - omega[k-1] p_{k-1}(x),
+
+    with p_{-1} = 0 and p_0 = one, the package's one copy of it.  An endless
+    generator that reads alpha[k] and omega[k-1] only when it steps past
+    p_k, so a caller may append them after receiving p_k (the Stieltjes
+    procedure of ``recurrence`` does).  Generic over the element type of x,
+    as ``chebyshev_seq`` is: a float array of nodes or an exact polynomial.
+    """
+    p_prev, p = 0, one
+    for k in itertools.count():
+        yield p
+        p_prev, p = p, (x - alpha[k]) * p - (omega[k - 1] if k else 0) * p_prev
+
+
 def eval_three_term(alpha, omega, n, x):
     """Value at x of the monic degree-n orthogonal polynomial defined by
 
@@ -150,11 +168,8 @@ def eval_three_term(alpha, omega, n, x):
         if np.any(omega[: n - 1] <= 0.0):
             raise ValueError("recurrence weights must be positive")
     x = np.asarray(x, dtype=float)
-    p_prev = np.zeros_like(x)
-    p = np.ones_like(x)
-    for k in range(n):
-        w = omega[k - 1] if k >= 1 else 0.0
-        p_prev, p = p, (x - alpha[k]) * p - w * p_prev
+    p = next(itertools.islice(monic_seq(x, alpha, omega, np.ones_like(x)),
+                              n, None))
     return p if p.ndim else float(p)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import errors
 from .errors import PositivityError
 from .measures import _ac_nodes
+from .polys import monic_seq
 from .renorm import u_combination
 
 __all__ = ["JacobiSzego", "stated_params", "extract_from_measure", "monicize"]
@@ -64,26 +65,28 @@ def stated_params(family, lam=None, theta=None, n_max=12):
     return JacobiSzego(alpha, omega)
 
 
-def _stieltjes_discretized(xs, ws, n_max):
-    """Stieltjes procedure on a discrete measure sum_i ws[i] delta_{xs[i]}."""
-    alpha = np.zeros(n_max + 1)
-    omega = np.zeros(n_max)
-    p_prev = np.zeros_like(xs)
-    p = np.ones_like(xs)
-    norm_prev = None
-    norm = float(np.sum(ws))
-    alpha[0] = float(np.sum(ws * xs)) / norm
-    for k in range(1, n_max + 1):
-        w_k = omega[k - 2] if k >= 2 else 0.0
-        p_prev, p = p, (xs - alpha[k - 1]) * p - w_k * p_prev
-        norm_prev, norm = norm, float(np.sum(ws * p * p))
-        if norm <= 0.0:
+def _stieltjes(x, one, inner, n_max):
+    """Stieltjes procedure: arrays alpha_0..alpha_{n_max} and
+    omega_1..omega_{n_max} of the inner product whose two sums at each monic
+    p_k are inner(p_k) = (<p_k, p_k>, <x p_k, p_k>).
+
+    The iterates come from ``polys.monic_seq`` over x and one, which reads
+    each coefficient as it is appended here.  Generic over the element
+    type: float node arrays with node sums, or exact polynomials with a
+    moment functional.
+    """
+    alpha, omega = [], []
+    for k, p in zip(range(n_max + 1), monic_seq(x, alpha, omega, one)):
+        norm, x_norm = inner(p)
+        if norm <= 0:
             raise PositivityError(
-                f"lost positivity at index {k} (norm = {norm:.3e}); "
+                f"lost positivity at index {k} (norm = {float(norm):.3e}); "
                 f"coefficients up to index {k - 1} are reliable", k - 1)
-        alpha[k] = float(np.sum(ws * xs * p * p)) / norm
-        omega[k - 1] = norm / norm_prev
-    return alpha, omega
+        if k:
+            omega.append(norm / norm_prev)
+        alpha.append(x_norm / norm)
+        norm_prev = norm
+    return np.asarray(alpha), np.asarray(omega)
 
 
 def extract_from_measure(m, n_max, tol=1e-10):
@@ -102,7 +105,8 @@ def extract_from_measure(m, n_max, tol=1e-10):
         x_ac, w_ac = _ac_nodes(m, n)
         xs = np.concatenate([x_ac, [a for a, _ in m.atoms]])
         ws = np.concatenate([w_ac, [w for _, w in m.atoms]])
-        return _stieltjes_discretized(xs, ws, n_max)
+        return _stieltjes(xs, np.ones_like(xs), lambda p: (
+            float(np.sum(ws * p * p)), float(np.sum(ws * xs * p * p))), n_max)
 
     def settled(prev, cur):
         return max(np.max(np.abs(cur[0] - prev[0])),

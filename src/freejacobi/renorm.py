@@ -332,22 +332,29 @@ def family_gram(measure, beta, gamma, n_max):
         raise ValueError(f"n_max = {n_max} must be nonnegative")
     iu, ju = np.triu_indices(n_max + 1)
 
+    def finite(vals):
+        if not np.isfinite(vals).all():
+            raise ValueError(f"the degree-{n_max} Gram matrix under "
+                             f"{measure.label or 'the measure'} exceeds the "
+                             "float range")
+        return vals
+
+    # An atom far out (xi_lambda at lam = 1e-100 has one near 7e49) carries
+    # the high-degree values beyond the float range, and so does a huge
+    # shift beta (P_lambda at lam = 5e-324) at every node: the integrand is
+    # checked on the first pass, before any node doubling.
     def pair_values(x):
         x = np.asarray(x, dtype=float)
-        fam = np.array(family_values(x, range(n_max + 1), beta, gamma,
-                                     np.ones_like(x)))
-        return fam[iu] * fam[ju]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fam = np.array(family_values(x, range(n_max + 1), beta, gamma,
+                                         np.ones_like(x)))
+            return finite(fam[iu] * fam[ju])
 
     vals = np.asarray(_integrate_ac(measure, pair_values), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for x0, w0 in measure.atoms:
             vals = vals + w0 * pair_values([x0])[:, 0]
-    # An atom far out (xi_lambda at lam = 1e-100 has one near 7e49) carries
-    # the high-degree values beyond the float range.
-    if not np.isfinite(vals).all():
-        raise ValueError(f"the degree-{n_max} Gram matrix under "
-                         f"{measure.label or 'the measure'} exceeds the float "
-                         "range")
+    finite(vals)
     g = np.zeros((n_max + 1, n_max + 1))
     g[iu, ju] = vals
     g[ju, iu] = vals

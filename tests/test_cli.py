@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,41 @@ def test_results_beyond_floats_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("density", "--family", "mu", "--lambda", "1e-300"),
+     "the support of mu at lam = 1e-300, theta = 0.5 collapses to the one "
+     "float 0.5000000000000001"),
+    (("density", "--family", "mu", "--lambda", "5e-324"),
+     "the support of mu at lam = 5e-324, theta = 0.5 collapses"),
+    (("density", "--family", "nu_theta", "--lambda", "1", "--theta", "5e-324"),
+     "the scale d^2 of nu_map underflows to 0 at lam = 1.0, theta = 5e-324"),
+    (("density", "--family", "nu_theta", "--lambda", "0.5",
+      "--theta", "1e-170"),
+     "the scale d^2 of nu_map underflows to 0 at lam = 0.5, theta = 1e-170"),
+    (("verify", "renorm", "--family", "nu_theta", "--lambda", "1",
+      "--theta", "5e-324"), "the scale d^2 of nu_map underflows to 0"),
+    (("verify", "renorm", "--family", "nu_theta", "--lambda", "0.5",
+      "--theta", "1e-170"), "the scale d^2 of nu_map underflows to 0"),
+    (("verify", "orthogonality", "--family", "P_lambda",
+      "--lambda", "5e-324"),
+     "the degree-12 Gram matrix under xi[5e-324] exceeds the float range"),
+    # A subnormal d^2 is not refused: the law misses its mass check.
+    (("density", "--family", "nu_theta", "--lambda", "1",
+      "--theta", "1e-162"), "total mass"),
+])
+def test_float_edge_names_its_cause(capsys, argv, message):
+    # Each used to name another cause: "total mass 0.0 is not 1" for the
+    # collapsed support of mu, two RuntimeWarnings and "quadrature did not
+    # settle" (or a wrong mass) for nu_theta, and a node doubling to the
+    # budget, then "quadrature did not settle", for the Gram matrix.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("argv", [

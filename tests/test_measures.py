@@ -300,6 +300,23 @@ def test_mu_and_nu_theta_reject_underflowing_normaliser():
             law(p)
 
 
+@pytest.mark.parametrize("lam", [1e-300, 5e-324, 1e-32])
+def test_mu_rejects_support_of_one_float(lam):
+    # The support, sqrt(lam (2 - lam)) wide at theta = 1/2, rounds to one
+    # float; the law used to fail its mass check with "total mass 0.0".
+    with pytest.raises(ValueError,
+                       match="collapses to the one float 0.5000000000000001"):
+        mu_lambda_theta(JacobiParams(lam, 0.5))
+
+
+@pytest.mark.parametrize("lam, theta", [(1.0, 5e-324), (0.5, 1e-170)])
+def test_nu_theta_rejects_underflowing_scale(lam, theta):
+    # d^2 = nu_map(lam, theta)[1] underflows to 0: the density used to
+    # divide by zero (or miss its mass) instead of naming the scale.
+    with pytest.raises(ValueError, match=r"d\^2 of nu_map underflows to 0"):
+        nu_lambda_theta(JacobiParams(lam, theta))
+
+
 def test_xi_shift_variants():
     assert xi_shift(0.5) == pytest.approx(0.5 / math.sqrt(0.75))
     assert xi_shift(0.5, "rational") == pytest.approx(0.5 / 0.75)

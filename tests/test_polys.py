@@ -1,5 +1,7 @@
 """Polynomial arithmetic, Chebyshev families, recurrences, contour Taylor."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,8 @@ from freejacobi import (
     taylor_coeffs_in_u,
 )
 from freejacobi.errors import refine
+from freejacobi.exact import ONE, X
+from freejacobi.polys import chebyshev_seq, monic_seq
 
 coeff_lists = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False),
@@ -211,6 +215,26 @@ def test_eval_three_term_input_checks():
 def test_eval_three_term_centered_first_step():
     # p_1 = x - alpha_0 regardless of omega
     assert eval_three_term([0.3], [0.25], 1, 0.3) == pytest.approx(0.0)
+
+
+def test_monic_seq_exact_ring_gives_scaled_second_kind():
+    # alpha = 0, omega = 1/4 in the exact ring: p_n = U_n / 2^n exactly.
+    quarter = Fraction(1, 4)
+    seq = monic_seq(X, [0] * 9, [quarter] * 8, ONE)
+    for u, p in zip(chebyshev_seq(X, 8, ONE), seq):
+        assert list(p.coef) == [c / Fraction(2) ** (len(u.coef) - 1)
+                                for c in u.coef]
+
+
+def test_monic_seq_reads_coefficients_as_they_are_appended():
+    alpha, omega = [], []
+    seq = monic_seq(np.array([0.5, 2.0]), alpha, omega, np.ones(2))
+    assert np.array_equal(next(seq), [1.0, 1.0])
+    alpha.append(0.5)
+    np.testing.assert_array_equal(next(seq), [0.0, 1.5])
+    alpha.append(1.0)
+    omega.append(0.25)
+    np.testing.assert_array_equal(next(seq), [-0.25, 1.25])
 
 
 # ---------------------------------------------------------------------------

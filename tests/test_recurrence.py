@@ -1,6 +1,7 @@
 """Recurrence parameters: closed forms, Stieltjes extraction, monic scaling."""
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ from freejacobi import (
     xi_lambda,
     xi_shift,
 )
+from freejacobi.exact import ONE, X, mu_half_moments
+from freejacobi.martingale import stationary_moments
+from freejacobi.measures import nu_map
+from freejacobi.recurrence import _stieltjes
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +169,77 @@ def test_extracted_params_evaluate_like_built_family():
     for n in range(6):
         got = eval_three_term(js.alpha, js.omega, n, xs)
         np.testing.assert_allclose(got, monic[n](xs), atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Exact Stieltjes procedure on the drift's moments
+
+# Rational (lam, theta) with theta != 1/2, lam = 1 and a small theta among
+# them.
+EXACT_POINTS = tuple(
+    (Fraction(lam), Fraction(theta)) for lam, theta in (
+        ("1/2", "2/5"), ("7/10", "3/10"), ("1/4", "1/10"), ("1", "2/5"),
+        ("3/10", "9/20"), ("1", "1/1000")))
+
+
+def _exact_jacobi(m, n):
+    """alpha_0..alpha_n, omega_1..omega_n of the moment sequence m (at
+    least 2n + 2 moments), by the Stieltjes procedure in the exact ring."""
+    def moment(q):
+        return sum(c * m[j] for j, c in enumerate(q.coef))
+
+    return _stieltjes(X, ONE, lambda p: (moment(p * p), moment(X * p * p)), n)
+
+
+def _closed_jacobi(lam, theta, n):
+    """Closed-form recurrence of mu_{lam,theta}: nu_{lam,theta}'s (alpha_0 =
+    2 lam theta (2 theta - 1)/d, its first moment, omega_1 = c/2, then
+    alpha = 0 and omega = 1/4) mapped by x = (s + d y)/2, with
+    (s, d^2) = nu_map and c = 1/(2(1 - lam theta))."""
+    s, d2 = nu_map(lam, theta)
+    c = 1 / (2 * (1 - lam * theta))
+    alpha = [(s + 2 * lam * theta * (2 * theta - 1)) / 2] + [s / 2] * n
+    omega = [d2 * c / 8] + [d2 / 16] * (n - 1)
+    return alpha, omega
+
+
+def test_exact_stieltjes_on_drift_moments_equals_closed_form():
+    # The float extraction's loop, run over the exact ring with the moment
+    # functional of the drift's fixed point, gives the closed-form Jacobi
+    # data of mu_{lam,theta} exactly; at theta = 1/2 the Catalan moments,
+    # independent of the drift, give the same.
+    n = 12
+    for lam, theta in EXACT_POINTS:
+        m = stationary_moments(lam, theta, 2 * n + 2)
+        alpha, omega = _exact_jacobi(m, n)
+        assert (list(alpha), list(omega)) == _closed_jacobi(lam, theta, n)
+    half = Fraction(1, 2)
+    for lam in (half, Fraction(1, 3), Fraction(1), Fraction(1, 1000)):
+        alpha, omega = _exact_jacobi(mu_half_moments(lam, 2 * n + 2), n)
+        assert (list(alpha), list(omega)) == _closed_jacobi(lam, half, n)
+
+
+def test_float_extraction_matches_exact_jacobi_data():
+    # The exact data at the rationals that the float parameters are.
+    for lam, theta in ((0.5, 0.4), (1.0, 0.001), (0.3, 0.45), (0.7, 0.5)):
+        m = mu_lambda_theta(JacobiParams(lam, theta))
+        js = extract_from_measure(m, 12)
+        alpha, omega = _closed_jacobi(Fraction(lam), Fraction(theta), 12)
+        np.testing.assert_allclose(js.alpha, np.array(alpha, dtype=float),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(js.omega, np.array(omega, dtype=float),
+                                   rtol=1e-14)
+
+
+def test_exact_stieltjes_reports_lost_positivity():
+    # A two-point measure supports p_0 and p_1 only: ||p_2|| = 0 exactly.
+    m = [Fraction(1, 2) * (Fraction(1) + Fraction(3) ** k) for k in range(8)]
+    with pytest.raises(PositivityError,
+                       match=r"index 2 \(norm = 0\.000e\+00\)") as exc:
+        _exact_jacobi(m, 3)
+    assert exc.value.last_reliable == 1
+    alpha, omega = _exact_jacobi(m, 1)
+    assert list(alpha) == [2, 2] and list(omega) == [1]
 
 
 # ---------------------------------------------------------------------------

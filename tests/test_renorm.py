@@ -29,7 +29,7 @@ from freejacobi import (
     xi_lambda,
     xi_shift,
 )
-from freejacobi import errors
+from freejacobi import errors, measures
 from freejacobi.exact import ONE, X
 from freejacobi.renorm import (FAMILIES, _admissible_u, _default_grid,
                                family_values)
@@ -126,7 +126,7 @@ def test_theta_two_product_assembly():
 
 
 def test_theta_two_diagonal_matches_closed_form():
-    # Complex-step diagonal against the closed product form at u = v.
+    # The direct integral at u = v against the closed product form.
     lam = 0.5
     k = RenormKernel(nu_lambda(lam))
     for u in (0.15, 0.4, 0.62):
@@ -387,6 +387,25 @@ def test_gram_rejects_negative_degree():
     beta, gamma = u_combination("Q_lambda", 0.7)
     with pytest.raises(ValueError, match="n_max = -1"):
         family_gram(nu_lambda(0.7), beta, gamma, -1)
+
+
+def test_gram_refuses_nonfinite_integrand_on_first_pass(monkeypatch):
+    # At lam = 5e-324 the shift of P_lambda is about 6e161, so the family
+    # values overflow at every node: the Gram matrix used to double its
+    # nodes to the budget and report that the quadrature did not settle.
+    beta, gamma = u_combination("P_lambda", 5e-324)
+    m = xi_lambda(5e-324)
+    passes = []
+    ac_nodes = measures._ac_nodes
+
+    def recording(measure, n):
+        passes.append(n)
+        return ac_nodes(measure, n)
+
+    monkeypatch.setattr(measures, "_ac_nodes", recording)
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        family_gram(m, beta, gamma, 12)
+    assert passes == [64]
 
 
 # ---------------------------------------------------------------------------
