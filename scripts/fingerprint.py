@@ -15,7 +15,10 @@ The groups:
                        lambda in TABLE_LAMS, theta in TABLE_THETAS (512 points)
     moments            `moments` tables on the same grid
     simulate_csv       spectrum and series CSVs of the `simulate` invocations
-                       in tests/test_cli.py
+                       in tests/test_cli.py, and of two larger ones (d = 200
+                       and d = 64) whose Brownian steps hand increments from
+                       the drawing thread to the applying one a step at a
+                       time and 16 steps at a time
     simulate_manifest  their manifests, stdout and stderr
     cli_errors         exit code and stderr of the rejected invocations in
                        CLI_ERRORS; an exception that escapes main counts as
@@ -70,7 +73,7 @@ TABLE_FAMILIES = ("mu", "nu", "nu_theta", "xi")
 CRITERION_LAMS = (0.3, 0.6, 1.0)
 CRITERION_THETAS = (0.3, 0.4, 0.5)
 # The invocations of tests/test_cli.py that write artifacts, each with the
-# seed it runs at.
+# seed it runs at, then the two larger runs.
 SIMULATE_RUNS = (
     ("--lambda", "1.0", "--d", "24", "--trials", "4", "--times", "0,0.1",
      "--bins", "10", "--seed", "0"),
@@ -90,6 +93,11 @@ SIMULATE_RUNS = (
      "--seed", "0"),
     ("--lambda", "0.5", "--d", "16", "--trials", "2", "--times", "",
      "--seed", "123"),
+    ("--lambda", "0.5", "--d", "200", "--trials", "1", "--t", "0.1",
+     "--times", "0,0.05,0.1", "--seed", "3"),
+    ("--lambda", "0.7", "--d", "64", "--trials", "2", "--theta", "0.4",
+     "--family", "Q_lambda_theta", "--t", "0.3", "--times", "0,0.3",
+     "--seed", "5"),
 )
 
 # Rejected invocations, each with the FJL_SEED value it runs under (None:

@@ -11,30 +11,23 @@ takes a few minutes.
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
 from freejacobi.cli import main as fj_main
 from freejacobi.renorm import FAMILIES
+from freejacobi.simulator import drift_sigmas
 
 
-def series_drift_sigmas(path):
-    """Worst |mean(t) - mean(0)| over the combined standard error."""
+def read_series(path):
+    """The (t, mean, stderr) rows of a series CSV written by `simulate`."""
     rows = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row or row[0].startswith("#") or row[0] == "t":
                 continue
             rows.append((float(row[0]), float(row[1]), float(row[2])))
-    if len(rows) < 2:
-        return 0.0
-    _, m0, e0 = rows[0]
-    worst = 0.0
-    for _, mt, et in rows[1:]:
-        sig = math.sqrt(et * et + e0 * e0)
-        worst = max(worst, abs(mt - m0) / sig if sig > 0 else math.inf)
-    return worst
+    return rows
 
 
 def main(argv=None):
@@ -72,7 +65,7 @@ def main(argv=None):
             return code
         manifest = json.loads((prefix.parent /
                                f"{prefix.name}_manifest.json").read_text())
-        drift = (series_drift_sigmas(f"{prefix}_series.csv")
+        drift = (drift_sigmas(read_series(f"{prefix}_series.csv"))
                  if args.times else None)
         results.append((lam, manifest["ks_distance"], drift))
 

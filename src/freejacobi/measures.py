@@ -248,6 +248,11 @@ def mu_lambda_theta(p):
     if xm >= xp:
         raise ValueError(f"the support of mu at lam = {p.lam}, theta = "
                          f"{p.theta} collapses to the one float {xm}")
+    # Below 2 pi lam theta of about 5.6e-309 the reciprocal overflows, and
+    # the density would be inf * 0 = NaN at the nodes.
+    if c == math.inf:
+        raise ValueError(f"the normaliser 1 / (2 pi lam theta) of mu "
+                         f"overflows at lam = {p.lam}, theta = {p.theta}")
 
     # At lam = 1 the support reaches x = 0 (and at theta = 1/2 also x = 1),
     # where the x(1-x) denominator vanishes together with the radicand;

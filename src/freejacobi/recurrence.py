@@ -13,6 +13,7 @@ moments.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +106,25 @@ def extract_from_measure(m, n_max, tol=1e-10):
         x_ac, w_ac = _ac_nodes(m, n)
         xs = np.concatenate([x_ac, [a for a, _ in m.atoms]])
         ws = np.concatenate([w_ac, [w for _, w in m.atoms]])
-        return _stieltjes(xs, np.ones_like(xs), lambda p: (
-            float(np.sum(ws * p * p)), float(np.sum(ws * xs * p * p))), n_max)
+        degree = itertools.count()
+
+        # An atom far out (xi_lambda at lam = 1e-300 has one near 7e149)
+        # carries p_k^2 beyond the float range within a few degrees; the
+        # sums are checked on the first pass, before any node doubling.
+        def inner(p):
+            k = next(degree)
+            sums = float(np.sum(ws * p * p)), float(np.sum(ws * xs * p * p))
+            if not np.isfinite(sums).all():
+                far = max((a for a, _ in m.atoms), key=abs, default=None)
+                raise ValueError(
+                    f"the degree-{k} Stieltjes sums under "
+                    f"{m.label or 'the measure'} exceed the float range"
+                    + (f" at the atom x = {far:.3g}" if far is not None
+                       else ""))
+            return sums
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _stieltjes(xs, np.ones_like(xs), inner, n_max)
 
     def settled(prev, cur):
         return max(np.max(np.abs(cur[0] - prev[0])),

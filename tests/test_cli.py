@@ -378,6 +378,29 @@ def test_float_edge_names_its_cause(capsys, argv, message):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("density", "--family", "mu", "--lambda", "1", "--theta", "5e-324"),
+     "the normaliser 1 / (2 pi lam theta) of mu overflows at lam = 1.0, "
+     "theta = 5e-324"),
+    (("density", "--family", "mu", "--lambda", "0.5", "--theta", "1e-310"),
+     "the normaliser 1 / (2 pi lam theta) of mu overflows at lam = 0.5, "
+     "theta = 1e-310"),
+    (("verify", "fock", "--family", "xi", "--lambda", "1e-300"),
+     "the degree-3 Stieltjes sums under xi[1e-300] exceed the float range "
+     "at the atom x = 7.07e+149"),
+])
+def test_float_overflow_names_its_cause(capsys, argv, message):
+    # Each used to print numpy RuntimeWarnings and double its nodes to the
+    # budget, then blame the quadrature (mu) or n_max (the Fock extraction):
+    # now stderr is the one error line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("argv", [
     ("density", "--family", "nu", "--theta", "-3"),
     ("moments", "--family", "nu", "--theta", "0.9"),

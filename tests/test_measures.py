@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,19 @@ def test_mu_rejects_support_of_one_float(lam):
     with pytest.raises(ValueError,
                        match="collapses to the one float 0.5000000000000001"):
         mu_lambda_theta(JacobiParams(lam, 0.5))
+
+
+@pytest.mark.parametrize("lam, theta", [(1.0, 5e-324), (0.5, 1e-310)])
+def test_mu_rejects_overflowing_normaliser(lam, theta):
+    # 2 pi lam theta is subnormal but not 0: its reciprocal overflows, and
+    # the density used to be NaN at every node, so the quadrature doubled to
+    # its budget and reported that it did not settle.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=(
+                rf"normaliser 1 / \(2 pi lam theta\) of mu overflows at "
+                rf"lam = {lam}, theta = {theta}")):
+            mu_lambda_theta(JacobiParams(lam, theta))
 
 
 @pytest.mark.parametrize("lam, theta", [(1.0, 5e-324), (0.5, 1e-170)])

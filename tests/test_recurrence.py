@@ -1,6 +1,7 @@
 """Recurrence parameters: closed forms, Stieltjes extraction, monic scaling."""
 
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from freejacobi import (
 from freejacobi.exact import ONE, X, mu_half_moments
 from freejacobi.martingale import stationary_moments
 from freejacobi.measures import nu_map
+from freejacobi import recurrence
 from freejacobi.recurrence import _stieltjes
 
 
@@ -265,3 +267,24 @@ def test_monicize_rejects_zero():
 
     with pytest.raises(ValueError):
         monicize([Poly([0.0])])
+
+
+def test_extraction_refuses_nonfinite_sums_on_first_pass(monkeypatch):
+    # The atom of xi at lam = 1e-300 lies near 7e149, so p_3^2 there
+    # overflows: the extraction used to print RuntimeWarnings, double its
+    # nodes to 32768 and blame n_max.
+    passes = []
+    ac_nodes = recurrence._ac_nodes
+
+    def recording(measure, n):
+        passes.append(n)
+        return ac_nodes(measure, n)
+
+    monkeypatch.setattr(recurrence, "_ac_nodes", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=(
+                r"the degree-3 Stieltjes sums under xi\[1e-300\] exceed the "
+                r"float range at the atom x = 7\.07e\+149")):
+            extract_from_measure(xi_lambda(1e-300), 8)
+    assert passes == [64]

@@ -1,6 +1,8 @@
 """Random-matrix Monte Carlo: samplers, spectra, trace statistics."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +20,12 @@ from freejacobi import (
     simulate_trials,
     trace_martingale_series,
 )
+from freejacobi.cli import main as cli_main
 from freejacobi.exact import ONE, X, exact_sqrt
 from freejacobi.martingale import stationary_moments
 from freejacobi.measures import nu_map
 from freejacobi.renorm import family_values, u_combination
+from freejacobi.simulator import drift_sigmas
 
 
 def _unitarity_defect(m):
@@ -110,6 +114,136 @@ def test_evolution_trace_decay():
         y = evolve_unitary_bm(np.eye(d, dtype=complex), 1e-2, 50, seed=i)
         vals.append(np.trace(y).real / d)
     assert np.mean(vals) == pytest.approx(np.exp(-t / 2.0), abs=0.05)
+
+
+# The serial loop equals the two-thread evolution bit for bit at every
+# handoff size: one step per handoff at d = 200, 16 at d = 64, the whole path
+# at d <= 24; dt = 100 takes many sub-steps per step.
+_SERIAL_CASES = [(d, steps, p, dt)
+                 for d in (1, 8, 24, 64, 200)
+                 for steps in (1, 3, 41)
+                 for p in sorted({1, d})
+                 for dt in ((1e-2, 100.0) if d <= 24 else (1e-2,))]
+
+
+@pytest.mark.parametrize("d, steps, p, dt", _SERIAL_CASES)
+def test_evolution_equals_serial_loop(d, steps, p, dt, serial_bm_reference):
+    w0 = sample_haar_unitary(d, seed=d)[:p]
+    rng, rng_ref = np.random.default_rng([d, steps]), \
+        np.random.default_rng([d, steps])
+    got = evolve_unitary_bm(w0, dt, steps, rng)
+    want = serial_bm_reference(w0, dt, steps, rng_ref)
+    np.testing.assert_array_equal(got, want)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_evolution_zero_steps_draws_nothing(monkeypatch):
+    drawn = []
+    monkeypatch.setattr("freejacobi.simulator._draw_increments",
+                        lambda *args: drawn.append(args))
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    w = sample_haar_unitary(8, seed=1)[:3]
+    assert evolve_unitary_bm(w, 1e-2, 0, rng).tobytes() == w.tobytes()
+    assert rng.bit_generator.state == before and drawn == []
+
+
+class _FailingDraws(np.random.Generator):
+    """A generator whose draw number `fail_at` (from 0) raises."""
+
+    def __init__(self, seed, fail_at):
+        super().__init__(np.random.PCG64(seed))
+        self.fail_at, self.draws = fail_at, 0
+
+    def standard_normal(self, *args, **kwargs):
+        if self.draws == self.fail_at:
+            raise FloatingPointError(f"draw {self.draws} failed")
+        self.draws += 1
+        return super().standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("d, fail_at", [(200, 2), (8, 0), (64, 20)])
+def test_evolution_reraises_a_drawing_error(d, fail_at):
+    # d = 200: the error comes after two steps were handed over; d = 8: in
+    # the only handoff; d = 64: in the second handoff of 16 steps.
+    before = threading.active_count()
+    w = sample_haar_unitary(d, seed=1)[:2]
+    with pytest.raises(FloatingPointError, match=f"draw {fail_at} failed"):
+        evolve_unitary_bm(w, 1e-2, 41, _FailingDraws(3, fail_at))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("d, fail_at", [(200, 1), (8, 0), (64, 20)])
+def test_evolution_stops_drawing_on_an_applying_error(monkeypatch, d,
+                                                      fail_at):
+    # The drawing thread is waiting for a free buffer or still drawing when
+    # the applying thread fails; it must stop and be joined either way.
+    from freejacobi import simulator
+    calls, taylor = [], simulator._taylor_action
+
+    def failing(w, x, rho):
+        if len(calls) == fail_at:
+            raise FloatingPointError(f"step {fail_at} failed")
+        calls.append(rho)
+        return taylor(w, x, rho)
+
+    monkeypatch.setattr(simulator, "_taylor_action", failing)
+    before = threading.active_count()
+    w = sample_haar_unitary(d, seed=1)[:2]
+    with pytest.raises(FloatingPointError, match=f"step {fail_at} failed"):
+        evolve_unitary_bm(w, 1e-2, 41, seed=3)
+    assert threading.active_count() == before
+
+
+def test_evolution_from_concurrent_callers(serial_bm_reference):
+    # More callers than CPUs, each with its own drawing thread, under a
+    # short switch interval: every path still equals its serial loop.
+    w0 = sample_haar_unitary(64, seed=2)[:5]
+    results = {}
+
+    def call(i):
+        results[i] = evolve_unitary_bm(w0, 1e-2, 20, seed=i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for i in range(4):
+        np.testing.assert_array_equal(
+            results[i], serial_bm_reference(w0, 1e-2, 20, i))
+
+
+def test_drift_sigmas():
+    # The worst |mean(t) - mean(0)| / sqrt(se(t)^2 + se(0)^2) over t > 0.
+    series = [(0.0, 1.0, 0.1), (0.1, 1.3, 0.2), (0.2, 0.8, 0.1)]
+    assert drift_sigmas(series) == pytest.approx(0.2 / math.sqrt(0.02))
+    assert drift_sigmas(series[:1]) == 0.0
+    assert drift_sigmas([(0.0, 1.0, 0.0), (0.1, 1.0, 0.0)]) == math.inf
+
+
+def test_simulate_artifacts_byte_identical_at_d200(tmp_path, capsys,
+                                                   monkeypatch):
+    # One handoff per step: the artifacts of one seed repeat byte for byte.
+    # Each run writes under the same relative name, so the file names in
+    # the manifests agree too.
+    args = ("simulate", "--lambda", "0.5", "--d", "200", "--trials", "2",
+            "--t", "0.05", "--times", "0,0.03,0.05", "--seed", "11",
+            "--out", "run")
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert cli_main(list(args)) == 0
+    capsys.readouterr()
+    for suffix in ("_spectrum.csv", "_series.csv", "_manifest.json"):
+        assert (tmp_path / "a" / f"run{suffix}").read_bytes() == \
+            (tmp_path / "b" / f"run{suffix}").read_bytes()
 
 
 # ---------------------------------------------------------------------------
