@@ -16,9 +16,9 @@ The groups:
     moments            `moments` tables on the same grid
     simulate_csv       spectrum and series CSVs of the `simulate` invocations
                        in tests/test_cli.py, and of two larger ones (d = 200
-                       and d = 64) whose Brownian steps hand increments from
-                       the drawing thread to the applying one a step at a
-                       time and 16 steps at a time
+                       and d = 64) whose Brownian increments are drawn
+                       ahead of the applying thread in batches of one step
+                       and of 16 steps
     simulate_manifest  their manifests, stdout and stderr
     cli_errors         exit code and stderr of the rejected invocations in
                        CLI_ERRORS; an exception that escapes main counts as

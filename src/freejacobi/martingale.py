@@ -242,8 +242,17 @@ class FlowConstants:
         c2 = (th * (1.0 - lam)) ** 2
         c3 = 1.0 - th * (lam + 1.0)
         r_max = 4.0 * lam * th * th
+        # Either product can underflow to 0 inside the domain, as at
+        # (1, 5e-324) or (5e-324, 1/2); the range check below would then
+        # blame r instead.
+        if r_max == 0.0:
+            raise ValueError(f"the bound 4 lam theta^2 of r underflows to 0 "
+                             f"at lam = {lam}, theta = {th}")
         if r is None:
             r = 0.5 * r_max
+            if r == 0.0:
+                raise ValueError(f"the default r = 2 lam theta^2 underflows "
+                                 f"to 0 at lam = {lam}, theta = {th}")
         if not 0.0 < r <= r_max:
             raise ValueError(f"r = {r} outside (0, {r_max}]")
         return cls(c1, c2, c3, float(r), 0.5 * (r + c1),

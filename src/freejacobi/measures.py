@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * np.pi
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+# The edge distance of the outermost tanh-sinh nodes, as a fraction of the
+# interval: x - lo at t -> -4 in _sin_nodes, about 5.8e-38.
+_EDGE_REACH = 1.0 / (1.0 + math.exp(math.pi * math.sinh(4.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,15 +257,33 @@ def mu_lambda_theta(p):
     if c == math.inf:
         raise ValueError(f"the normaliser 1 / (2 pi lam theta) of mu "
                          f"overflows at lam = {p.lam}, theta = {p.theta}")
+    # The products dlo * dhi fall to about _EDGE_REACH (x_+ - x_-)^2 at the
+    # nodes next to the edges.  Below the smallest normal float (supports
+    # narrower than about 6e-136) they lose digits or vanish to 0 there, and
+    # the mass with them.
+    width = xp - xm
+    if width * (width * _EDGE_REACH) < np.finfo(float).tiny:
+        raise ValueError(f"the edge products (x - x_-)(x_+ - x) of mu "
+                         f"underflow at the quadrature nodes at lam = "
+                         f"{p.lam}, theta = {p.theta}: the support is "
+                         f"{width:.3g} wide")
 
-    # At lam = 1 the support reaches x = 0 (and at theta = 1/2 also x = 1),
-    # where the x(1-x) denominator vanishes together with the radicand;
-    # writing both factors through the edge distances keeps the quotient
-    # finite and accurate there.
+    # Near lam = 1 the support reaches to x = 0 (and near theta = 1/2 to
+    # x = 1), where the x(1-x) denominator vanishes with the radicand.  Once
+    # that pole lies within sqrt(eps) of the edge, x (or 1 - x) has lost
+    # half its digits at the nodes next to the edge, or rounds to 0 there,
+    # so the factor is written as the gap plus the edge distance.  Like x_-,
+    # the gap 1 - x_+ = (sqrt((1-th)(1-lam th)) - th sqrt(lam))^2 is taken
+    # in closed form: 1 - x_+ in floats keeps none of its digits there.
+    lam, th = p.lam, p.theta
+    gap = (math.sqrt((1.0 - th) * (1.0 - lam * th)) - th * math.sqrt(lam)) ** 2
+    lo_gap = xm if xm < _SQRT_EPS * xp else None
+    hi_gap = gap if gap < _SQRT_EPS else None
+
     def dens_edges(x, dlo, dhi):
         num = c * np.sqrt(dlo * dhi)
-        left = dlo if xm == 0.0 else x
-        right = dhi if xp == 1.0 else 1.0 - x
+        left = x if lo_gap is None else lo_gap + dlo
+        right = 1.0 - x if hi_gap is None else hi_gap + dhi
         return num / (left * right)
 
     return SpectralMeasure((xm, xp), dens_edges, (), f"mu[{p.lam},{p.theta}]")

@@ -13,16 +13,17 @@ W <- W exp(i sqrt(dt) H) costs p x d by d x d products, applied as a
 Taylor series with a rigorous tail bound (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 2011) instead of an eigendecomposition of H.
 
-A path draws its increments on a second thread while the calling thread
-applies the previous ones: at d = 200 the 2 d^2 normals of a step, the
-assembly of i tau H and its norm bound take about a fifth of the step, the
-products the rest.  The drawing thread alone reads the generator, in the
-order a serial loop reads it, and the increments are applied in that
-order, so every path -- and every spectrum, series and artifact computed
-from it -- is bit for bit that of the serial loop, which the tests keep as
-their reference.  The overlap saves time only where BLAS leaves a CPU free
-for the drawing thread (OpenBLAS pinned to one thread on two CPUs, say);
-when the products already occupy every CPU it saves nothing.
+A path is a one-deep pipeline: a single worker thread draws the next
+batch of increments into one of two buffers while the calling thread
+applies the batch in the other.  At d = 200 the 2 d^2 normals of a step,
+the assembly of i tau H and its norm bound take about a fifth of the step,
+the products the rest.  The worker alone reads the generator, one batch
+after the other in the order a serial loop reads it, and the increments are
+applied in that order, so every path -- and every spectrum, series and
+artifact computed from it -- is bit for bit that of the serial loop, which
+the tests keep as their reference.  The overlap saves time only where BLAS
+leaves a CPU free for the worker (OpenBLAS pinned to one thread on two
+CPUs, say); when the products already occupy every CPU it saves nothing.
 
 Every sampler takes either an integer seed or a numpy Generator, so trials
 can chain sampling and evolution on one stream; trial i of a sweep uses
@@ -32,8 +33,6 @@ default_rng([seed, i]) to decorrelate paths while staying reproducible.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +67,9 @@ def sample_haar_unitary(d, seed=None):
 # about one digit, whatever dt is (Al-Mohy & Higham 2011).
 _TAIL_TOL = 2.0 ** -53
 _MAX_SUBSTEP_NORM = 4.0
-# Increments handed from the drawing thread to the applying one at a time:
-# one step at d = 200, a whole short path at d = 24, where a handoff per
-# step would cost more in thread switches than the overlap saves.
+# The size of one batch of increments drawn ahead: one step at d = 200, 16
+# at d = 64, a whole short path at d = 24, where a batch per step would
+# cost more in thread switches than the overlap saves.
 _HANDOFF_BYTES = 2 ** 20
 
 
@@ -92,9 +91,12 @@ def evolve_unitary_bm(y, dt, steps, seed=None):
     added until that bound is at most 2^-53 ||W||_F.  A step is split into
     s sub-steps with tau ||H||_1 / s <= 4.
 
-    The increments are drawn on a producer thread while this one applies
-    the previous ones (see the module docstring); the generator is read by
-    that thread alone, and is left as a serial loop would leave it.
+    The increments are drawn in batches of about _HANDOFF_BYTES by one
+    worker thread, batch i + 1 into one of two buffers while this thread
+    applies batch i from the other (see the module docstring).  Only the
+    worker reads the generator, and leaves it as a serial loop would; a
+    drawing error is re-raised here, and the worker is joined on every
+    exit.
 
     The exponential map keeps the rows orthonormal, and the e^{-t/2} decay
     of the normalized trace is not inserted by hand: it emerges from the
@@ -114,62 +116,51 @@ def evolve_unitary_bm(y, dt, steps, seed=None):
     rng = np.random.default_rng(seed)
     if steps == 0:
         return w
+    # Imported here, so that only a path pays for it (about 8 ms).
+    from concurrent.futures import ThreadPoolExecutor
+
     batch = max(1, min(steps, _HANDOFF_BYTES // (16 * d * d)))
-    free, full = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(min(2, -(-steps // batch))):
-        free.put(np.empty((batch, d, d), dtype=complex))
-    producer = threading.Thread(
-        target=_draw_increments, name="evolve_unitary_bm-draws",
-        args=(rng, d, dt, steps, batch, free, full))
-    producer.start()
-    try:
-        for _ in range(0, steps, batch):
-            item = full.get()
-            if isinstance(item, BaseException):
-                raise item
-            xs, norms = item
-            for x, (rho, substeps) in zip(xs, norms):
+    # Batch i of the path is drawn into bufs[i % 2].
+    bufs = [np.empty((batch, d, d), dtype=complex)
+            for _ in range(min(2, -(-steps // batch)))]
+    with ThreadPoolExecutor(1, "evolve_unitary_bm-draws") as worker:
+        pending = worker.submit(_draw_increments, rng, dt, bufs[0][:steps])
+        for i, start in enumerate(range(batch, steps + batch, batch)):
+            norms = pending.result()
+            if start < steps:       # batch i + 1, drawn while i is applied
+                pending = worker.submit(_draw_increments, rng, dt,
+                                        bufs[(i + 1) % 2][:steps - start])
+            for x, (rho, substeps) in zip(bufs[i % 2], norms):
                 for _ in range(substeps):
                     w = _taylor_action(w, x, rho)
-            free.put(xs)
-    finally:
-        free.put(None)          # stops a producer still waiting for a buffer
-        producer.join()
     return w
 
 
-def _draw_increments(rng, d, dt, steps, batch, free, full):
-    """Producer of evolve_unitary_bm: fills each (batch, d, d) buffer taken
-    from `free` with the next increments x = i tau H / s of the path, in
-    draw order, and puts it on `full` with the (rho, s) of each, rho >=
-    ||x||_2.  A None from `free` stops it; an error goes to `full`."""
-    try:
-        # x = i tau H for H = (A + A*) / sqrt(4 d), A = G_re + i G_im: its
-        # real part is the antisymmetric G_im^T - G_im, its imaginary part
-        # the symmetric G_re + G_re^T, both times tau / sqrt(4 d).
-        scale = math.sqrt(dt) / math.sqrt(4.0 * d)
-        g = np.empty((2, d, d))
-        for start in range(0, steps, batch):
-            xs = free.get()
-            if xs is None:
-                return
-            norms = []
-            for x in xs[:steps - start]:
-                # The same stream as rng.standard_normal((2, d, d)).
-                rng.standard_normal(out=g)
-                g_re, g_im = g
-                np.subtract(g_im.T, g_im, out=x.real)
-                np.add(g_re, g_re.T, out=x.imag)
-                x *= scale
-                rho = float(np.abs(x).sum(axis=0).max())   # tau ||H||_1
-                substeps = max(1, math.ceil(rho / _MAX_SUBSTEP_NORM))
-                if substeps > 1:
-                    x /= substeps
-                    rho /= substeps
-                norms.append((rho, substeps))
-            full.put((xs, norms))
-    except BaseException as exc:
-        full.put(exc)
+def _draw_increments(rng, dt, xs):
+    """Fills each (d, d) slice of `xs`, in order, with the next increment
+    x = i tau H / s of a path drawn from `rng`, and returns the (rho, s) of
+    each, rho >= ||x||_2."""
+    d = xs.shape[-1]
+    # x = i tau H for H = (A + A*) / sqrt(4 d), A = G_re + i G_im: its real
+    # part is the antisymmetric G_im^T - G_im, its imaginary part the
+    # symmetric G_re + G_re^T, both times tau / sqrt(4 d).
+    scale = math.sqrt(dt) / math.sqrt(4.0 * d)
+    g = np.empty((2, d, d))
+    norms = []
+    for x in xs:
+        # The same stream as rng.standard_normal((2, d, d)).
+        rng.standard_normal(out=g)
+        g_re, g_im = g
+        np.subtract(g_im.T, g_im, out=x.real)
+        np.add(g_re, g_re.T, out=x.imag)
+        x *= scale
+        rho = float(np.abs(x).sum(axis=0).max())   # tau ||H||_1
+        substeps = max(1, math.ceil(rho / _MAX_SUBSTEP_NORM))
+        if substeps > 1:
+            x /= substeps
+            rho /= substeps
+        norms.append((rho, substeps))
+    return norms
 
 
 def _taylor_action(w, x, rho):

@@ -136,6 +136,52 @@ def test_verify_renorm_exit_0_1_or_2(family, rho, lam, theta):
         assert code == 0, rep
 
 
+def _run_quietly(argv):
+    """main(argv) with stdout and stderr captured, and the numpy
+    RuntimeWarnings it emitted."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, out.getvalue(), err.getvalue(), runtime
+
+
+def _assert_clean_exit(code, out, err, runtime):
+    # Exit 0 or 1 with a report that compared at least one residual, or
+    # exit 2 with exactly one error line; numpy warned about nothing.
+    assert code in (0, 1, 2)
+    assert not runtime, [str(w.message) for w in runtime]
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        rep = json.loads(out)
+        assert rep["verdict"] is (code == 0) and rep["residuals"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(("displayed", "ode")), _PARAMS, _PARAMS)
+# The default r = 2 lam theta^2, and its bound 4 lam theta^2, underflow.
+@example("displayed", 5e-324, 0.5)
+@example("displayed", 1.0, 5e-324)
+def test_verify_flows_exit_0_1_or_2(variant, lam, theta):
+    _assert_clean_exit(*_run_quietly(
+        ["verify", "flows", "--variant", variant, "--ntimes", "3",
+         "--lambda", repr(lam), "--theta", repr(theta)]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(("P_lambda", "Q_lambda", "Q_lambda_theta")),
+       st.sampled_from(("sqrt", "rational")), _PARAMS, _PARAMS)
+def test_verify_martingale_exit_0_1_or_2(family, a_variant, lam, theta):
+    _assert_clean_exit(*_run_quietly(
+        ["verify", "martingale", "--family", family, "--a-variant",
+         a_variant, "--nmax", "3", "--lambda", repr(lam),
+         "--theta", repr(theta)]))
+
+
 # ---------------------------------------------------------------------------
 # Verification suites
 
@@ -393,6 +439,40 @@ def test_float_overflow_names_its_cause(capsys, argv, message):
     # Each used to print numpy RuntimeWarnings and double its nodes to the
     # budget, then blame the quadrature (mu) or n_max (the Fock extraction):
     # now stderr is the one error line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("density", "--family", "mu", "--lambda", "0.9999999999999999",
+      "--theta", "1e-300"),
+     "the edge products (x - x_-)(x_+ - x) of mu underflow at the "
+     "quadrature nodes at lam = 0.9999999999999999, theta = 1e-300: the "
+     "support is 4e-300 wide"),
+    (("moments", "--family", "mu", "--lambda", "1", "--theta", "3e-155"),
+     "the edge products (x - x_-)(x_+ - x) of mu underflow at the "
+     "quadrature nodes at lam = 1.0, theta = 3e-155: the support is "
+     "1.2e-154 wide"),
+    (("density", "--family", "mu", "--lambda", "0.5", "--theta", "1e-157"),
+     "the edge products (x - x_-)(x_+ - x) of mu underflow at the "
+     "quadrature nodes at lam = 0.5, theta = 1e-157: the support is "
+     "2.83e-157 wide"),
+    (("verify", "flows", "--lambda", "5e-324", "--theta", "0.5"),
+     "the default r = 2 lam theta^2 underflows to 0 at lam = 5e-324, "
+     "theta = 0.5"),
+    (("verify", "flows", "--lambda", "1", "--theta", "5e-324"),
+     "the bound 4 lam theta^2 of r underflows to 0 at lam = 1.0, "
+     "theta = 5e-324"),
+])
+def test_float_underflow_names_its_cause(capsys, argv, message):
+    # mu used to print RuntimeWarnings and report that the quadrature did
+    # not settle, report a wrong total mass, or print a table, depending on
+    # lam; verify flows reported "r = 0.0 outside (0, ...]" for an r that no
+    # option had set.  Now stderr is the one error line.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv)
@@ -675,3 +755,13 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    # Only a Brownian path needs the drawing worker, so its executor module
+    # is imported there and not on the way to any other subcommand.
+    probe = ("import sys, freejacobi.cli; "
+             "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -25,6 +25,7 @@ from freejacobi import (
     xi_lambda,
     xi_shift,
 )
+from freejacobi.martingale import stationary_moments
 from freejacobi.measures import _integrate_ac, _sin_nodes
 from freejacobi.renorm import u_combination
 
@@ -321,6 +322,24 @@ def test_mu_rejects_overflowing_normaliser(lam, theta):
                 rf"normaliser 1 / \(2 pi lam theta\) of mu overflows at "
                 rf"lam = {lam}, theta = {theta}")):
             mu_lambda_theta(JacobiParams(lam, theta))
+
+
+# lam within 1e-8 of 1, where x_- (and near theta = 1/2 also 1 - x_+) lies
+# below sqrt(eps) of the pole of the density.
+@pytest.mark.parametrize("lam, theta", [
+    (math.nextafter(1.0, 0.0), 0.3), (1.0 - 1e-12, 0.1),
+    (0.99999999, 0.5), (1.0 - 2.2e-16, math.nextafter(0.5, 0.0)),
+])
+def test_mu_near_lambda_one_keeps_its_moments(lam, theta):
+    # x itself rounded to 0 (or 1 - x to 0) at the nodes next to the edge,
+    # so the density was inf there and the quadrature never settled; and
+    # 1 - x_+ in floats carried an error that cost 1.5e-8 of the mass.
+    # The moments are those of the drift's own fixed point.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = moments(mu_lambda_theta(JacobiParams(lam, theta)), 6)
+    want = stationary_moments(lam, theta, 6)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("lam, theta", [(1.0, 5e-324), (0.5, 1e-170)])

@@ -137,6 +137,16 @@ def test_evolution_equals_serial_loop(d, steps, p, dt, serial_bm_reference):
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+@pytest.mark.parametrize("d, steps", [(200, 3), (64, 41), (8, 41)])
+def test_evolution_joins_its_worker(d, steps):
+    # Three batches of one step, three of 16, 16 and 9, and one batch: the
+    # drawing worker is gone when the call returns.
+    before = threading.active_count()
+    w = sample_haar_unitary(d, seed=1)[:2]
+    evolve_unitary_bm(w, 1e-2, steps, seed=3)
+    assert threading.active_count() == before
+
+
 def test_evolution_zero_steps_draws_nothing(monkeypatch):
     drawn = []
     monkeypatch.setattr("freejacobi.simulator._draw_increments",
