@@ -112,19 +112,17 @@ def _suite_orthogonality(args):
         entries.append({"family": fam, "max_offdiag": max_off,
                         "min_norm": min_norm})
         ok = ok and max_off < args.tol and min_norm > 0.0
-    return {"suite": "orthogonality", "lambda": args.lam, "theta": args.theta,
-            "n_max": args.nmax, "tol": args.tol, "families": entries,
-            "verdict": ok}, (0 if ok else 1)
+    return {"n_max": args.nmax, "tol": args.tol, "families": entries,
+            "verdict": ok}
 
 
 def _suite_renorm(args):
     measure = _MEASURES[args.family](args.lam, args.theta)
     rho = rho_trig if args.rho == "trig" else (lambda u: u)
     kern = RenormKernel(measure, rho=rho)
-    verdict, rep = certify_product_dependence(kern, tol=args.tol)
-    rep.update({"suite": "renorm", "family": args.family, "rho": args.rho,
-                "lambda": args.lam, "theta": args.theta})
-    return rep, (0 if verdict else 1)
+    _, rep = certify_product_dependence(kern, tol=args.tol)
+    rep.update({"family": args.family, "rho": args.rho})
+    return rep
 
 
 def _suite_fock(args):
@@ -137,9 +135,8 @@ def _suite_fock(args):
     quad = moments(measure, args.kmax)
     diff = float(np.max(np.abs(vac - quad)))
     ok = diff < args.tol
-    return {"suite": "fock", "family": args.family, "lambda": args.lam,
-            "theta": args.theta, "k_max": args.kmax, "tol": args.tol,
-            "max_difference": diff, "verdict": ok}, (0 if ok else 1)
+    return {"family": args.family, "k_max": args.kmax, "tol": args.tol,
+            "max_difference": diff, "verdict": ok}
 
 
 def _suite_martingale(args):
@@ -149,10 +146,9 @@ def _suite_martingale(args):
     rows = [{"n": n, "residual": r} for n, r in zip(degrees, res)]
     worst = max(res)
     ok = worst < args.tol
-    return {"suite": "martingale", "family": args.family,
-            "a_variant": args.a_variant, "lambda": args.lam, "theta": args.theta,
+    return {"family": args.family, "a_variant": args.a_variant,
             "n_max": args.nmax, "tol": args.tol, "residuals": rows,
-            "max_residual": worst, "verdict": ok}, (0 if ok else 1)
+            "max_residual": worst, "verdict": ok}
 
 
 def _suite_flows(args):
@@ -170,11 +166,10 @@ def _suite_flows(args):
         rows.append({"t": t, "z_residual": rz, "k_residual": rk})
         worst_z, worst_k = max(worst_z, rz), max(worst_k, rk)
     ok = worst_z < args.tol_z and worst_k < args.tol
-    return {"suite": "flows", "lambda": args.lam, "theta": args.theta,
-            "r": fc.r, "t0": fc.t0, "variant": args.variant,
+    return {"r": fc.r, "t0": fc.t0, "variant": args.variant,
             "tol_z": args.tol_z, "tol_k": args.tol, "residuals": rows,
             "max_z_residual": worst_z, "max_k_residual": worst_k,
-            "verdict": ok}, (0 if ok else 1)
+            "verdict": ok}
 
 
 _SUITES = {
@@ -192,10 +187,11 @@ def cmd_verify(args):
     for name, tol in vars(args).items():
         if name.startswith("tol") and not 0.0 < tol < np.inf:
             raise ValueError(f"{name} = {tol} must be positive and finite")
-    report, code = _SUITES[args.suite](args)
-    report["schema"] = REPORT_SCHEMA
+    report = _SUITES[args.suite](args)
+    report.update({"schema": REPORT_SCHEMA, "suite": args.suite,
+                   "lambda": args.lam, "theta": args.theta})
     _emit_report(report, args.out)
-    return code
+    return 0 if report["verdict"] else 1
 
 
 def cmd_simulate(args):

@@ -9,12 +9,13 @@ algebraic edge behaviour, and the trapezoid rule in t then converges
 exponentially.  Node counts double until two successive passes agree, and
 the distribution-function grid accumulates the same nodes and weights.
 
-Three laws have a density of their own (mu_lambda_theta, nu_lambda_theta,
-xi_lambda), each written once, in edge form (see
-SpectralMeasure.density_edges); its density at x is that form at the
-clipped edge distances x - lo and hi - x.  nu_lambda is nu_lambda_theta at
-theta = 1/2.  The parameter domain is stated once, by JacobiParams: the
-theta = 1/2 laws check lam through it as well.
+Two laws have a density of their own (nu_lambda_theta, xi_lambda), each
+written once, in edge form (see SpectralMeasure.density_edges); its
+density at x is that form at the clipped edge distances x - lo and hi - x.
+mu_lambda_theta reads the edge form of nu_lambda_theta through the affine
+map of its support, and nu_lambda is nu_lambda_theta at theta = 1/2.  The
+parameter domain is stated once, by JacobiParams: the theta = 1/2 laws
+check lam through it as well.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * np.pi
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
-# The edge distance of the outermost tanh-sinh nodes, as a fraction of the
-# interval: x - lo at t -> -4 in _sin_nodes, about 5.8e-38.
-_EDGE_REACH = 1.0 / (1.0 + math.exp(math.pi * math.sinh(4.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,83 +225,20 @@ def _settled_within(tol):
 
 # -- constructors ------------------------------------------------------------
 
-def _two_pi_lam_theta(p):
-    """2 pi lam theta, the normaliser of mu_{lam,theta}.  It underflows to 0
-    for some (lam, theta) that JacobiParams accepts, such as
-    (1e-300, 5e-324); neither mu_{lam,theta} nor its image nu_{lam,theta}
-    has a float density there, and both laws raise."""
-    den = 2.0 * np.pi * p.lam * p.theta
-    if den == 0.0:
-        raise ValueError(f"2 pi lam theta underflows to 0 at lam = {p.lam}, "
-                         f"theta = {p.theta}")
-    return den
+def _nu_theta_edges(p):
+    """Edge form of nu_{lam,theta} on [-1, 1], after its two gates, and the
+    scale d^2 of nu_map: the one statement of that density, which
+    mu_{lam,theta} reads through the map of its support.
 
-
-def mu_lambda_theta(p):
-    """Stationary spectral measure on [x_-, x_+] (injective regime), with
-    density sqrt((x_+ - x)(x - x_-)) / (2 pi lam theta x (1 - x))."""
-    if not isinstance(p, JacobiParams):
-        p = JacobiParams(*p)
-    xm, xp = p.x_minus, p.x_plus
-    c = 1.0 / _two_pi_lam_theta(p)
-    # The support is 4 theta sqrt(lam (1 - theta)(1 - lam theta)) wide: at
-    # theta = 1/2 and lam below about 1e-32 it rounds to one float.
-    if xm >= xp:
-        raise ValueError(f"the support of mu at lam = {p.lam}, theta = "
-                         f"{p.theta} collapses to the one float {xm}")
-    # Below 2 pi lam theta of about 5.6e-309 the reciprocal overflows, and
-    # the density would be inf * 0 = NaN at the nodes.
-    if c == math.inf:
-        raise ValueError(f"the normaliser 1 / (2 pi lam theta) of mu "
-                         f"overflows at lam = {p.lam}, theta = {p.theta}")
-    # The products dlo * dhi fall to about _EDGE_REACH (x_+ - x_-)^2 at the
-    # nodes next to the edges.  Below the smallest normal float (supports
-    # narrower than about 6e-136) they lose digits or vanish to 0 there, and
-    # the mass with them.
-    width = xp - xm
-    if width * (width * _EDGE_REACH) < np.finfo(float).tiny:
-        raise ValueError(f"the edge products (x - x_-)(x_+ - x) of mu "
-                         f"underflow at the quadrature nodes at lam = "
-                         f"{p.lam}, theta = {p.theta}: the support is "
-                         f"{width:.3g} wide")
-
-    # Near lam = 1 the support reaches to x = 0 (and near theta = 1/2 to
-    # x = 1), where the x(1-x) denominator vanishes with the radicand.  Once
-    # that pole lies within sqrt(eps) of the edge, x (or 1 - x) has lost
-    # half its digits at the nodes next to the edge, or rounds to 0 there,
-    # so the factor is written as the gap plus the edge distance.  Like x_-,
-    # the gap 1 - x_+ = (sqrt((1-th)(1-lam th)) - th sqrt(lam))^2 is taken
-    # in closed form: 1 - x_+ in floats keeps none of its digits there.
+    2 pi lam theta underflows to 0 for some (lam, theta) that JacobiParams
+    accepts, such as (1e-300, 5e-324); d^2, about 16 lam theta^2 at small
+    theta, also underflows where 2 pi lam theta does not.  Neither law has a
+    float density there, and both raise.
+    """
     lam, th = p.lam, p.theta
-    gap = (math.sqrt((1.0 - th) * (1.0 - lam * th)) - th * math.sqrt(lam)) ** 2
-    lo_gap = xm if xm < _SQRT_EPS * xp else None
-    hi_gap = gap if gap < _SQRT_EPS else None
-
-    def dens_edges(x, dlo, dhi):
-        num = c * np.sqrt(dlo * dhi)
-        left = x if lo_gap is None else lo_gap + dlo
-        right = 1.0 - x if hi_gap is None else hi_gap + dhi
-        return num / (left * right)
-
-    return SpectralMeasure((xm, xp), dens_edges, (), f"mu[{p.lam},{p.theta}]")
-
-
-def nu_lambda(lam):
-    """nu_{lam,theta} at theta = 1/2, the symmetric image of the theta = 1/2
-    law on [-1, 1]: (2-lam)/pi * sqrt(1-x^2) / (1 - lam(2-lam) x^2)."""
-    return nu_lambda_theta(JacobiParams(lam, 0.5))
-
-
-def nu_lambda_theta(p):
-    """General-theta symmetric image measure on [-1, 1]: the image of
-    mu_{lam,theta} under x -> (2x - s)/d, (s, d^2) = nu_map(lam, theta),
-    with density d^2 sqrt(1-x^2) / (2 pi lam theta (s + dx)(2 - s - dx))."""
-    if not isinstance(p, JacobiParams):
-        p = JacobiParams(*p)
-    lam, th = p.lam, p.theta
-    # The domain gate of mu_{lam,theta} applies.  d^2, about 16 lam theta^2
-    # at small theta, also underflows where 2 pi lam theta does not.
-    _two_pi_lam_theta(p)
+    if 2.0 * np.pi * lam * th == 0.0:
+        raise ValueError(f"2 pi lam theta underflows to 0 at lam = {lam}, "
+                         f"theta = {th}")
     d2 = nu_map(lam, th)[1]
     if d2 == 0.0:
         raise ValueError(f"the scale d^2 of nu_map underflows to 0 at "
@@ -330,7 +264,62 @@ def nu_lambda_theta(p):
         den = (gap_lo + d * dlo) * (gap_hi + d * dhi)
         return scale * np.sqrt(dlo * dhi) / den
 
-    return SpectralMeasure((-1.0, 1.0), dens_edges, (), f"nu[{lam},{th}]")
+    return dens_edges, d2
+
+
+def mu_lambda_theta(p):
+    """Stationary spectral measure on [x_-, x_+] (injective regime), with
+    density sqrt((x_+ - x)(x - x_-)) / (2 pi lam theta x (1 - x)).
+
+    It is nu_{lam,theta} read back through the map y = (2x - s)/d of
+    nu_map: its edge form is k times that of nu_{lam,theta} at the edge
+    distances k (x - x_-) and k (x_+ - x), k = 2/(x_+ - x_-).  On [-1, 1]
+    the tanh-sinh nodes keep those distances above about 1e-37, however
+    narrow the support, and the poles at 0 and 1 enter only through the
+    closed-form gaps of nu_{lam,theta}, however close the support comes.
+    """
+    if not isinstance(p, JacobiParams):
+        p = JacobiParams(*p)
+    nu_edges, d2 = _nu_theta_edges(p)
+    xm, xp = p.x_minus, p.x_plus
+    # The support is 4 theta sqrt(lam (1 - theta)(1 - lam theta)) wide: at
+    # theta = 1/2 and lam below about 1e-32 it rounds to one float.
+    if xm >= xp:
+        raise ValueError(f"the support of mu at lam = {p.lam}, theta = "
+                         f"{p.theta} collapses to the one float {xm}")
+    # A subnormal d^2 (supports narrower than about 1.5e-154) has lost the
+    # digits of the map's width.
+    if d2 < np.finfo(float).tiny:
+        raise ValueError(f"the scale d^2 of nu_map is subnormal at lam = "
+                         f"{p.lam}, theta = {p.theta}: the support of mu is "
+                         f"{xp - xm:.3g} wide")
+    # k is taken from the float support, not from d: the two widths differ
+    # by up to 5e-7 relative at lam <= 1e-16, and with k from the support
+    # the nodes map onto [-1, 1] and keep the mass of nu_{lam,theta}.
+    k = 2.0 / (xp - xm)
+
+    def dens_edges(x, dlo, dhi):
+        ylo = k * dlo
+        return k * nu_edges(ylo - 1.0, ylo, k * dhi)
+
+    return SpectralMeasure((xm, xp), dens_edges, (), f"mu[{p.lam},{p.theta}]")
+
+
+def nu_lambda(lam):
+    """nu_{lam,theta} at theta = 1/2, the symmetric image of the theta = 1/2
+    law on [-1, 1]: (2-lam)/pi * sqrt(1-x^2) / (1 - lam(2-lam) x^2)."""
+    return nu_lambda_theta(JacobiParams(lam, 0.5))
+
+
+def nu_lambda_theta(p):
+    """General-theta symmetric image measure on [-1, 1]: the image of
+    mu_{lam,theta} under x -> (2x - s)/d, (s, d^2) = nu_map(lam, theta),
+    with density d^2 sqrt(1-x^2) / (2 pi lam theta (s + dx)(2 - s - dx))."""
+    if not isinstance(p, JacobiParams):
+        p = JacobiParams(*p)
+    dens_edges, _ = _nu_theta_edges(p)
+    return SpectralMeasure((-1.0, 1.0), dens_edges, (),
+                           f"nu[{p.lam},{p.theta}]")
 
 
 def nu_map(lam, theta):

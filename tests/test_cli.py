@@ -148,17 +148,25 @@ def _run_quietly(argv):
     return code, out.getvalue(), err.getvalue(), runtime
 
 
-def _assert_clean_exit(code, out, err, runtime):
-    # Exit 0 or 1 with a report that compared at least one residual, or
-    # exit 2 with exactly one error line; numpy warned about nothing.
+def _assert_clean_report(code, out, err, runtime):
+    """The report of a verification that exits 0 or 1, its verdict matching
+    the code, or None after exit 2 with exactly one error line; numpy
+    warned about nothing either way."""
     assert code in (0, 1, 2)
     assert not runtime, [str(w.message) for w in runtime]
     if code == 2:
         assert out == "" and err.startswith("error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
-    else:
-        rep = json.loads(out)
-        assert rep["verdict"] is (code == 0) and rep["residuals"]
+        return None
+    rep = json.loads(out)
+    assert rep["verdict"] is (code == 0)
+    return rep
+
+
+def _assert_clean_exit(*result):
+    # A report compared at least one residual.
+    rep = _assert_clean_report(*result)
+    assert rep is None or rep["residuals"]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -180,6 +188,29 @@ def test_verify_martingale_exit_0_1_or_2(family, a_variant, lam, theta):
         ["verify", "martingale", "--family", family, "--a-variant",
          a_variant, "--nmax", "3", "--lambda", repr(lam),
          "--theta", repr(theta)]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(("mu", "nu", "nu_theta", "xi")), _PARAMS, _PARAMS)
+def test_verify_fock_exit_0_1_or_2(family, lam, theta):
+    # The default family is mu, so this also covers mu at the domain edges.
+    rep = _assert_clean_report(*_run_quietly(
+        ["verify", "fock", "--family", family, "--kmax", "8",
+         "--lambda", repr(lam), "--theta", repr(theta)]))
+    if rep is not None:
+        assert math.isfinite(rep["max_difference"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(("P_lambda", "Q_lambda", "Q_lambda_theta", "all")),
+       _PARAMS, _PARAMS)
+def test_verify_orthogonality_exit_0_1_or_2(family, lam, theta):
+    rep = _assert_clean_report(*_run_quietly(
+        ["verify", "orthogonality", "--family", family, "--nmax", "4",
+         "--lambda", repr(lam), "--theta", repr(theta)]))
+    if rep is not None:
+        assert rep["families"]
+        assert all(math.isfinite(f["max_offdiag"]) for f in rep["families"])
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +457,10 @@ def test_float_edge_names_its_cause(capsys, argv, message):
 
 @pytest.mark.parametrize("argv, message", [
     (("density", "--family", "mu", "--lambda", "1", "--theta", "5e-324"),
-     "the normaliser 1 / (2 pi lam theta) of mu overflows at lam = 1.0, "
+     "the scale d^2 of nu_map underflows to 0 at lam = 1.0, "
      "theta = 5e-324"),
     (("density", "--family", "mu", "--lambda", "0.5", "--theta", "1e-310"),
-     "the normaliser 1 / (2 pi lam theta) of mu overflows at lam = 0.5, "
+     "the scale d^2 of nu_map underflows to 0 at lam = 0.5, "
      "theta = 1e-310"),
     (("verify", "fock", "--family", "xi", "--lambda", "1e-300"),
      "the degree-3 Stieltjes sums under xi[1e-300] exceed the float range "
@@ -438,7 +469,9 @@ def test_float_edge_names_its_cause(capsys, argv, message):
 def test_float_overflow_names_its_cause(capsys, argv, message):
     # Each used to print numpy RuntimeWarnings and double its nodes to the
     # budget, then blame the quadrature (mu) or n_max (the Fock extraction):
-    # now stderr is the one error line.
+    # now stderr is the one error line.  mu reads the density of nu_theta,
+    # so it names the scale d^2 of their map, which underflows where
+    # 2 pi lam theta is subnormal.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv)
@@ -450,17 +483,14 @@ def test_float_overflow_names_its_cause(capsys, argv, message):
 @pytest.mark.parametrize("argv, message", [
     (("density", "--family", "mu", "--lambda", "0.9999999999999999",
       "--theta", "1e-300"),
-     "the edge products (x - x_-)(x_+ - x) of mu underflow at the "
-     "quadrature nodes at lam = 0.9999999999999999, theta = 1e-300: the "
-     "support is 4e-300 wide"),
+     "the scale d^2 of nu_map underflows to 0 at "
+     "lam = 0.9999999999999999, theta = 1e-300"),
     (("moments", "--family", "mu", "--lambda", "1", "--theta", "3e-155"),
-     "the edge products (x - x_-)(x_+ - x) of mu underflow at the "
-     "quadrature nodes at lam = 1.0, theta = 3e-155: the support is "
-     "1.2e-154 wide"),
+     "the scale d^2 of nu_map is subnormal at lam = 1.0, theta = 3e-155: "
+     "the support of mu is 1.2e-154 wide"),
     (("density", "--family", "mu", "--lambda", "0.5", "--theta", "1e-157"),
-     "the edge products (x - x_-)(x_+ - x) of mu underflow at the "
-     "quadrature nodes at lam = 0.5, theta = 1e-157: the support is "
-     "2.83e-157 wide"),
+     "the scale d^2 of nu_map is subnormal at lam = 0.5, theta = 1e-157: "
+     "the support of mu is 2.83e-157 wide"),
     (("verify", "flows", "--lambda", "5e-324", "--theta", "0.5"),
      "the default r = 2 lam theta^2 underflows to 0 at lam = 5e-324, "
      "theta = 0.5"),
@@ -472,7 +502,9 @@ def test_float_underflow_names_its_cause(capsys, argv, message):
     # mu used to print RuntimeWarnings and report that the quadrature did
     # not settle, report a wrong total mass, or print a table, depending on
     # lam; verify flows reported "r = 0.0 outside (0, ...]" for an r that no
-    # option had set.  Now stderr is the one error line.
+    # option had set.  Now stderr is the one error line.  mu reads the
+    # density of nu_theta through their map, so it names the scale d^2 of
+    # that map: 0, or subnormal, where the map's width has lost its digits.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv)

@@ -3,6 +3,7 @@
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -315,31 +316,59 @@ def test_mu_rejects_support_of_one_float(lam):
 def test_mu_rejects_overflowing_normaliser(lam, theta):
     # 2 pi lam theta is subnormal but not 0: its reciprocal overflows, and
     # the density used to be NaN at every node, so the quadrature doubled to
-    # its budget and reported that it did not settle.
+    # its budget and reported that it did not settle.  mu reads the density
+    # of nu_theta, whose scale d^2 underflows to 0 there.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=(
-                rf"normaliser 1 / \(2 pi lam theta\) of mu overflows at "
+                rf"the scale d\^2 of nu_map underflows to 0 at "
                 rf"lam = {lam}, theta = {theta}")):
             mu_lambda_theta(JacobiParams(lam, theta))
 
 
 # lam within 1e-8 of 1, where x_- (and near theta = 1/2 also 1 - x_+) lies
-# below sqrt(eps) of the pole of the density.
+# below sqrt(eps) of the pole of the density; lam <= 1e-16, where the
+# support's width is the difference of two floats near theta; and supports
+# about 1e-140 and 1e-150 wide.
 @pytest.mark.parametrize("lam, theta", [
     (math.nextafter(1.0, 0.0), 0.3), (1.0 - 1e-12, 0.1),
     (0.99999999, 0.5), (1.0 - 2.2e-16, math.nextafter(0.5, 0.0)),
+    (1e-16, 0.3), (1e-16, 0.5), (1e-20, 0.3), (1e-20, 0.5),
+    (1.0, 1e-140), (0.5, 1e-150),
 ])
 def test_mu_near_lambda_one_keeps_its_moments(lam, theta):
     # x itself rounded to 0 (or 1 - x to 0) at the nodes next to the edge,
     # so the density was inf there and the quadrature never settled; and
-    # 1 - x_+ in floats carried an error that cost 1.5e-8 of the mass.
+    # 1 - x_+ in floats carried an error that cost 1.5e-8 of the mass.  At
+    # lam <= 1e-16 the width kept only about eps / (4 sqrt(lam)) relative
+    # accuracy, and the mass check failed; the two narrow supports were
+    # refused for their edge products.
     # The moments are those of the drift's own fixed point.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = moments(mu_lambda_theta(JacobiParams(lam, theta)), 6)
     want = stationary_moments(lam, theta, 6)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_mu_moments_match_the_drift_on_a_grid():
+    # mu reads the edge form of nu_theta through the map of its support;
+    # over the whole domain its degree-16 moments are the exact ones of the
+    # drift's fixed point to roundoff.  Its own formula missed them by up
+    # to 4.4e-9 at lam = 1e-15.
+    worst, where = 0.0, None
+    for lam in (1e-15, 1e-8, 1e-4, 0.01, 0.1, 0.25, 0.3, 0.5, 0.6, 0.7, 0.9,
+                0.99, 0.999999, 0.9999999999999999, 1.0):
+        for theta in (1e-100, 1e-8, 1e-3, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45,
+                      0.49, 0.5):
+            got = moments(mu_lambda_theta(JacobiParams(lam, theta)), 16)
+            want = np.array([float(m) for m in stationary_moments(
+                Fraction(lam), Fraction(theta), 16)])
+            nz = want != 0.0
+            rel = np.abs(got[nz] - want[nz]) / np.abs(want[nz])
+            if np.max(rel) > worst:
+                worst, where = float(np.max(rel)), (lam, theta)
+    assert worst < 1e-13, where
 
 
 @pytest.mark.parametrize("lam, theta", [(1.0, 5e-324), (0.5, 1e-170)])
