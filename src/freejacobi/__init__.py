@@ -13,8 +13,9 @@ from .martingale import (DriftModel, FlowConstants, cauchy_mu_half, drift,
                          martingale_residuals)
 from .measures import (JacobiParams, SpectralMeasure, cauchy_closed_form_mu,
                        cauchy_transform, cdf_grid, moments, mu_lambda_theta,
-                       nu_lambda, nu_lambda_theta, pushforward_affine,
-                       stieltjes_invert, xi_lambda, xi_shift)
+                       nu_lambda, nu_lambda_theta, one_step_law,
+                       pushforward_affine, stieltjes_invert, xi_lambda,
+                       xi_shift)
 from .polys import (Poly, chebyshev_T, chebyshev_U, chebyshev_U_ext,
                     eval_three_term, taylor_coeffs_in_u)
 from .recurrence import (JacobiSzego, extract_from_measure, monicize,
@@ -35,7 +36,7 @@ __all__ = [
     "Poly", "chebyshev_T", "chebyshev_U", "chebyshev_U_ext",
     "eval_three_term", "taylor_coeffs_in_u",
     "JacobiParams", "SpectralMeasure", "mu_lambda_theta", "nu_lambda",
-    "nu_lambda_theta", "xi_lambda", "xi_shift", "moments",
+    "nu_lambda_theta", "one_step_law", "xi_lambda", "xi_shift", "moments",
     "cauchy_transform", "cauchy_closed_form_mu", "stieltjes_invert",
     "pushforward_affine", "cdf_grid",
     "RenormKernel", "rho_trig", "theta_one", "theta_two", "theta_ratio",

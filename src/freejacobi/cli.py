@@ -23,7 +23,7 @@ from .fock import build_fock, vacuum_moments
 from .martingale import (FlowConstants, flow_K_ode_residual,
                          flow_Z_ode_residual, martingale_residuals)
 from .measures import JacobiParams, cdf_grid, moments, mu_lambda_theta
-from .recurrence import extract_from_measure
+from .recurrence import JacobiSzego, extract_from_measure
 from .renorm import (FAMILIES, RenormKernel, certify_product_dependence,
                      family_gram, rho_trig, u_combination)
 from .simulator import ks_distance, simulate_trials
@@ -130,7 +130,22 @@ def _suite_fock(args):
         raise ValueError(f"kmax = {args.kmax} must be >= 1")
     measure = _MEASURES[args.family](args.lam, args.theta)
     dim = args.kmax // 2 + 1
-    js = extract_from_measure(measure, dim - 1)
+    if args.family == "mu":
+        # The squared norms of mu, about (theta sqrt(lam))^(2k), underflow
+        # at small theta: the data are extracted from nu_theta and mapped
+        # by the support of mu, as its density is.
+        js = extract_from_measure(_MEASURES["nu_theta"](args.lam, args.theta),
+                                  dim - 1)
+        lo, hi = measure.support
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        omega = h * h * js.omega
+        if not omega.all():
+            raise ValueError(f"the recurrence weights of mu at lam = "
+                             f"{args.lam}, theta = {args.theta} underflow "
+                             f"to 0: its support is {hi - lo:.3g} wide")
+        js = JacobiSzego(c + h * js.alpha, omega)
+    else:
+        js = extract_from_measure(measure, dim - 1)
     vac = vacuum_moments(build_fock(js, dim), args.kmax)
     quad = moments(measure, args.kmax)
     diff = float(np.max(np.abs(vac - quad)))

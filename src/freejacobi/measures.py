@@ -9,13 +9,15 @@ algebraic edge behaviour, and the trapezoid rule in t then converges
 exponentially.  Node counts double until two successive passes agree, and
 the distribution-function grid accumulates the same nodes and weights.
 
-Two laws have a density of their own (nu_lambda_theta, xi_lambda), each
-written once, in edge form (see SpectralMeasure.density_edges); its
-density at x is that form at the clipped edge distances x - lo and hi - x.
-mu_lambda_theta reads the edge form of nu_lambda_theta through the affine
-map of its support, and nu_lambda is nu_lambda_theta at theta = 1/2.  The
-parameter domain is stated once, by JacobiParams: the theta = 1/2 laws
-check lam through it as well.
+One rule gives every density and every atom: one_step_law, the law of
+monic Jacobi data alpha_0, omega_1, then alpha_n = 0 and omega_n = 1/4.
+Its density is written once, in edge form (see
+SpectralMeasure.density_edges); the density at x is that form at the
+clipped edge distances x - lo and hi - x.  nu_lambda_theta and xi_lambda
+are one_step_law of their family's data, nu_lambda is nu_lambda_theta at
+theta = 1/2, and mu_lambda_theta reads the edge form of nu_lambda_theta
+through the affine map of its support.  The parameter domain is stated
+once, by JacobiParams: the theta = 1/2 laws check lam through it as well.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .exact import exact_sqrt
 __all__ = [
     "JacobiParams",
     "SpectralMeasure",
+    "one_step_law",
     "mu_lambda_theta",
     "nu_lambda",
     "nu_lambda_theta",
@@ -151,6 +154,11 @@ class SpectralMeasure:
         return float(np.real(ac)) + self.atom_weight()
 
 
+# The edge distance of the outermost tanh-sinh node (t = -+4) per unit of
+# the support's width: 1/(1 + e^{pi sinh 4}), about 5.6e-38.
+_EDGE_REACH = 1.0 / (1.0 + math.exp(math.pi * math.sinh(4.0)))
+
+
 def _sin_nodes(lo, hi, n):
     """Tanh-sinh nodes and weights on [lo, hi]: a midpoint trapezoid with n
     nodes in t on [-4, 4] after x = c + h tanh(u), u = (pi/2) sinh t.
@@ -225,46 +233,113 @@ def _settled_within(tol):
 
 # -- constructors ------------------------------------------------------------
 
-def _nu_theta_edges(p):
-    """Edge form of nu_{lam,theta} on [-1, 1], after its two gates, and the
-    scale d^2 of nu_map: the one statement of that density, which
-    mu_{lam,theta} reads through the map of its support.
+def one_step_law(alpha0, omega1, label=""):
+    """The law whose monic Jacobi data are alpha_0, omega_1, then
+    alpha_n = 0 and omega_n = 1/4: by Favard's theorem the one law with
+    Cauchy transform
 
-    2 pi lam theta underflows to 0 for some (lam, theta) that JacobiParams
-    accepts, such as (1e-300, 5e-324); d^2, about 16 lam theta^2 at small
-    theta, also underflows where 2 pi lam theta does not.  Neither law has a
-    float density there, and both raise.
+        G(z) = 1/(z - alpha_0 - omega_1 G_sc(z)),
+        G_sc(z) = 2(z - sqrt(z^2 - 1)),
+
+    a member of the free Meixner class.  Each polynomial family here,
+    U_n + beta U_{n-1} + gamma U_{n-2}, has such data, (alpha_0, omega_1) =
+    (-beta/2, (1 - gamma)/4), and its law is built here.
+
+    The a.c. part on [-1, 1] is -Im G(x + i0)/pi, in edge form
+    (_one_step_edges).  There is an atom at each real zero z, |z| >= 1, of
+    D(z) = z - alpha_0 - omega_1 G_sc(z) (_one_step_atom).  D increases on
+    either side of [-1, 1], so it has a zero beyond the edge s = -1 or 1
+    exactly when s D(s) < 0, that is s alpha_0 > 1 - 2 omega_1; at the
+    equality D vanishes on the edge itself, where the law has no atom.
     """
-    lam, th = p.lam, p.theta
-    if 2.0 * np.pi * lam * th == 0.0:
-        raise ValueError(f"2 pi lam theta underflows to 0 at lam = {lam}, "
-                         f"theta = {th}")
-    d2 = nu_map(lam, th)[1]
-    if d2 == 0.0:
-        raise ValueError(f"the scale d^2 of nu_map underflows to 0 at "
-                         f"lam = {lam}, theta = {th}")
-    d = math.sqrt(d2)
-    # The quadratic denominator factors through its roots -s/d and (2-s)/d:
-    #     s(2-s) + 2d(1-s)x - d^2 x^2 = (s + dx)(2 - s - dx),
-    # and the factor gaps at the edges x = -+1 are squares,
-    #     s - d = 2 th (sqrt(1-lam th) - sqrt(lam(1-th)))^2,
-    #     2 - s - d = 2 (sqrt((1-th)(1-lam th)) - th sqrt(lam))^2,
-    # so both are exact zeros in floats at lam = 1 (resp. lam = 1, th = 1/2)
-    # instead of rounding noise of either sign.
-    gap_lo = 2.0 * th * (math.sqrt(1.0 - lam * th) - math.sqrt(lam * (1.0 - th))) ** 2
-    gap_hi = 2.0 * (math.sqrt((1.0 - th) * (1.0 - lam * th)) - th * math.sqrt(lam)) ** 2
-    # With gap_lo, gap_hi >= 0 and d > 0 both factors are positive on
-    # (-1, 1); at lam = 1 they vanish at the edges, where the sqrt(1 - x^2)
-    # numerator keeps the density integrable.  The normaliser
-    # d^2/(2 pi lam theta) = 8 th (1-th)(1 - lam th)/pi is written without
-    # lam, which a subnormal lam would not carry through 2 pi lam.
-    scale = 8.0 * th * (1.0 - th) * (1.0 - lam * th) / np.pi
+    a, w = float(alpha0), float(omega1)
+    if not w > 0.0:
+        raise ValueError(f"omega_1 = {w} must be positive")
+    atoms = tuple(_one_step_atom(a, w, s) for s in (-1.0, 1.0)
+                  if s * a > 1.0 - 2.0 * w)
+    return SpectralMeasure((-1.0, 1.0), _one_step_edges(a, w), atoms, label)
+
+
+def _one_step_atom(a, w, s):
+    """(z, weight) of the atom of one_step_law(a, w) beyond the edge s.
+
+    With v = 2w, the zero of D beyond s is
+
+        z = (a(1 - v) - s v sqrt(a^2 + 2v - 1)) / (1 - 2v)
+          = (a^2 + v^2) / (a(1 - v) + s v sqrt(a^2 + 2v - 1)),
+
+    each form taken where its sum does not cancel; at w = 1/2 the first
+    is s sqrt(a^2 + 1) to the bit.  z is solved for as z/c, c = |a| where
+    a^2 overflows (xi at lam = 5e-324), c = 1 elsewhere.  The weight, the
+    residue 1/D'(z), is |l| / ((1 - 2w)|l| + 4w^2 |z|) with
+    l = (1 - 2w) z - a, which uses sqrt(z^2 - 1) = |l|/(2w) at the zero.
+    """
+    u, v = 1.0 - 2.0 * w, 2.0 * w
+    c = 1.0 if a * a < math.inf else abs(a)
+    ac = a / c
+    root = v * math.sqrt(ac * ac + (2.0 * v - 1.0) / c / c)
+    if s * a * u > 0.0:
+        z = c * ((ac * ac + (v / c) ** 2) / (ac * u + s * root))
+    else:
+        z = c * ((ac * u - s * root) / (1.0 - 2.0 * v))
+    # The zero lies at |z| >= 1; rounding can put it an ulp inside the
+    # edge, as at (a, w) = (0.4800000000000021, 0.26).
+    z = math.copysign(max(abs(z), 1.0), s)
+    ell = abs(u * z - a)
+    return z, ell / (u * ell + v * v * abs(z))
+
+
+def _one_step_edges(a, w):
+    """Edge form of one_step_law(a, w) on [-1, 1]:
+
+        2w sqrt(dlo dhi) / (pi [((1 - 2w) x - a)^2 + 4w^2 dlo dhi]).
+
+    The denominator is |D(x + i0)|^2, a sum of squares: it needs no
+    closed-form gaps and no normaliser.
+    """
+    u, v = 1.0 - 2.0 * w, 2.0 * w
 
     def dens_edges(x, dlo, dhi):
-        den = (gap_lo + d * dlo) * (gap_hi + d * dhi)
-        return scale * np.sqrt(dlo * dhi) / den
+        prod = dlo * dhi
+        lin = u * x - a
+        # lin^2 overflows where a does (xi below lam of about 1e-308), and
+        # the density is 0 there.
+        with np.errstate(over="ignore"):
+            return v * np.sqrt(prod) / (np.pi * (lin * lin + v * v * prod))
 
-    return dens_edges, d2
+    return dens_edges
+
+
+def _nu_theta_data(lam, theta, b_variant="mean"):
+    """Jacobi data (alpha_0, omega_1) of Q_lambda_theta, generic over float
+    and Fraction: omega_1 = 1/(4(1 - lam theta)) and alpha_0 = b, the first
+    moment of nu_{lam,theta} (b_variant="mean"), or twice it ("twice", as
+    tabulated), where
+
+        b = -(1 - 2 omega_1) r,
+        r = (1 - 2 theta) sqrt(lam (1 - lam theta)/(1 - theta))
+            / (1 - 2 lam theta).
+
+    On the domain r <= 1, with r = 1 at lam = 1, so that D(-1) = -(1 -
+    2 omega_1) - b <= 0 and nu_{lam,theta} has no atom (one_step_law).  In
+    floats r is a ratio of at most 1 times a root of at most 1, the min
+    keeping 1 - lam (1 - lam theta)/(1 - theta) = (1 - lam)(1 - theta
+    (1 + lam))/(1 - theta) >= 0 through rounding, so the float b keeps
+    D(-1) <= 0 as well.  At theta = 1/2, b = 0 and no ratio is taken.
+    """
+    w = 1 / (4 * (1 - lam * theta))
+    r = 0 if 2 * theta == 1 else (
+        (1 - 2 * theta)
+        * exact_sqrt(min(lam * (1 - lam * theta) / (1 - theta), 1))
+        / (1 - 2 * lam * theta))
+    b = -(1 - 2 * w) * r
+    return (2 * b if b_variant == "twice" else b), w
+
+
+def _xi_data(lam, a_variant="sqrt"):
+    """Jacobi data (a(lam), 1/2) of P_lambda, a(lam) = xi_shift(lam,
+    a_variant), the 1/2 in the scalar type of lam (float or Fraction)."""
+    return xi_shift(lam, a_variant), lam ** 0 / 2
 
 
 def mu_lambda_theta(p):
@@ -272,31 +347,33 @@ def mu_lambda_theta(p):
     density sqrt((x_+ - x)(x - x_-)) / (2 pi lam theta x (1 - x)).
 
     It is nu_{lam,theta} read back through the map y = (2x - s)/d of
-    nu_map: its edge form is k times that of nu_{lam,theta} at the edge
-    distances k (x - x_-) and k (x_+ - x), k = 2/(x_+ - x_-).  On [-1, 1]
-    the tanh-sinh nodes keep those distances above about 1e-37, however
-    narrow the support, and the poles at 0 and 1 enter only through the
-    closed-form gaps of nu_{lam,theta}, however close the support comes.
+    nu_map: its edge form is k times that of nu_{lam,theta} at
+    y = k (x - x_-) - 1 and the edge distances k (x - x_-) and k (x_+ - x),
+    k = 2/(x_+ - x_-).  On [-1, 1] the tanh-sinh nodes keep those distances
+    above about 1e-37 wherever the edge distances of the nodes of mu itself
+    are normal floats.  Like nu_{lam,theta}, mu has no atom.
     """
     if not isinstance(p, JacobiParams):
         p = JacobiParams(*p)
-    nu_edges, d2 = _nu_theta_edges(p)
     xm, xp = p.x_minus, p.x_plus
     # The support is 4 theta sqrt(lam (1 - theta)(1 - lam theta)) wide: at
     # theta = 1/2 and lam below about 1e-32 it rounds to one float.
     if xm >= xp:
         raise ValueError(f"the support of mu at lam = {p.lam}, theta = "
                          f"{p.theta} collapses to the one float {xm}")
-    # A subnormal d^2 (supports narrower than about 1.5e-154) has lost the
-    # digits of the map's width.
-    if d2 < np.finfo(float).tiny:
-        raise ValueError(f"the scale d^2 of nu_map is subnormal at lam = "
-                         f"{p.lam}, theta = {p.theta}: the support of mu is "
-                         f"{xp - xm:.3g} wide")
+    # Below about 4e-271 the outer nodes lie closer to the edges than the
+    # normal float range reaches, and k times the density of nu there
+    # overflows below about 1e-290.
+    if (xp - xm) * _EDGE_REACH < np.finfo(float).tiny:
+        raise ValueError(f"the support of mu at lam = {p.lam}, theta = "
+                         f"{p.theta} is {xp - xm:.3g} wide: the edge "
+                         f"distances of its quadrature nodes, down to "
+                         f"{_EDGE_REACH:.2g} of that, underflow")
     # k is taken from the float support, not from d: the two widths differ
     # by up to 5e-7 relative at lam <= 1e-16, and with k from the support
     # the nodes map onto [-1, 1] and keep the mass of nu_{lam,theta}.
     k = 2.0 / (xp - xm)
+    nu_edges = _one_step_edges(*_nu_theta_data(p.lam, p.theta))
 
     def dens_edges(x, dlo, dhi):
         ylo = k * dlo
@@ -314,12 +391,12 @@ def nu_lambda(lam):
 def nu_lambda_theta(p):
     """General-theta symmetric image measure on [-1, 1]: the image of
     mu_{lam,theta} under x -> (2x - s)/d, (s, d^2) = nu_map(lam, theta),
-    with density d^2 sqrt(1-x^2) / (2 pi lam theta (s + dx)(2 - s - dx))."""
+    with density d^2 sqrt(1-x^2) / (2 pi lam theta (s + dx)(2 - s - dx)),
+    one_step_law of the data of Q_lambda_theta."""
     if not isinstance(p, JacobiParams):
         p = JacobiParams(*p)
-    dens_edges, _ = _nu_theta_edges(p)
-    return SpectralMeasure((-1.0, 1.0), dens_edges, (),
-                           f"nu[{p.lam},{p.theta}]")
+    return one_step_law(*_nu_theta_data(p.lam, p.theta),
+                        f"nu[{p.lam},{p.theta}]")
 
 
 def nu_map(lam, theta):
@@ -356,24 +433,9 @@ def xi_shift(lam, variant="sqrt"):
 
 def xi_lambda(lam):
     """Shifted arcsine-type measure: density sqrt(1-x^2)/(pi (a^2+1-x^2)) on
-    (-1, 1) plus an atom of weight a/sqrt(a^2+1) at sqrt(a^2+1), a = a(lam)."""
-    a = xi_shift(lam)
-
-    # a^2 + 1 - x^2 = a^2 + (1-x)(1+x): exact at the edges, where a = 0
-    # (lam = 1) turns the law into the arcsine one.
-    def dens_edges(x, dlo, dhi):
-        prod = dlo * dhi
-        return np.sqrt(prod) / (np.pi * (a * a + prod))
-
-    atoms = ()
-    if a > 0.0:
-        # a * a overflows below lam of about 1e-308; hypot keeps the atom
-        # there, while sqrt keeps the floats of every other lam.
-        x = math.sqrt(a * a + 1.0)
-        if x == math.inf:
-            x = math.hypot(a, 1.0)
-        atoms = ((x, a / x),)
-    return SpectralMeasure((-1.0, 1.0), dens_edges, atoms, f"xi[{lam}]")
+    (-1, 1) plus an atom of weight a/sqrt(a^2+1) at sqrt(a^2+1), a = a(lam),
+    one_step_law of the data of P_lambda."""
+    return one_step_law(*_xi_data(lam), f"xi[{lam}]")
 
 
 # -- functionals -------------------------------------------------------------

@@ -22,7 +22,7 @@ from . import errors
 from .errors import PositivityError
 from .measures import _ac_nodes
 from .polys import monic_seq
-from .renorm import u_combination
+from .renorm import _family_data
 
 __all__ = ["JacobiSzego", "stated_params", "extract_from_measure", "monicize"]
 
@@ -46,10 +46,10 @@ class JacobiSzego:
 
 
 def stated_params(family, lam=None, theta=None, n_max=12):
-    """Closed-form Jacobi-Szego parameters of the three polynomial families:
-    the monic recurrence of the combination U_n + beta U_{n-1} + gamma
-    U_{n-2} at the tabulated weights (see ``FAMILIES``), alpha_0 = -beta/2,
-    omega_1 = (1-gamma)/4, every other alpha 0 and every other omega 1/4.
+    """Closed-form Jacobi-Szego parameters of the three polynomial families,
+    read from the family's Jacobi data at the tabulated shift (see
+    ``FAMILIES``): alpha_0 and omega_1 as stated, every other alpha 0 and
+    every other omega 1/4.
 
     Caution: the tabulated Q_lambda_theta shift b is twice the first moment
     of nu_{lam,theta}, so for theta != 1/2 this alpha_0 is NOT the
@@ -57,12 +57,12 @@ def stated_params(family, lam=None, theta=None, n_max=12):
     ...)`` returns alpha_0 = b/2.  The orthogonal family itself is built by
     ``build_Q_lambda_theta`` with its default b_variant="mean".
     """
-    beta, gamma = u_combination(family, lam, theta, b_variant="twice")
+    alpha0, omega1 = _family_data(family, lam, theta, b_variant="twice")
     alpha = np.zeros(n_max + 1)
     omega = np.full(n_max, 0.25)
-    alpha[0] = -beta / 2
+    alpha[0] = alpha0
     if n_max >= 1:
-        omega[0] = (1 - gamma) / 4
+        omega[0] = omega1
     return JacobiSzego(alpha, omega)
 
 

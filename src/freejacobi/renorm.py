@@ -27,9 +27,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import errors
-from .exact import exact_sqrt
-from .measures import (JacobiParams, _ac_nodes, _integrate_ac, _off_support,
-                       _settled_within, nu_lambda_theta, xi_lambda, xi_shift)
+from .measures import (JacobiParams, _ac_nodes, _integrate_ac, _nu_theta_data,
+                       _off_support, _settled_within, _xi_data, one_step_law)
 from .polys import _X, _as_poly, chebyshev_seq
 
 __all__ = [
@@ -215,19 +214,22 @@ def rho_trig_identity_check(u, v):
 #
 # Every family here is a fixed two-step combination of second-kind Chebyshevs,
 #     F_n = U_n + beta U_{n-1} + gamma U_{n-2},
-# i.e. the Taylor coefficients in u of (1 + beta u + gamma u^2)/(1 - 2ux + u^2).
+# i.e. the Taylor coefficients in u of (1 + beta u + gamma u^2)/(1 - 2ux + u^2),
+# whose monic recurrence has alpha_0 = -beta/2 and omega_1 = (1-gamma)/4,
+# then alpha = 0 and omega = 1/4.
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """One entry of FAMILIES: the weights (beta, gamma) of the combination
-    as a function of (lam, theta, a_variant, b_variant), generic over the
-    scalar type (a Fraction lam gives exact weights with an exact square
-    root), the law of its orthogonality measure as a function of
-    (lam, theta), and the theta it is pinned to (None: it reads the theta
-    it is given)."""
+    """One entry of FAMILIES: the monic Jacobi data (alpha_0, omega_1) of
+    the family as a function of (lam, theta, a_variant, b_variant), generic
+    over the scalar type (a Fraction lam gives exact data with an exact
+    square root), the label of its law, and the theta it is pinned to
+    (None: it reads the theta it is given).  The weights (u_combination),
+    the stated parameters (stated_params) and the law (measure) all follow
+    from the data."""
 
-    weights: object
-    law: object
+    data: object
+    label: str
     theta: object = None
 
     def reads(self, theta):
@@ -238,23 +240,12 @@ class Family:
         return theta if self.theta is None else self.theta
 
     def measure(self, lam, theta):
-        """The orthogonality measure at (lam, theta), theta as read."""
-        return self.law(lam, self.reads(theta))
-
-
-def _general_theta_weights(lam, theta, a_variant, b_variant):
-    # b, the first moment of nu_{lam,theta} ("mean") or twice it ("twice",
-    # as tabulated), and c = 1/(2(1 - lam theta)).
-    b = exact_sqrt(lam / ((1 - theta) * (1 - lam * theta))) \
-        * (2 * theta - 1) / 2
-    if b_variant == "twice":
-        b = 2 * b
-    c = 1 / (2 * (1 - lam * theta))
-    return -2 * b, 1 - 2 * c
-
-
-def _nu_theta_law(lam, theta):
-    return nu_lambda_theta(JacobiParams(lam, theta))
+        """The orthogonality measure at (lam, theta), theta as read:
+        one_step_law of the family's data."""
+        theta = self.reads(theta)
+        JacobiParams(lam, theta)
+        return one_step_law(*self.data(lam, theta, "sqrt", "mean"),
+                            self.label.format(lam=lam, theta=theta))
 
 
 # The theta = 1/2 families are pinned there, exactly: one Fraction serves
@@ -262,39 +253,34 @@ def _nu_theta_law(lam, theta):
 # lam * (2.0 - lam) at a float lam.
 _HALF = Fraction(1, 2)
 
-# The three polynomial families.  Q_lambda is Q_lambda_theta at theta = 1/2:
-# the same weights (b = 0 and 1 - 2c = -lam/(2-lam)) and the same law,
-# nu_lambda.  P_lambda's weight is -2 a(lam) with a(lam) = xi_shift(lam) =
+
+def _nu_family_data(lam, theta, a_variant, b_variant):
+    return _nu_theta_data(lam, theta, b_variant)
+
+
+# The three polynomial families, each by its Jacobi data: alpha_0, omega_1,
+# then alpha = 0 and omega = 1/4.  Q_lambda is Q_lambda_theta at
+# theta = 1/2: the same data (b = 0 and omega_1 = 1/(2(2-lam))) and the
+# same law, nu_lambda.  P_lambda's alpha_0 is a(lam) = xi_shift(lam) =
 # (1-lam)/sqrt(lam(2-lam)) (a_variant="sqrt") or the control value
-# (1-lam)/(lam(2-lam)) (a_variant="rational"), and its law is xi_lambda.
-# The tabulated Jacobi-Szego data of each family (``stated_params``) are the
-# recurrence of its combination at the tabulated weights
-# (b_variant="twice"): alpha_0 = -beta/2, omega_1 = (1-gamma)/4, then
-# alpha = 0 and omega = 1/4.
+# (1-lam)/(lam(2-lam)) (a_variant="rational"), its omega_1 is 1/2, and its
+# law is xi_lambda.
 FAMILIES = MappingProxyType({
-    "Q_lambda": Family(_general_theta_weights, _nu_theta_law, _HALF),
+    "Q_lambda": Family(_nu_family_data, "nu[{lam},{theta}]", _HALF),
     "P_lambda": Family(
-        lambda lam, theta, a_variant, b_variant:
-            (-2 * xi_shift(lam, a_variant), -1),
-        lambda lam, theta: xi_lambda(lam), _HALF),
-    "Q_lambda_theta": Family(_general_theta_weights, _nu_theta_law),
+        lambda lam, theta, a_variant, b_variant: _xi_data(lam, a_variant),
+        "xi[{lam}]", _HALF),
+    "Q_lambda_theta": Family(_nu_family_data, "nu[{lam},{theta}]"),
 })
 
 
-def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
-    """Weights (beta, gamma) of the named family's Chebyshev combination.
-
-    family = "Q_lambda_theta": (-2 b,       1 - 2c)
-    family = "Q_lambda":       the same at theta = 1/2, (0, -lam/(2-lam))
-    family = "P_lambda":       (-2 a(lam),  -1)
-
-    with a(lam) per ``xi_shift(lam, a_variant)`` and b, c per
-    ``build_Q_lambda_theta`` (b depends on b_variant).  The theta = 1/2
-    families read theta = 1/2 whatever `theta` is (Family.reads).  This is
-    where the family name, the variants and the parameter domain are
-    checked, the domain by JacobiParams: lam in (0, 1], and for
-    Q_lambda_theta theta in (0, 1/2].
-    """
+def _family_data(family, lam, theta=None, a_variant="sqrt",
+                 b_variant="mean"):
+    """Jacobi data (alpha_0, omega_1) of the named family, after the checks
+    of the family name, the variants and the parameter domain, the domain
+    by JacobiParams: lam in (0, 1], and for Q_lambda_theta theta in
+    (0, 1/2].  The theta = 1/2 families read theta = 1/2 whatever `theta`
+    is (Family.reads)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if a_variant not in ("sqrt", "rational"):
@@ -306,7 +292,24 @@ def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
     if theta is None:
         raise ValueError(f"{family} requires theta")
     JacobiParams(lam, theta)
-    return entry.weights(lam, theta, a_variant, b_variant)
+    return entry.data(lam, theta, a_variant, b_variant)
+
+
+def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
+    """Weights (beta, gamma) = (-2 alpha_0, 1 - 4 omega_1) of the named
+    family's Chebyshev combination, from its Jacobi data:
+
+    family = "Q_lambda_theta": (-2 b,       1 - 2c)
+    family = "Q_lambda":       the same at theta = 1/2, (0, -lam/(2-lam))
+    family = "P_lambda":       (-2 a(lam),  -1)
+
+    with a(lam) per ``xi_shift(lam, a_variant)``, c = 1/(2(1 - lam theta))
+    and b per ``build_Q_lambda_theta`` (b depends on b_variant).  The
+    family name, the variants and the domain are checked as in
+    _family_data.
+    """
+    alpha0, omega1 = _family_data(family, lam, theta, a_variant, b_variant)
+    return -2 * alpha0, 1 - 4 * omega1
 
 
 def family_values(x, degrees, beta, gamma, one=1):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _assert_exact_moments(argv, out, nu_theta_moments):
+    """The table of an accepted `moments` argv against the exact moments:
+    those of the drift's fixed point for mu, of the Jacobi data for
+    nu_theta.  They agree within 1e-13 absolute beyond the table's 12
+    significant digits."""
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    lam, theta = float(opts["--lambda"]), float(opts["--theta"])
+    got = np.array([float(ln.split(",")[1]) for ln in out.splitlines()
+                    if ln[:1].isdigit()])
+    n = got.size - 1
+    if opts["--family"] == "mu":
+        want = [float(m) for m in martingale.stationary_moments(
+            Fraction(lam), Fraction(theta), n)]
+    else:
+        want = nu_theta_moments(lam, theta, n)
+    np.testing.assert_allclose(got, want, rtol=5e-12, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +303,18 @@ def test_verify_fock_passes(capsys):
     assert rep["max_difference"] < rep["tol"]
 
 
+@pytest.mark.parametrize("theta", ["1e-30", "1e-60", "1e-100"])
+def test_verify_fock_mu_at_small_theta(capsys, theta):
+    # The squared norms of mu underflow here: extraction from mu itself
+    # stopped with "lost positivity at index 6 / 3 / 2".  The data come
+    # from nu_theta, mapped by the support of mu; the quadrature moments of
+    # mu stay the other side of the comparison.
+    code, out, _ = run(capsys, "verify", "fock", "--family", "mu",
+                       "--lambda", "0.5", "--theta", theta)
+    assert code == 0
+    assert json.loads(out)["max_difference"] <= 2.3e-16
+
+
 def test_verify_martingale_orthogonal_family_passes(capsys):
     code, out, _ = run(capsys, "verify", "martingale", "--family", "Q_lambda",
                        "--lambda", "0.5", "--nmax", "6")
@@ -384,16 +415,24 @@ def test_empty_input_exit_2(capsys, argv, message):
 
 @pytest.mark.parametrize("argv, message", [
     (("density", "--family", "mu", "--lambda", "1e-300", "--theta", "5e-324"),
-     "2 pi lam theta underflows to 0"),
-    (("density", "--family", "nu_theta", "--lambda", "1e-300",
-      "--theta", "5e-324"), "2 pi lam theta underflows to 0"),
+     "the support of mu at lam = 1e-300, theta = 5e-324 collapses to the "
+     "one float 5e-324"),
+    # Accepted (message None): nu_theta has no normaliser 2 pi lam theta.
+    (("moments", "--family", "nu_theta", "--lambda", "1e-300",
+      "--theta", "5e-324", "--nmax", "6"), None),
     (("verify", "martingale", "--lambda", "1e-300", "--nmax", "3"),
      "the degree-3 residual at lam = 1e-300 exceeds the float range"),
 ])
-def test_extreme_lambda_exit_2(capsys, argv, message):
+def test_extreme_lambda_exit_2(capsys, argv, message, nu_theta_moments):
     # Inputs inside the domain whose results floats cannot carry: each used
     # to end in a traceback (ZeroDivisionError, OverflowError) with exit 1.
+    # 2 pi lam theta underflows to 0 at (1e-300, 5e-324): mu and nu_theta
+    # were refused for it, until their densities stopped reading it.
     code, out, err = run(capsys, *argv)
+    if message is None:
+        assert code == 0 and err == ""
+        _assert_exact_moments(argv, out, nu_theta_moments)
+        return
     assert code == 2
     assert out == ""
     assert message in err
@@ -426,23 +465,24 @@ def test_results_beyond_floats_exit_2(capsys, argv, message):
      "float 0.5000000000000001"),
     (("density", "--family", "mu", "--lambda", "5e-324"),
      "the support of mu at lam = 5e-324, theta = 0.5 collapses"),
-    (("density", "--family", "nu_theta", "--lambda", "1", "--theta", "5e-324"),
-     "the scale d^2 of nu_map underflows to 0 at lam = 1.0, theta = 5e-324"),
-    (("density", "--family", "nu_theta", "--lambda", "0.5",
-      "--theta", "1e-170"),
-     "the scale d^2 of nu_map underflows to 0 at lam = 0.5, theta = 1e-170"),
+    # Accepted (message None): nu_theta was refused where the scale d^2 of
+    # nu_map underflows to 0, and missed its mass check where d^2 is
+    # subnormal (1e-162); its density no longer reads d.
+    (("moments", "--family", "nu_theta", "--lambda", "1", "--theta", "5e-324",
+      "--nmax", "6"), None),
+    (("moments", "--family", "nu_theta", "--lambda", "0.5",
+      "--theta", "1e-170", "--nmax", "6"), None),
     (("verify", "renorm", "--family", "nu_theta", "--lambda", "1",
-      "--theta", "5e-324"), "the scale d^2 of nu_map underflows to 0"),
+      "--theta", "5e-324"), None),
     (("verify", "renorm", "--family", "nu_theta", "--lambda", "0.5",
-      "--theta", "1e-170"), "the scale d^2 of nu_map underflows to 0"),
+      "--theta", "1e-170"), None),
     (("verify", "orthogonality", "--family", "P_lambda",
       "--lambda", "5e-324"),
      "the degree-12 Gram matrix under xi[5e-324] exceeds the float range"),
-    # A subnormal d^2 is not refused: the law misses its mass check.
-    (("density", "--family", "nu_theta", "--lambda", "1",
-      "--theta", "1e-162"), "total mass"),
+    (("moments", "--family", "nu_theta", "--lambda", "1",
+      "--theta", "1e-162", "--nmax", "6"), None),
 ])
-def test_float_edge_names_its_cause(capsys, argv, message):
+def test_float_edge_names_its_cause(capsys, argv, message, nu_theta_moments):
     # Each used to name another cause: "total mass 0.0 is not 1" for the
     # collapsed support of mu, two RuntimeWarnings and "quadrature did not
     # settle" (or a wrong mass) for nu_theta, and a node doubling to the
@@ -450,18 +490,27 @@ def test_float_edge_names_its_cause(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if message is None:
+        assert code == 0 and err == ""
+        if argv[0] == "moments":
+            _assert_exact_moments(argv, out, nu_theta_moments)
+        else:
+            assert json.loads(out)["verdict"] is True
+        return
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("argv, message", [
     (("density", "--family", "mu", "--lambda", "1", "--theta", "5e-324"),
-     "the scale d^2 of nu_map underflows to 0 at lam = 1.0, "
-     "theta = 5e-324"),
+     "the support of mu at lam = 1.0, theta = 5e-324 is 1.98e-323 wide: the "
+     "edge distances of its quadrature nodes, down to 5.8e-38 of that, "
+     "underflow"),
     (("density", "--family", "mu", "--lambda", "0.5", "--theta", "1e-310"),
-     "the scale d^2 of nu_map underflows to 0 at lam = 0.5, "
-     "theta = 1e-310"),
+     "the support of mu at lam = 0.5, theta = 1e-310 is 2.83e-310 wide: the "
+     "edge distances of its quadrature nodes, down to 5.8e-38 of that, "
+     "underflow"),
     (("verify", "fock", "--family", "xi", "--lambda", "1e-300"),
      "the degree-3 Stieltjes sums under xi[1e-300] exceed the float range "
      "at the atom x = 7.07e+149"),
@@ -469,9 +518,9 @@ def test_float_edge_names_its_cause(capsys, argv, message):
 def test_float_overflow_names_its_cause(capsys, argv, message):
     # Each used to print numpy RuntimeWarnings and double its nodes to the
     # budget, then blame the quadrature (mu) or n_max (the Fock extraction):
-    # now stderr is the one error line.  mu reads the density of nu_theta,
-    # so it names the scale d^2 of their map, which underflows where
-    # 2 pi lam theta is subnormal.
+    # now stderr is the one error line.  Where 2 pi lam theta is subnormal,
+    # the support of mu is too, and mu names the edge distances of its
+    # nodes, which underflow.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv)
@@ -483,14 +532,15 @@ def test_float_overflow_names_its_cause(capsys, argv, message):
 @pytest.mark.parametrize("argv, message", [
     (("density", "--family", "mu", "--lambda", "0.9999999999999999",
       "--theta", "1e-300"),
-     "the scale d^2 of nu_map underflows to 0 at "
-     "lam = 0.9999999999999999, theta = 1e-300"),
+     "the support of mu at lam = 0.9999999999999999, theta = 1e-300 is "
+     "4e-300 wide: the edge distances of its quadrature nodes, down to "
+     "5.8e-38 of that, underflow"),
+    # Accepted (message None): the scale d^2 of nu_map is subnormal, and mu
+    # was refused for it; its density no longer reads d.
     (("moments", "--family", "mu", "--lambda", "1", "--theta", "3e-155"),
-     "the scale d^2 of nu_map is subnormal at lam = 1.0, theta = 3e-155: "
-     "the support of mu is 1.2e-154 wide"),
-    (("density", "--family", "mu", "--lambda", "0.5", "--theta", "1e-157"),
-     "the scale d^2 of nu_map is subnormal at lam = 0.5, theta = 1e-157: "
-     "the support of mu is 2.83e-157 wide"),
+     None),
+    (("moments", "--family", "mu", "--lambda", "0.5", "--theta", "1e-157"),
+     None),
     (("verify", "flows", "--lambda", "5e-324", "--theta", "0.5"),
      "the default r = 2 lam theta^2 underflows to 0 at lam = 5e-324, "
      "theta = 0.5"),
@@ -498,19 +548,23 @@ def test_float_overflow_names_its_cause(capsys, argv, message):
      "the bound 4 lam theta^2 of r underflows to 0 at lam = 1.0, "
      "theta = 5e-324"),
 ])
-def test_float_underflow_names_its_cause(capsys, argv, message):
+def test_float_underflow_names_its_cause(capsys, argv, message,
+                                         nu_theta_moments):
     # mu used to print RuntimeWarnings and report that the quadrature did
     # not settle, report a wrong total mass, or print a table, depending on
     # lam; verify flows reported "r = 0.0 outside (0, ...]" for an r that no
-    # option had set.  Now stderr is the one error line.  mu reads the
-    # density of nu_theta through their map, so it names the scale d^2 of
-    # that map: 0, or subnormal, where the map's width has lost its digits.
+    # option had set.  Now stderr is the one error line.  mu names the edge
+    # distances of its quadrature nodes where they underflow.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, *argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if message is None:
+        assert code == 0 and err == ""
+        _assert_exact_moments(argv, out, nu_theta_moments)
+        return
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("argv", [

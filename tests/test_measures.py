@@ -21,6 +21,7 @@ from freejacobi import (
     mu_lambda_theta,
     nu_lambda,
     nu_lambda_theta,
+    one_step_law,
     pushforward_affine,
     stieltjes_invert,
     xi_lambda,
@@ -255,10 +256,80 @@ def test_xi_total_mass_splits(lam):
     assert ac + m.atom_weight() == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("lam, th", [(0.3, 0.2), (0.7, 0.45), (0.99, 0.5)])
+@pytest.mark.parametrize("alpha0, omega1", [
+    (0.0, 0.25), (0.4, 0.3), (-0.3, 0.45), (0.9, 0.3), (-1.2, 0.5),
+    (0.3, 0.8), (0.0, 1.5), (2.0, 0.26),
+    # The zero of D rounds an ulp inside the edge, 0.9999999999999998.
+    (0.4800000000000021, 0.26),
+])
+def test_one_step_law_has_the_moments_of_its_data(alpha0, omega1,
+                                                  jacobi_moments):
+    # The one law of the Jacobi data alpha_0, omega_1, then 0 and 1/4: no
+    # atom, one atom beyond either edge, and for omega_1 > 1/2 one beyond
+    # each edge.  Its moments are those of the recurrence.
+    m = one_step_law(alpha0, omega1)
+    sides = [np.sign(x) for x, _ in m.atoms]
+    want_sides = [s for s in (-1.0, 1.0) if s * alpha0 > 1.0 - 2.0 * omega1]
+    assert sides == want_sides
+    np.testing.assert_allclose(moments(m, 8),
+                               jacobi_moments(alpha0, omega1, 8),
+                               rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("a", [1e-8, 0.3, 1.0, 7.5, -0.3, -40.0])
+def test_one_step_law_atom_at_half_is_a_over_z(a):
+    # At omega_1 = 1/2 the zero of D is sign(a) sqrt(a^2 + 1) and the
+    # weight rule gives |a|/|z| to the bit.
+    z = math.copysign(math.sqrt(a * a + 1.0), a)
+    assert one_step_law(a, 0.5).atoms == ((z, abs(a) / abs(z)),)
+
+
+def test_one_step_law_rejects_nonpositive_omega():
+    for omega1 in (0.0, -0.25, float("nan")):
+        with pytest.raises(ValueError, match="must be positive"):
+            one_step_law(0.0, omega1)
+
+
+# Log-spaced down to 1e-300 and linear up to 1/2.
+_NEAR_ONE_THETAS = np.concatenate([np.geomspace(1e-300, 0.5, 250),
+                                   np.linspace(0.0, 0.5, 251)[1:]])
+
+
+@pytest.mark.parametrize("lam", [1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-12,
+                                 0.99999999])
+def test_nu_theta_and_mu_have_no_atom(lam):
+    # D(-1) = -(1 - 2 omega_1) - b is exactly 0 at lam = 1, and about 1e-16
+    # of either sign with the float b = sqrt(lam/((1 - theta)(1 - lam
+    # theta))) (2 theta - 1)/2: an atom of weight about 1e-16 at
+    # -1.0000000000000002, or a division by zero.  The data of nu_theta
+    # keep D(-1) <= 0 in floats at every theta.
+    for theta in _NEAR_ONE_THETAS:
+        p = JacobiParams(lam, float(theta))
+        assert nu_lambda_theta(p).atoms == (), theta
+        if theta > 1e-250:
+            assert mu_lambda_theta(p).atoms == (), theta
+
+
+@pytest.mark.parametrize("lam", [0.99999999, 1.0 - 1e-12,
+                                 math.nextafter(1.0, 0.0)])
+def test_xi_keeps_its_atom_on_the_edge(lam):
+    # sqrt(1 + a^2) rounds to 1.0: the atom lies on the edge of the a.c.
+    # support, with weight a, and the mass stays 1.
+    a = xi_shift(lam)
+    m = xi_lambda(lam)
+    assert m.atoms == ((1.0, a),)
+    assert abs(m.total_mass() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("lam, th", [
+    (0.3, 0.2), (0.7, 0.45), (0.99, 0.5),
+    (1.0, 0.4), (1.0, 1e-8), (0.5, 1e-3), (1e-8, 0.3),
+])
 def test_densities_match_displayed_forms(lam, th):
-    # Each law writes its density once, in edge form; its density at x is
-    # that form at x - lo and hi - x, and equals the displayed closed form.
+    # Every density is the one edge form of one_step_law (read through the
+    # map of its support for mu); its density at x is that form at x - lo
+    # and hi - x, and equals the displayed closed form, the oracle, also at
+    # lam = 1 and near the small-theta and small-lam edges of the domain.
     p = JacobiParams(lam, th)
     q, a = lam * (2.0 - lam), xi_shift(lam)
     s = 2.0 * th * (1.0 + lam - 2.0 * lam * th)
@@ -295,12 +366,19 @@ def test_lam_outside_domain_keeps_its_message(call, lam):
         call(lam)
 
 
-def test_mu_and_nu_theta_reject_underflowing_normaliser():
+def test_mu_and_nu_theta_reject_underflowing_normaliser(nu_theta_moments):
     # JacobiParams accepts (1e-300, 5e-324), where 2 pi lam theta is 0.
+    # Both laws used to refuse it for that normaliser.  nu_theta, whose
+    # density needs none, now has the moments of its Jacobi data; the
+    # support of mu, about 4 theta sqrt(lam) = 2e-473 wide, is one float.
     p = JacobiParams(1e-300, 5e-324)
-    for law in (mu_lambda_theta, nu_lambda_theta):
-        with pytest.raises(ValueError, match="underflows to 0"):
-            law(p)
+    np.testing.assert_allclose(moments(nu_lambda_theta(p), 6),
+                               nu_theta_moments(p.lam, p.theta, 6),
+                               rtol=0.0, atol=1e-13)
+    with pytest.raises(ValueError, match=(
+            "the support of mu at lam = 1e-300, theta = 5e-324 collapses "
+            "to the one float 5e-324")):
+        mu_lambda_theta(p)
 
 
 @pytest.mark.parametrize("lam", [1e-300, 5e-324, 1e-32])
@@ -316,13 +394,15 @@ def test_mu_rejects_support_of_one_float(lam):
 def test_mu_rejects_overflowing_normaliser(lam, theta):
     # 2 pi lam theta is subnormal but not 0: its reciprocal overflows, and
     # the density used to be NaN at every node, so the quadrature doubled to
-    # its budget and reported that it did not settle.  mu reads the density
-    # of nu_theta, whose scale d^2 underflows to 0 there.
+    # its budget and reported that it did not settle.  The support of mu is
+    # subnormal there, and the edge distances of its outer tanh-sinh nodes
+    # fall below the float range.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=(
-                rf"the scale d\^2 of nu_map underflows to 0 at "
-                rf"lam = {lam}, theta = {theta}")):
+                rf"the support of mu at lam = {lam}, theta = {theta} is "
+                r".* wide: the edge distances of its quadrature nodes, "
+                r"down to 5.8e-38 of that, underflow")):
             mu_lambda_theta(JacobiParams(lam, theta))
 
 
@@ -372,11 +452,15 @@ def test_mu_moments_match_the_drift_on_a_grid():
 
 
 @pytest.mark.parametrize("lam, theta", [(1.0, 5e-324), (0.5, 1e-170)])
-def test_nu_theta_rejects_underflowing_scale(lam, theta):
-    # d^2 = nu_map(lam, theta)[1] underflows to 0: the density used to
-    # divide by zero (or miss its mass) instead of naming the scale.
-    with pytest.raises(ValueError, match=r"d\^2 of nu_map underflows to 0"):
-        nu_lambda_theta(JacobiParams(lam, theta))
+def test_nu_theta_rejects_underflowing_scale(lam, theta, nu_theta_moments):
+    # d^2 = nu_map(lam, theta)[1] underflows to 0, and nu_theta used to
+    # refuse these points for it.  Its density does not read d: it now has
+    # the moments of its Jacobi data.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = moments(nu_lambda_theta(JacobiParams(lam, theta)), 6)
+    np.testing.assert_allclose(got, nu_theta_moments(lam, theta, 6),
+                               rtol=0.0, atol=1e-13)
 
 
 def test_xi_shift_variants():

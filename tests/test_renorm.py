@@ -19,8 +19,10 @@ from freejacobi import (
     moments,
     nu_lambda,
     nu_lambda_theta,
+    one_step_law,
     rho_trig,
     rho_trig_identity_check,
+    stated_params,
     taylor_coeffs_in_u,
     theta_one,
     theta_ratio,
@@ -375,6 +377,29 @@ def test_gram_doubled_shift_breaks_orthogonality():
                                 b_variant="twice")
     g = family_gram(nu_lambda_theta(p), beta, gamma, 4)
     assert _offdiag_max(g) > 1e-3
+
+
+@pytest.mark.parametrize("lam, th, atom", [
+    (1.0, 0.2, (-1.12847, 0.5801)),
+    (0.7, 0.3, (-1.00796, 0.1848)),
+    (0.5, 0.4, None),
+])
+def test_doubled_shift_is_orthogonal_under_its_own_law(lam, th, atom):
+    # Finding 1, made sharper: the tabulated family is orthogonal, but
+    # under one_step_law of its own Jacobi data (2b, c/2), which at
+    # (1, 0.2) and (0.7, 0.3) has an atom left of -1, and not under
+    # nu_theta.
+    beta, gamma = u_combination("Q_lambda_theta", lam, th, b_variant="twice")
+    js = stated_params("Q_lambda_theta", lam=lam, theta=th, n_max=1)
+    own = one_step_law(js.alpha[0], js.omega[0])
+    if atom is None:
+        assert own.atoms == ()
+    else:
+        ((x, w),) = own.atoms
+        assert (x, w) == pytest.approx(atom, abs=5e-5)
+    assert _offdiag_max(family_gram(own, beta, gamma, 12)) <= 1e-12
+    nu = nu_lambda_theta(JacobiParams(lam, th))
+    assert _offdiag_max(family_gram(nu, beta, gamma, 12)) >= 0.1
 
 
 def test_gram_constant_entry_is_mass():
