@@ -16,9 +16,7 @@ The groups:
     moments            `moments` tables on the same grid
     simulate_csv       spectrum and series CSVs of the `simulate` invocations
                        in tests/test_cli.py, and of two larger ones (d = 200
-                       and d = 64) whose Brownian increments are drawn
-                       ahead of the applying thread in batches of one step
-                       and of 16 steps
+                       and d = 64) with paths of 10 and 30 Brownian steps
     simulate_manifest  their manifests, stdout and stderr
     cli_errors         exit code and stderr of the rejected invocations in
                        CLI_ERRORS; an exception that escapes main counts as
@@ -31,6 +29,9 @@ The groups:
                        criterion 3
 
 Each CLI output is hashed together with its argv and exit code.  The
+first line printed, outside the groups, is the OPENBLAS_NUM_THREADS
+setting (`unset` or its value): the simulate bytes depend on the BLAS
+thread count, so compare only fingerprints taken at the same setting.  The
 package is imported from the path, so run the script once per tree:
 
     PYTHONPATH=src python scripts/fingerprint.py > new.txt
@@ -298,6 +299,8 @@ def main(argv=None):
             "cli_errors": cli_errors(tmp, dump),
             "recurrence": recurrence(dump),
         }
+    print(f"{'blas_threads':<18} "
+          f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     for name, g in groups.items():
         print(f"{name:<18} {g.sha.hexdigest()}  {g.count} outputs")
     return 0

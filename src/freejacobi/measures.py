@@ -305,7 +305,12 @@ def _one_step_edges(a, w):
         # lin^2 overflows where a does (xi below lam of about 1e-308), and
         # the density is 0 there.
         with np.errstate(over="ignore"):
-            return v * np.sqrt(prod) / (np.pi * (lin * lin + v * v * prod))
+            den = np.pi * (lin * lin + v * v * prod)
+        # den is 0 only at an edge where lin is 0 too: the inverse-square-
+        # root pole.  [()] keeps a scalar x a scalar.
+        pole = den == 0.0
+        return np.where(pole, np.inf,
+                        v * np.sqrt(prod) / np.where(pole, 1.0, den))[()]
 
     return dens_edges
 

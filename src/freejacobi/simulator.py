@@ -13,17 +13,9 @@ W <- W exp(i sqrt(dt) H) costs p x d by d x d products, applied as a
 Taylor series with a rigorous tail bound (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 2011) instead of an eigendecomposition of H.
 
-A path is a one-deep pipeline: a single worker thread draws the next
-batch of increments into one of two buffers while the calling thread
-applies the batch in the other.  At d = 200 the 2 d^2 normals of a step,
-the assembly of i tau H and its norm bound take about a fifth of the step,
-the products the rest.  The worker alone reads the generator, one batch
-after the other in the order a serial loop reads it, and the increments are
-applied in that order, so every path -- and every spectrum, series and
-artifact computed from it -- is bit for bit that of the serial loop, which
-the tests keep as their reference.  The overlap saves time only where BLAS
-leaves a CPU free for the worker (OpenBLAS pinned to one thread on two
-CPUs, say); when the products already occupy every CPU it saves nothing.
+A path runs on the calling thread: each step draws one increment, bounds
+its norm and applies it, so the generator is read in the path's own order
+and a path starts no thread.
 
 Every sampler takes either an integer seed or a numpy Generator, so trials
 can chain sampling and evolution on one stream; trial i of a sweep uses
@@ -67,10 +59,6 @@ def sample_haar_unitary(d, seed=None):
 # about one digit, whatever dt is (Al-Mohy & Higham 2011).
 _TAIL_TOL = 2.0 ** -53
 _MAX_SUBSTEP_NORM = 4.0
-# The size of one batch of increments drawn ahead: one step at d = 200, 16
-# at d = 64, a whole short path at d = 24, where a batch per step would
-# cost more in thread switches than the overlap saves.
-_HANDOFF_BYTES = 2 ** 20
 
 
 def evolve_unitary_bm(y, dt, steps, seed=None):
@@ -91,13 +79,6 @@ def evolve_unitary_bm(y, dt, steps, seed=None):
     added until that bound is at most 2^-53 ||W||_F.  A step is split into
     s sub-steps with tau ||H||_1 / s <= 4.
 
-    The increments are drawn in batches of about _HANDOFF_BYTES by one
-    worker thread, batch i + 1 into one of two buffers while this thread
-    applies batch i from the other (see the module docstring).  Only the
-    worker reads the generator, and leaves it as a serial loop would; a
-    drawing error is re-raised here, and the worker is joined on every
-    exit.
-
     The exponential map keeps the rows orthonormal, and the e^{-t/2} decay
     of the normalized trace is not inserted by hand: it emerges from the
     second-order term of the exponential, which is the discrete analog of
@@ -114,53 +95,35 @@ def evolve_unitary_bm(y, dt, steps, seed=None):
         raise ValueError("y must be a finite k x d block")
     d = w.shape[1]
     rng = np.random.default_rng(seed)
-    if steps == 0:
-        return w
-    # Imported here, so that only a path pays for it (about 8 ms).
-    from concurrent.futures import ThreadPoolExecutor
-
-    batch = max(1, min(steps, _HANDOFF_BYTES // (16 * d * d)))
-    # Batch i of the path is drawn into bufs[i % 2].
-    bufs = [np.empty((batch, d, d), dtype=complex)
-            for _ in range(min(2, -(-steps // batch)))]
-    with ThreadPoolExecutor(1, "evolve_unitary_bm-draws") as worker:
-        pending = worker.submit(_draw_increments, rng, dt, bufs[0][:steps])
-        for i, start in enumerate(range(batch, steps + batch, batch)):
-            norms = pending.result()
-            if start < steps:       # batch i + 1, drawn while i is applied
-                pending = worker.submit(_draw_increments, rng, dt,
-                                        bufs[(i + 1) % 2][:steps - start])
-            for x, (rho, substeps) in zip(bufs[i % 2], norms):
-                for _ in range(substeps):
-                    w = _taylor_action(w, x, rho)
+    # One scratch for the normals and one for the increment, for the path.
+    g = np.empty((2, d, d))
+    x = np.empty((d, d), dtype=complex)
+    for _ in range(steps):
+        rho, substeps = _draw_increments(rng, dt, g, x)
+        for _ in range(substeps):
+            w = _taylor_action(w, x, rho)
     return w
 
 
-def _draw_increments(rng, dt, xs):
-    """Fills each (d, d) slice of `xs`, in order, with the next increment
-    x = i tau H / s of a path drawn from `rng`, and returns the (rho, s) of
-    each, rho >= ||x||_2."""
-    d = xs.shape[-1]
+def _draw_increments(rng, dt, g, x):
+    """Fills the (d, d) `x` with the next increment x = i tau H / s of a
+    path drawn from `rng`, through the (2, d, d) normal scratch `g`, and
+    returns (rho, s), rho >= ||x||_2."""
+    # The same stream as rng.standard_normal((2, d, d)).
+    rng.standard_normal(out=g)
     # x = i tau H for H = (A + A*) / sqrt(4 d), A = G_re + i G_im: its real
     # part is the antisymmetric G_im^T - G_im, its imaginary part the
     # symmetric G_re + G_re^T, both times tau / sqrt(4 d).
-    scale = math.sqrt(dt) / math.sqrt(4.0 * d)
-    g = np.empty((2, d, d))
-    norms = []
-    for x in xs:
-        # The same stream as rng.standard_normal((2, d, d)).
-        rng.standard_normal(out=g)
-        g_re, g_im = g
-        np.subtract(g_im.T, g_im, out=x.real)
-        np.add(g_re, g_re.T, out=x.imag)
-        x *= scale
-        rho = float(np.abs(x).sum(axis=0).max())   # tau ||H||_1
-        substeps = max(1, math.ceil(rho / _MAX_SUBSTEP_NORM))
-        if substeps > 1:
-            x /= substeps
-            rho /= substeps
-        norms.append((rho, substeps))
-    return norms
+    g_re, g_im = g
+    np.subtract(g_im.T, g_im, out=x.real)
+    np.add(g_re, g_re.T, out=x.imag)
+    x *= math.sqrt(dt) / math.sqrt(4.0 * x.shape[0])
+    rho = float(np.abs(x).sum(axis=0).max())   # tau ||H||_1
+    substeps = max(1, math.ceil(rho / _MAX_SUBSTEP_NORM))
+    if substeps > 1:
+        x /= substeps
+        rho /= substeps
+    return rho, substeps
 
 
 def _taylor_action(w, x, rho):
@@ -191,10 +154,7 @@ class MatrixProcessState:
     rng_seed: object = None
 
     def __post_init__(self):
-        if not 1 <= self.p_rank <= self.q_rank <= self.d:
-            raise ValueError(
-                f"need 1 <= p = {self.p_rank} <= q = {self.q_rank} "
-                f"<= d = {self.d}")
+        _check_ranks(self.p_rank, self.q_rank, self.d)
         u = self.U
         if np.max(np.abs(u.conj().T @ u - np.eye(self.d))) > 1e-10:
             raise ValueError("U is not unitary to 1e-10")
@@ -208,11 +168,20 @@ def make_state(lam, theta, d, seed=None):
     """Fresh state at time zero: U Haar, ranks p = round(lam theta d)
     and q = round(theta d).  Rounding shifts the parameters by O(1/d), so
     oracle measures should be built from realized_params(), not (lam, theta).
+    d and the ranks are checked before U is sampled.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     p = int(round(lam * theta * d))
     q = int(round(theta * d))
+    _check_ranks(p, q, d)
     u = sample_haar_unitary(d, seed)
     return MatrixProcessState(d, p, q, u, seed)
+
+
+def _check_ranks(p, q, d):
+    if not 1 <= p <= q <= d:
+        raise ValueError(f"need 1 <= p = {p} <= q = {q} <= d = {d}")
 
 
 def jacobi_spectrum(state, w=None):
@@ -292,7 +261,8 @@ def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
     Trial i draws its state and then its Brownian steps
     from default_rng([seed, i]), and the spectra at t and at every series
     time are read off that one path.  (lam, theta) must lie in the domain
-    that JacobiParams states; make_state itself samples any ranks.
+    that JacobiParams states; make_state itself takes any (lam, theta)
+    whose rounded ranks satisfy 1 <= p <= q <= d.
     """
     JacobiParams(lam, theta)
     if n < 0:

@@ -43,10 +43,10 @@ def eigh_bm_reference():
 
 
 def _serial_bm_reference(y, dt, steps, seed=None):
-    """freejacobi.evolve_unitary_bm as one serial loop on the calling thread:
-    draw, assemble and apply each increment in turn.  The reference its
-    two-thread form must equal bit for bit, with the generator left in the
-    same state."""
+    """freejacobi.evolve_unitary_bm written out as one plain loop: draw,
+    assemble and apply each increment in turn.  The reference the library's
+    form must equal bit for bit, with the generator left in the same
+    state."""
     w = np.array(y, dtype=complex)
     d = w.shape[1]
     rng = np.random.default_rng(seed)

@@ -5,8 +5,10 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from fractions import Fraction
@@ -778,6 +780,74 @@ def test_simulate_rejects_input_before_sampling(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("d, message", [
+    ("2", "need 1 <= p = 0 <= q = 1 <= d = 2"),
+    ("1", "need 1 <= p = 0 <= q = 0 <= d = 1"),
+])
+def test_simulate_checks_ranks_before_sampling(tmp_path, capsys, monkeypatch,
+                                               d, message):
+    # Ranks that round to 0 used to be refused only after a Haar unitary
+    # had been drawn.
+    def refuse(*args):
+        raise AssertionError("a unitary was sampled")
+
+    monkeypatch.setattr("freejacobi.simulator.sample_haar_unitary", refuse)
+    code, out, err = run(capsys, "simulate", "--lambda", "0.5", "--d", d,
+                         "--trials", "3", "--out", str(tmp_path / "r"))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_PARAMS, _PARAMS, st.integers(-1, 16), st.integers(-1, 3),
+       st.integers(-1, 4), st.integers(-1, 12))
+@example(0.5, 0.5, 16, 3, 2, 12)
+@example(1.0, 0.5, 2, 1, 0, 1)
+@example(math.nextafter(1.0, 0.0), 0.5, 2, 2, 1, 2)
+def test_simulate_exit_0_or_2(lam, theta, d, trials, n, bins):
+    # Every run either writes its artifacts and exits 0, or is refused with
+    # exit code 2 and one error line before any unitary is sampled; numpy
+    # warns about nothing either way.
+    from freejacobi import simulator
+
+    sample, sampled = simulator.sample_haar_unitary, []
+
+    def counting(*args, **kwargs):
+        sampled.append(args)
+        return sample(*args, **kwargs)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "sample_haar_unitary", counting)
+        base = os.path.join(tmp, "run")
+        code, out, err, runtime = _run_quietly(
+            ["simulate", "--lambda", repr(lam), "--theta", repr(theta),
+             "--d", str(d), "--trials", str(trials), "--n", str(n),
+             "--bins", str(bins), "--t", "0.02", "--times", "0,0.02",
+             "--seed", "7", "--out", base])
+        assert not runtime, [str(w.message) for w in runtime]
+        assert code in (0, 2), err
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert sampled == [] and os.listdir(tmp) == []
+            return
+        assert len(sampled) == trials
+        with open(base + "_manifest.json") as fh:
+            man = json.load(fh)
+        assert man["files"] == [base + "_spectrum.csv", base + "_series.csv"]
+        with open(base + "_spectrum.csv") as fh:
+            counts = [int(r[2]) for r in csv.reader(fh)
+                      if r and not r[0].startswith(("#", "bin_"))]
+        assert len(counts) == bins
+        assert sum(counts) == man["p_rank"] * trials
+        with open(base + "_series.csv") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        assert len(rows) == 3 and all(math.isfinite(float(v))
+                                      for r in rows[1:] for v in r)
+
+
 def test_simulate_notes_theta_rescaling(tmp_path, capsys):
     base = str(tmp_path / "th")
     common = ("simulate", "--lambda", "0.5", "--d", "20", "--trials", "2")
@@ -844,8 +914,8 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_concurrent_futures():
-    # Only a Brownian path needs the drawing worker, so its executor module
-    # is imported there and not on the way to any other subcommand.
+    # No subcommand needs an executor: the package starts no thread of its
+    # own.
     probe = ("import sys, freejacobi.cli; "
              "print('concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,

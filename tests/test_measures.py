@@ -499,6 +499,21 @@ def test_edge_density_finite_even_if_x_rounds_onto_endpoint():
     assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
 
 
+def test_density_at_an_edge_pole_is_inf():
+    # At an edge where the density has its inverse-square-root pole the
+    # edge form is 0/0; it returns +inf there, without a RuntimeWarning,
+    # and 0 at an edge without a pole.
+    poles = [(nu_lambda(1.0), [-1.0, 1.0]), (xi_lambda(1.0), [-1.0, 1.0])]
+    mu = mu_lambda_theta(JacobiParams(1.0, 0.5))
+    poles.append((mu, list(mu.support)))
+    for m, xs in poles:
+        assert np.all(m.density(xs) == np.inf), m.label
+    assert nu_lambda_theta(JacobiParams(1.0, 0.3)).density(-1.0) == np.inf
+    np.testing.assert_array_equal(nu_lambda(0.5).density([-1.0, 1.0]), 0.0)
+    # A scalar stays a scalar.
+    assert isinstance(nu_lambda(0.5).density(0.3), np.float64)
+
+
 # ---------------------------------------------------------------------------
 # Moments
 

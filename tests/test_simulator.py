@@ -116,9 +116,8 @@ def test_evolution_trace_decay():
     assert np.mean(vals) == pytest.approx(np.exp(-t / 2.0), abs=0.05)
 
 
-# The serial loop equals the two-thread evolution bit for bit at every
-# handoff size: one step per handoff at d = 200, 16 at d = 64, the whole path
-# at d <= 24; dt = 100 takes many sub-steps per step.
+# The evolution equals the serial loop bit for bit, from d = 1 to d = 200
+# and from one step to 41; dt = 100 takes many sub-steps per step.
 _SERIAL_CASES = [(d, steps, p, dt)
                  for d in (1, 8, 24, 64, 200)
                  for steps in (1, 3, 41)
@@ -139,8 +138,7 @@ def test_evolution_equals_serial_loop(d, steps, p, dt, serial_bm_reference):
 
 @pytest.mark.parametrize("d, steps", [(200, 3), (64, 41), (8, 41)])
 def test_evolution_joins_its_worker(d, steps):
-    # Three batches of one step, three of 16, 16 and 9, and one batch: the
-    # drawing worker is gone when the call returns.
+    # No thread is left behind when the call returns.
     before = threading.active_count()
     w = sample_haar_unitary(d, seed=1)[:2]
     evolve_unitary_bm(w, 1e-2, steps, seed=3)
@@ -156,6 +154,21 @@ def test_evolution_zero_steps_draws_nothing(monkeypatch):
     w = sample_haar_unitary(8, seed=1)[:3]
     assert evolve_unitary_bm(w, 1e-2, 0, rng).tobytes() == w.tobytes()
     assert rng.bit_generator.state == before and drawn == []
+
+
+def test_evolution_starts_no_thread(monkeypatch):
+    # A path and a whole run draw and apply every increment on the calling
+    # thread.
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    w = evolve_unitary_bm(sample_haar_unitary(200, seed=1)[:100], 1e-2, 3,
+                          seed=3)
+    assert w.shape == (100, 200)
+    spectra, series, _ = simulate_trials(0.5, 0.5, 24, 2, t=0.05,
+                                         times=(0.0, 0.05), seed=4)
+    assert len(spectra) == 2 and len(series) == 2
 
 
 class _FailingDraws(np.random.Generator):
@@ -174,8 +187,8 @@ class _FailingDraws(np.random.Generator):
 
 @pytest.mark.parametrize("d, fail_at", [(200, 2), (8, 0), (64, 20)])
 def test_evolution_reraises_a_drawing_error(d, fail_at):
-    # d = 200: the error comes after two steps were handed over; d = 8: in
-    # the only handoff; d = 64: in the second handoff of 16 steps.
+    # d = 200: the error comes after two steps were applied; d = 8: in the
+    # first draw; d = 64: in the 21st.
     before = threading.active_count()
     w = sample_haar_unitary(d, seed=1)[:2]
     with pytest.raises(FloatingPointError, match=f"draw {fail_at} failed"):
@@ -186,8 +199,8 @@ def test_evolution_reraises_a_drawing_error(d, fail_at):
 @pytest.mark.parametrize("d, fail_at", [(200, 1), (8, 0), (64, 20)])
 def test_evolution_stops_drawing_on_an_applying_error(monkeypatch, d,
                                                       fail_at):
-    # The drawing thread is waiting for a free buffer or still drawing when
-    # the applying thread fails; it must stop and be joined either way.
+    # The error of an applied step ends the path, and no thread is left
+    # behind.
     from freejacobi import simulator
     calls, taylor = [], simulator._taylor_action
 
@@ -206,8 +219,8 @@ def test_evolution_stops_drawing_on_an_applying_error(monkeypatch, d,
 
 
 def test_evolution_from_concurrent_callers(serial_bm_reference):
-    # More callers than CPUs, each with its own drawing thread, under a
-    # short switch interval: every path still equals its serial loop.
+    # More callers than CPUs under a short switch interval: every path
+    # still equals its serial loop.
     w0 = sample_haar_unitary(64, seed=2)[:5]
     results = {}
 
@@ -240,7 +253,7 @@ def test_drift_sigmas():
 
 def test_simulate_artifacts_byte_identical_at_d200(tmp_path, capsys,
                                                    monkeypatch):
-    # One handoff per step: the artifacts of one seed repeat byte for byte.
+    # At d = 200 the artifacts of one seed repeat byte for byte.
     # Each run writes under the same relative name, so the file names in
     # the manifests agree too.
     args = ("simulate", "--lambda", "0.5", "--d", "200", "--trials", "2",
