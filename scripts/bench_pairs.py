@@ -8,7 +8,9 @@ settings, so only the benchmarked ``src/`` differs.  Every run's metrics,
 each side's median and quartiles, and per metric the number of pairs the
 change won (by the ``better`` direction in BENCHMARK.json) go to the
 ``--out`` JSON file, under the key ``<workload>/trace<N>``; entries for
-other workloads already in the file are kept.  Run from the repository
+other workloads already in the file are kept, with an ``environment``
+block: the CPU count, the Python and numpy versions and
+``OPENBLAS_NUM_THREADS`` (``unset`` when absent).  Run from the repository
 root:
 
     python scripts/bench_pairs.py --workload cli_cold --seeds 1-10 \\
@@ -18,7 +20,10 @@ The base defaults to HEAD, so the pairs measure the uncommitted change.
 """
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -71,6 +76,15 @@ def better_directions():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"]
             for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def environment():
+    """What the runs' speed depends on besides the code."""
+    return {"cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS",
+                                                   "unset")}
 
 
 def summarize(runs, better):
@@ -148,6 +162,7 @@ def main(argv=None):
         "workload": args.workload, "seconds": args.seconds,
         "trace": args.trace, "base_commit": sha,
         "change": f"working tree on {sha}",
+        "environment": environment(),
         "quartiles": "statistics.quantiles(method='inclusive')",
         "runs": runs, "summary": summary, "change_wins": wins,
     }

@@ -16,10 +16,9 @@ from .measures import (JacobiParams, SpectralMeasure, cauchy_closed_form_mu,
                        nu_lambda, nu_lambda_theta, one_step_law,
                        pushforward_affine, stieltjes_invert, xi_lambda,
                        xi_shift)
-from .polys import (Poly, chebyshev_T, chebyshev_U, chebyshev_U_ext,
-                    eval_three_term, taylor_coeffs_in_u)
-from .recurrence import (JacobiSzego, extract_from_measure, monicize,
-                         stated_params)
+from .polys import (Poly, chebyshev_T, chebyshev_U, eval_three_term,
+                    taylor_coeffs_in_u)
+from .recurrence import JacobiSzego, extract_from_measure, stated_params
 from .renorm import (RenormKernel, build_P_lambda, build_Q_lambda,
                      build_Q_lambda_theta, certify_product_dependence,
                      family_gram, rho_trig, rho_trig_identity_check,
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "PositivityError",
-    "Poly", "chebyshev_T", "chebyshev_U", "chebyshev_U_ext",
+    "Poly", "chebyshev_T", "chebyshev_U",
     "eval_three_term", "taylor_coeffs_in_u",
     "JacobiParams", "SpectralMeasure", "mu_lambda_theta", "nu_lambda",
     "nu_lambda_theta", "one_step_law", "xi_lambda", "xi_shift", "moments",
@@ -43,7 +42,7 @@ __all__ = [
     "certify_product_dependence", "rho_trig_identity_check",
     "u_combination", "family_gram",
     "build_P_lambda", "build_Q_lambda", "build_Q_lambda_theta",
-    "JacobiSzego", "stated_params", "extract_from_measure", "monicize",
+    "JacobiSzego", "stated_params", "extract_from_measure",
     "FockSpace", "build_fock", "vacuum_moments",
     "DriftModel", "drift", "martingale_residual", "martingale_residuals",
     "FlowConstants",

@@ -12,6 +12,7 @@ and seed, every output file is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -280,6 +281,10 @@ def _add_common(p):
                    help="output path (default: stdout)")
 
 
+# Built once per process: in-process callers (the benchmark, scripts, the
+# CLI tests) would otherwise pay for it on every call.  Parsing leaves no
+# state on the parser.
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="freejacobi",

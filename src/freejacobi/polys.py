@@ -20,7 +20,6 @@ __all__ = [
     "Poly",
     "chebyshev_T",
     "chebyshev_U",
-    "chebyshev_U_ext",
     "eval_three_term",
     "taylor_coeffs_in_u",
 ]
@@ -111,16 +110,9 @@ _X = Poly([0.0, 1.0])
 
 def chebyshev_U(n):
     """Second-kind Chebyshev polynomial U_n via 2x*U_n = U_{n+1} + U_{n-1};
-    n >= 0 (see chebyshev_U_ext for the U_{-1} = U_{-2} = 0 convention)."""
+    n >= 0.  The families continue U_n to n = -1, -2 by 0 (see
+    renorm.family_values)."""
     return _as_poly(chebyshev_seq(_X, operator.index(n))[-1])
-
-
-def chebyshev_U_ext(n):
-    """chebyshev_U extended by the convention U_{-1} = U_{-2} = 0."""
-    n = operator.index(n)
-    if n in (-1, -2):
-        return Poly([0.0])
-    return chebyshev_U(n)
 
 
 def chebyshev_T(n):

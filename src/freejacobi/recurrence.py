@@ -24,7 +24,7 @@ from .measures import _ac_nodes
 from .polys import monic_seq
 from .renorm import _family_data
 
-__all__ = ["JacobiSzego", "stated_params", "extract_from_measure", "monicize"]
+__all__ = ["JacobiSzego", "stated_params", "extract_from_measure"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,19 +134,3 @@ def extract_from_measure(m, n_max, tol=1e-10):
         compute, settled, 64, 32768,
         f"recurrence coefficients did not settle to {tol} by 32768 nodes; "
         f"n_max = {n_max} may exceed double-precision reach for this measure"))
-
-
-def monicize(polys):
-    """Divide each polynomial by its leading coefficient.
-
-    Returns (monic list, array of the removed leading scales).
-    """
-    monic = []
-    scales = []
-    for p in polys:
-        s = p.leading
-        if s == 0.0:
-            raise ValueError("cannot monicize the zero polynomial")
-        scales.append(s)
-        monic.append(p * (1.0 / s))
-    return monic, np.asarray(scales)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from freejacobi.exact import exact_sqrt
-from freejacobi.simulator import _MAX_SUBSTEP_NORM, _taylor_action
+from freejacobi.simulator import _MAX_SUBSTEP_NORM, _retract
 
 # Reproducible CI: fixed derandomized search, no per-example deadline (the
 # quadrature-backed properties have very uneven call times).
@@ -19,22 +19,55 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("ci")
 
 
+def _gaussian_hermitian(rng, d):
+    """H = (A + A*) / sqrt(4 d) for A = G_re + i G_im, on the draws of one
+    step of freejacobi.evolve_unitary_bm."""
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (a + a.conj().T) / math.sqrt(4.0 * d)
+
+
 def _eigh_bm_reference(y, dt, steps, seed):
-    """The Brownian step by eigendecomposition: Y <- Y V diag(e^{i tau w}) V*
-    for H = V diag(w) V*, on the same Gaussian draws as
-    freejacobi.evolve_unitary_bm.  The reference its Taylor action is
-    compared against."""
+    """The library's Brownian step by an independent route: for
+    H = V diag(w) V*, the cubic T_3(z) = 1 + z + z^2/2 + z^3/6 at the
+    eigenvalues z = i tau w / s, applied through V, and after each of the s
+    sub-steps the rows orthonormalised by Cholesky (M M* = L L*, rows
+    L^-1 M), on the same Gaussian draws and sub-step count as
+    freejacobi.evolve_unitary_bm.  The reference its step is compared
+    against."""
     y = np.array(y, dtype=complex)
     d = y.shape[1]
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     root_dt = math.sqrt(dt)
     for _ in range(steps):
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = (a + a.conj().T) / math.sqrt(4.0 * d)
+        h = _gaussian_hermitian(rng, d)
+        rho = root_dt * float(np.abs(h).sum(axis=0).max())
+        substeps = max(1, math.ceil(rho / _MAX_SUBSTEP_NORM))
         w, v = np.linalg.eigh(h)
+        z = 1j * root_dt * w / substeps
+        t3 = (v * (1.0 + z + z * z / 2.0 + z ** 3 / 6.0)) @ v.conj().T
+        for _ in range(substeps):
+            m = y @ t3
+            y = np.linalg.solve(np.linalg.cholesky(m @ m.conj().T), m)
+    return y
+
+
+def _exp_bm_reference(y, dt, steps, seed):
+    """The exact unitary Brownian step: Y <- Y V diag(e^{i tau w}) V* for
+    H = V diag(w) V*, on the same Gaussian draws as
+    freejacobi.evolve_unitary_bm.  The path its cubic step stays near."""
+    y = np.array(y, dtype=complex)
+    d = y.shape[1]
+    rng = np.random.default_rng(seed)
+    root_dt = math.sqrt(dt)
+    for _ in range(steps):
+        w, v = np.linalg.eigh(_gaussian_hermitian(rng, d))
         y = y @ (v * np.exp(1j * root_dt * w)) @ v.conj().T
     return y
+
+
+@pytest.fixture
+def exp_bm_reference():
+    return _exp_bm_reference
 
 
 @pytest.fixture
@@ -61,9 +94,8 @@ def _serial_bm_reference(y, dt, steps, seed=None):
         substeps = max(1, math.ceil(rho / _MAX_SUBSTEP_NORM))
         if substeps > 1:
             x /= substeps
-            rho /= substeps
         for _ in range(substeps):
-            w = _taylor_action(w, x, rho)
+            w = _retract(w, x)
     return w
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freejacobi import jacobi_spectrum, make_state, martingale
+from freejacobi import cli, jacobi_spectrum, make_state, martingale
 from freejacobi.cli import REPORT_SCHEMA, main
 
 
@@ -679,8 +679,8 @@ def test_simulate_byte_deterministic(tmp_path, capsys):
 
 def test_simulate_evolved_spectra(tmp_path, capsys, monkeypatch,
                                   eigh_bm_reference):
-    # --t > 0 evolves the p observed rows; the spectra must be those of the
-    # full d x d path evolved by eigendecomposition on the same stream.
+    # --t > 0 evolves the p observed rows; the spectra must be those of all
+    # d rows of U Y evolved by eigendecomposition on the same stream.
     seen = []
 
     def recording(state, w=None):
@@ -710,8 +710,8 @@ def test_simulate_evolved_spectra(tmp_path, capsys, monkeypatch,
     for i, vals in enumerate(seen[:3]):
         rng = np.random.default_rng([4, i])
         state = make_state(0.5, 0.5, 24, rng)
-        y = eigh_bm_reference(np.eye(24, dtype=complex), 1e-2, 20, rng)
-        c = (state.U @ y)[:state.p_rank, :state.q_rank]
+        y = eigh_bm_reference(state.U, 1e-2, 20, rng)
+        c = y[:state.p_rank, :state.q_rank]
         want = np.linalg.eigvalsh(c @ c.conj().T)
         assert np.max(np.abs(vals - want)) <= 1e-12
 
@@ -898,6 +898,26 @@ def test_malformed_seed_environment(tmp_path, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err == "error: FJL_SEED = 'abc' is not an integer\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_reused_parser_gives_fresh_outputs(capsys):
+    # The parser is built once per process; a usage error and then two
+    # different subcommands in this process print what three fresh
+    # processes print.
+    calls = [("density", "--lambda"),
+             ("density", "--family", "xi", "--lambda", "0.5",
+              "--npoints", "4"),
+             ("moments", "--family", "nu", "--lambda", "0.8", "--nmax", "4")]
+    with pytest.raises(SystemExit) as exc:
+        main(list(calls[0]))
+    got = [(exc.value.code, *capsys.readouterr())]
+    got += [run(capsys, *argv) for argv in calls[1:]]
+    fresh = [subprocess.run([sys.executable, "-m", "freejacobi.cli", *argv],
+                            capture_output=True, text=True)
+             for argv in calls]
+    assert [g[0] for g in got] == [2, 0, 0]
+    assert got == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert cli._build_parser() is cli._build_parser()
 
 
 # ---------------------------------------------------------------------------

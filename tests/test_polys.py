@@ -13,13 +13,13 @@ from freejacobi import (
     Poly,
     chebyshev_T,
     chebyshev_U,
-    chebyshev_U_ext,
     eval_three_term,
     taylor_coeffs_in_u,
 )
 from freejacobi.errors import refine
 from freejacobi.exact import ONE, X
 from freejacobi.polys import chebyshev_seq, monic_seq
+from helpers import chebyshev_U_ext
 
 coeff_lists = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False),

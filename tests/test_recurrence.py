@@ -18,7 +18,6 @@ from freejacobi import (
     chebyshev_U,
     eval_three_term,
     extract_from_measure,
-    monicize,
     moments,
     mu_lambda_theta,
     nu_lambda,
@@ -32,6 +31,7 @@ from freejacobi.martingale import stationary_moments
 from freejacobi.measures import nu_map
 from freejacobi import recurrence
 from freejacobi.recurrence import _stieltjes
+from helpers import monicize
 
 
 # ---------------------------------------------------------------------------

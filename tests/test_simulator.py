@@ -89,13 +89,45 @@ def test_evolution_rejects_bad_step_before_drawing(dt, steps, message):
 @pytest.mark.parametrize("dt", [1e-2, 1.0, 100.0])
 def test_evolution_matches_eigh_reference(p, dt, eigh_bm_reference):
     # dt = 100 takes many sub-steps per step; the row block must still be
-    # the first p rows of the exactly evolved unitary.
+    # the cubic step taken through the eigendecomposition of each H.
     w0 = sample_haar_unitary(40, seed=4)[:p]
     got = evolve_unitary_bm(w0, dt, 3, seed=8)
     want = eigh_bm_reference(w0, dt, 3, seed=8)
     assert got.shape == (p, 40)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.max(np.abs(got @ got.conj().T - np.eye(p))) <= 1e-12
+
+
+@pytest.mark.parametrize("lam, theta", [(0.5, 0.5), (1.0, 0.5), (0.5, 0.3)])
+@pytest.mark.parametrize("seed", range(5))
+def test_evolution_stays_near_the_exponential(lam, theta, seed,
+                                              exp_bm_reference):
+    # The cubic step leaves the exact exponential's path by O(dt^2) per
+    # step: over 40 steps at dt = 1e-2 and d = 64 the rows moved by at most
+    # 3.2e-5 and the compression's eigenvalues by 2.0e-5 over these seeds.
+    d, dt, steps = 64, 1e-2, 40
+    state = make_state(lam, theta, d, seed)
+    w0 = state.U[:state.p_rank]
+    got = evolve_unitary_bm(w0, dt, steps, seed=[seed, 1])
+    want = exp_bm_reference(w0, dt, steps, np.random.default_rng([seed, 1]))
+    assert np.max(np.abs(got - want)) <= 1e-4
+    assert np.max(np.abs(jacobi_spectrum(state, got)
+                         - jacobi_spectrum(state, want))) <= 5e-5
+
+
+@pytest.mark.parametrize("p", [3, 8])
+def test_evolution_keeps_rows_orthonormal_over_long_paths(p):
+    # Each step re-orthonormalises, so roundoff does not build up.
+    w = evolve_unitary_bm(sample_haar_unitary(8, seed=6)[:p], 1e-2, 5000,
+                          seed=7)
+    assert np.max(np.abs(w @ w.conj().T - np.eye(p))) <= 1e-14
+
+
+def test_evolution_rejects_more_rows_than_columns():
+    # Such rows cannot be orthonormal, and their QR would return a d x d
+    # block.
+    with pytest.raises(ValueError, match="k <= d"):
+        evolve_unitary_bm(np.ones((3, 2), dtype=complex), 1e-2, 1)
 
 
 def test_evolution_rejects_non_finite_block():
@@ -202,15 +234,15 @@ def test_evolution_stops_drawing_on_an_applying_error(monkeypatch, d,
     # The error of an applied step ends the path, and no thread is left
     # behind.
     from freejacobi import simulator
-    calls, taylor = [], simulator._taylor_action
+    calls, retract = [], simulator._retract
 
-    def failing(w, x, rho):
+    def failing(w, x):
         if len(calls) == fail_at:
             raise FloatingPointError(f"step {fail_at} failed")
-        calls.append(rho)
-        return taylor(w, x, rho)
+        calls.append(x)
+        return retract(w, x)
 
-    monkeypatch.setattr(simulator, "_taylor_action", failing)
+    monkeypatch.setattr(simulator, "_retract", failing)
     before = threading.active_count()
     w = sample_haar_unitary(d, seed=1)[:2]
     with pytest.raises(FloatingPointError, match=f"step {fail_at} failed"):
@@ -368,8 +400,11 @@ def test_trace_series_deterministic_and_shaped():
 
 
 def test_trace_series_matches_eigh_reference(eigh_bm_reference):
-    # The series evolves U[:p] Y; the reference evolves the full d x d Y by
-    # eigendecomposition on the same stream and compresses (U Y)[:p, :q].
+    # The series evolves U[:p] Y; the reference evolves all d rows of U Y
+    # by eigendecomposition on the same stream and compresses (U Y)[:p, :q].
+    # The rows are orthonormalised in order, so the first p of them are the
+    # series' block; the rows of Y alone would not be, as the
+    # orthonormalisation does not commute with U.
     lam, n, d, times, dt = 0.5, 2, 24, [0.0, 0.1, 0.25], 1e-2
     got = trace_martingale_series(lam, n, times, trials=3, d=d, seed=5)
     beta, gamma = u_combination("P_lambda", lam)
@@ -377,12 +412,12 @@ def test_trace_series_matches_eigh_reference(eigh_bm_reference):
     for i in range(3):
         rng = np.random.default_rng([5, i])
         s = make_state(lam, 0.5, d, rng)
-        y, t_now, row = np.eye(d, dtype=complex), 0.0, []
+        y, t_now, row = s.U, 0.0, []
         for t in times:
             steps = int(round((t - t_now) / dt))
             y = eigh_bm_reference(y, dt, steps, rng)
             t_now += steps * dt
-            c = (s.U @ y)[:s.p_rank, :s.q_rank]
+            c = y[:s.p_rank, :s.q_rank]
             x = (2.0 * np.linalg.eigvalsh(c @ c.conj().T) - 1.0) \
                 / np.sqrt(lam * (2.0 - lam))
             (f_n,) = family_values(x, [n], beta, gamma, np.ones_like(x))
