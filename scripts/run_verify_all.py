@@ -3,8 +3,9 @@
 
 Each row is one CLI invocation (`freejacobi verify <suite> ...`); the JSON
 report is written to a temp directory and read back for the headline number.
-Both martingale families and both flow normalizer variants are swept, so the
-table shows directly which stated forms hold and which fail.  Exit status is
+Both martingale families, both flow normalizer variants and the Fock
+realization of all four measure families are swept, so the table shows
+directly which stated forms hold and which fail.  Exit status is
 the worst code seen (0 all pass, 1 violation, 2 usage/numerical error),
 which makes the sweep usable as a CI gate for the passing configurations.
 """
@@ -72,6 +73,10 @@ def main(argv=None):
                     ("renorm xi", ["verify", "renorm",
                                    "--family", "xi"] + base),
                     ("fock mu", ["verify", "fock"] + base),
+                    ("fock nu", ["verify", "fock", "--family", "nu"] + base),
+                    ("fock nu_theta", ["verify", "fock",
+                                       "--family", "nu_theta"] + base),
+                    ("fock xi", ["verify", "fock", "--family", "xi"] + base),
                     ("martingale Q", ["verify", "martingale",
                                       "--family", "Q_lambda"] + base),
                     ("martingale P", ["verify", "martingale",

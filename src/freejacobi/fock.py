@@ -3,11 +3,12 @@
 Levels Phi_0, Phi_1, ..., Phi_{dim-1} carry the weighted inner product
 <Phi_n, Phi_n> = lambda_n = omega_1 * ... * omega_n (lambda_0 = 1).  The
 creation operator raises a level, the annihilation operator lowers with
-weight omega, and the shift operator multiplies level n by alpha_n.  In the
-orthonormalized basis their sum is the symmetric tridiagonal matrix with
-diagonal alpha_n and off-diagonal sqrt(omega_n); its (0, 0) matrix-power
-entries are exactly the moments of the underlying measure, which is the
-moment equivalence checked by the test suite.
+weight omega, and the shift operator multiplies level n by alpha_n.  The
+vacuum moments of their sum, <Phi_0, (a+ + a + alpha_N)^k Phi_0>, are
+exactly the moments of the underlying measure, which is the moment
+equivalence checked by the test suite.  They are computed on the level
+basis itself, with no square root, so exact (rational) Jacobi data give
+exact moments.
 """
 
 from __future__ import annotations
@@ -48,15 +49,6 @@ class FockSpace:
         """alpha_N: Phi_n -> alpha_n Phi_n."""
         return np.diag(self.js.alpha[: self.dim])
 
-    def jacobi_matrix(self):
-        """Symmetric tridiagonal form of a+ + a + alpha_N (orthonormal basis)."""
-        t = np.diag(self.js.alpha[: self.dim]).astype(float)
-        rt = np.sqrt(self.js.omega[: self.dim - 1])
-        idx = np.arange(self.dim - 1)
-        t[idx + 1, idx] = rt
-        t[idx, idx + 1] = rt
-        return t
-
 
 def build_fock(js, dim):
     """Fock data of depth dim over the given recurrence coefficients."""
@@ -71,9 +63,14 @@ def build_fock(js, dim):
 
 
 def vacuum_moments(f, n_max):
-    """Vacuum moments m_k = <Phi_0, (a+ + a + alpha_N)^k Phi_0>, k <= n_max,
-    computed as iterated matrix-vector products of the symmetric tridiagonal
-    matrix on the first basis vector.
+    """Vacuum moments m_k = <Phi_0, (a+ + a + alpha_N)^k Phi_0>, k <= n_max:
+    the level-0 coordinate of a walk on the level basis that starts at
+    Phi_0 and at each step sends the coordinates v to
+
+        v_i <- v_{i-1} + alpha_i v_i + omega_{i+1} v_{i+1}.
+
+    No square root is taken, so the moments have the scalar type of the
+    recurrence data: Fractions give exact moments, as object arrays.
 
     A k-step nearest-neighbor walk from level 0 that returns to level 0
     reaches at most level k/2, so dim >= n_max/2 + 1 guarantees the
@@ -85,12 +82,14 @@ def vacuum_moments(f, n_max):
         raise ValueError(
             f"dim = {f.dim} too small for n_max = {n_max}; "
             f"need at least {n_max // 2 + 1}")
-    t = f.jacobi_matrix()
-    u = np.zeros(f.dim)
-    u[0] = 1.0
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    for k in range(1, n_max + 1):
-        u = t @ u
-        out[k] = u[0]
-    return out
+    alpha, omega = f.js.alpha[: f.dim], f.js.omega[: f.dim - 1]
+    v = np.zeros(f.dim, dtype=np.result_type(alpha, omega))
+    v[0] = 1
+    out = [v[0]]
+    for _ in range(n_max):
+        w = alpha * v
+        w[1:] += v[:-1]
+        w[:-1] += omega * v[1:]
+        v = w
+        out.append(v[0])
+    return np.array(out, dtype=v.dtype)

@@ -445,12 +445,12 @@ def xi_lambda(lam):
 
 # -- functionals -------------------------------------------------------------
 
-def moments(m, n_max, tol=1e-10):
+def moments(m, n_max):
     """Moments m_0..m_{n_max} including atom contributions.
 
-    Signals ConvergenceError if one node doubling still moves any moment by
-    more than tol (absolute), and ValueError if a moment exceeds the float
-    range.
+    Signals ConvergenceError if one node doubling still moves a moment by
+    1e-10 max(1, max_k |m_k|) or more, and ValueError if a moment exceeds
+    the float range.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -459,7 +459,7 @@ def moments(m, n_max, tol=1e-10):
     def powers(x):
         return x[None, :] ** ks[:, None]
 
-    ac = _integrate_ac(m, powers, tol=tol)
+    ac = _integrate_ac(m, powers, tol=1e-10)
     with np.errstate(over="ignore"):
         for x, w in m.atoms:
             ac = ac + w * np.float64(x) ** ks
@@ -487,20 +487,20 @@ def _off_support(m, z):
     return z
 
 
-def cauchy_transform(m, z, tol=1e-12):
+def cauchy_transform(m, z):
     """G(z) = int (z - x)^{-1} dm(x) for z off the support.
 
-    Works close to the support as long as node doubling resolves the kernel
-    peak, and signals ConvergenceError once the node budget cannot (inside
-    the support at a distance of about 1e-9, say).  Rejects z exactly on the
-    a.c. interval or on an atom.
+    Works close to the support as long as node doubling (settling to 1e-12)
+    resolves the kernel peak, and signals ConvergenceError once the node
+    budget cannot (inside the support at a distance of about 1e-9, say).
+    Rejects z exactly on the a.c. interval or on an atom.
     """
     z = _off_support(m, z)
 
     def kern(x):
         return 1.0 / (z - x)
 
-    val = complex(_integrate_ac(m, kern, tol=tol))
+    val = complex(_integrate_ac(m, kern, tol=1e-12))
     for x, w in m.atoms:
         val += w / (z - x)
     return val

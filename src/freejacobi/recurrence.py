@@ -20,7 +20,7 @@ import numpy as np
 
 from . import errors
 from .errors import PositivityError
-from .measures import _ac_nodes
+from .measures import _ac_nodes, _sin_nodes
 from .polys import monic_seq
 from .renorm import _family_data
 
@@ -30,15 +30,19 @@ __all__ = ["JacobiSzego", "stated_params", "extract_from_measure"]
 @dataclass(frozen=True, eq=False)
 class JacobiSzego:
     """Recurrence data; alpha[k] is the shift of index k and omega[k] the
-    weight of (1-based) index k+1, so omega[0] = omega_1."""
+    weight of (1-based) index k+1, so omega[0] = omega_1.  Object arrays
+    (Fractions, Quads) are kept exact; any other input is made float."""
 
     alpha: np.ndarray
     omega: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        if np.any(self.omega <= 0.0):
+        for name in ("alpha", "omega"):
+            v = np.asarray(getattr(self, name))
+            object.__setattr__(self, name, v if v.dtype == object
+                               else v.astype(float, copy=False))
+        # At their float values: a Quad has no order.
+        if np.any(self.omega.astype(float, copy=False) <= 0.0):
             raise ValueError("all recurrence weights omega must be positive")
 
     def n_levels(self):
@@ -90,21 +94,36 @@ def _stieltjes(x, one, inner, n_max):
     return np.asarray(alpha), np.asarray(omega)
 
 
-def extract_from_measure(m, n_max, tol=1e-10):
+def extract_from_measure(m, n_max):
     """Jacobi-Szego parameters (alpha_0..alpha_{n_max}, omega_1..omega_{n_max})
     of a spectral measure, via the Stieltjes procedure on the tanh-sinh
     discretization of the a.c. part (atoms join as exact point masses).
 
-    The discretization doubles from 64 nodes until the coefficients settle
-    to tol; ConvergenceError is raised otherwise, PositivityError if
-    orthogonality collapses (quadrature exhaustion at large n_max).
+    The procedure runs on the image of m on [-1, 1], whatever the place and
+    width of its support: the a.c. nodes are those of the node rule on
+    [-1, 1] (for a law on [-1, 1] the very nodes it keeps), each with m's
+    own weight, and an atom a sits at (a - c)/h, where c and h are the centre
+    and half-width of the support ((0, 1) for a single point).  Nodes are
+    never mapped from the rounded x of m: where h << |c| that loses their
+    precision.  The data map back as alpha = c + h alpha' and
+    omega = h^2 omega'; ValueError names the law if h^2 omega' underflows
+    to 0.
+
+    The discretization doubles from 64 nodes until the coefficients of the
+    image settle to 1e-10; ConvergenceError is raised otherwise,
+    PositivityError if orthogonality collapses (quadrature exhaustion at
+    large n_max).
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    tol = 1e-10
+    lo, hi = m.support
+    c, h = (0.5 * (lo + hi), 0.5 * (hi - lo)) if hi > lo else (0.0, 1.0)
 
     def compute(n):
-        x_ac, w_ac = _ac_nodes(m, n)
-        xs = np.concatenate([x_ac, [a for a, _ in m.atoms]])
+        _, w_ac = _ac_nodes(m, n)
+        x_ac = _sin_nodes(-1.0, 1.0, n)[0] if w_ac.size else w_ac
+        xs = np.concatenate([x_ac, [(a - c) / h for a, _ in m.atoms]])
         ws = np.concatenate([w_ac, [w for _, w in m.atoms]])
         degree = itertools.count()
 
@@ -130,7 +149,13 @@ def extract_from_measure(m, n_max, tol=1e-10):
         return max(np.max(np.abs(cur[0] - prev[0])),
                    np.max(np.abs(cur[1] - prev[1])) if n_max else 0.0) < tol
 
-    return JacobiSzego(*errors.refine(
+    alpha, omega = errors.refine(
         compute, settled, 64, 32768,
         f"recurrence coefficients did not settle to {tol} by 32768 nodes; "
-        f"n_max = {n_max} may exceed double-precision reach for this measure"))
+        f"n_max = {n_max} may exceed double-precision reach for this measure")
+    omega = h * h * omega
+    if not omega.all():
+        raise ValueError(
+            f"the recurrence weights of {m.label or 'the measure'} underflow "
+            f"to 0: its support is {hi - lo:.3g} wide")
+    return JacobiSzego(c + h * alpha, omega)

@@ -1,11 +1,21 @@
-"""Polynomial helpers that only the tests use: Chebyshev U at the negative
-degrees of a recurrence's boundary, and monic scaling of a family."""
+"""Helpers that only the tests use: Chebyshev U at the negative degrees of
+a recurrence's boundary, monic scaling of a family, and the closed-form
+Jacobi data of the stationary law."""
 
 import operator
+from fractions import Fraction
 
 import numpy as np
 
 from freejacobi import Poly, chebyshev_U
+from freejacobi.measures import nu_map
+
+# Rational (lam, theta) with theta != 1/2, lam = 1 and a small theta among
+# them.
+EXACT_POINTS = tuple(
+    (Fraction(lam), Fraction(theta)) for lam, theta in (
+        ("1/2", "2/5"), ("7/10", "3/10"), ("1/4", "1/10"), ("1", "2/5"),
+        ("3/10", "9/20"), ("1", "1/1000")))
 
 
 def chebyshev_U_ext(n):
@@ -30,3 +40,15 @@ def monicize(polys):
         scales.append(s)
         monic.append(p * (1.0 / s))
     return monic, np.asarray(scales)
+
+
+def closed_jacobi(lam, theta, n):
+    """Closed-form recurrence of mu_{lam,theta}: nu_{lam,theta}'s (alpha_0 =
+    2 lam theta (2 theta - 1)/d, its first moment, omega_1 = c/2, then
+    alpha = 0 and omega = 1/4) mapped by x = (s + d y)/2, with
+    (s, d^2) = nu_map and c = 1/(2(1 - lam theta))."""
+    s, d2 = nu_map(lam, theta)
+    c = 1 / (2 * (1 - lam * theta))
+    alpha = [(s + 2 * lam * theta * (2 * theta - 1)) / 2] + [s / 2] * n
+    omega = [d2 * c / 8] + [d2 / 16] * (n - 1)
+    return alpha, omega

@@ -307,14 +307,35 @@ def test_verify_fock_passes(capsys):
 
 @pytest.mark.parametrize("theta", ["1e-30", "1e-60", "1e-100"])
 def test_verify_fock_mu_at_small_theta(capsys, theta):
-    # The squared norms of mu underflow here: extraction from mu itself
-    # stopped with "lost positivity at index 6 / 3 / 2".  The data come
-    # from nu_theta, mapped by the support of mu; the quadrature moments of
-    # mu stay the other side of the comparison.
+    # The squared norms of mu underflow here: extraction on its own support
+    # stopped with "lost positivity at index 6 / 3 / 2".  The Stieltjes
+    # procedure now runs on the [-1, 1] image of mu and maps the data back.
     code, out, _ = run(capsys, "verify", "fock", "--family", "mu",
                        "--lambda", "0.5", "--theta", theta)
     assert code == 0
     assert json.loads(out)["max_difference"] <= 2.3e-16
+
+
+@pytest.mark.parametrize("theta", ["0.5", "0.3"])
+@pytest.mark.parametrize("lam", ["1e-16", "1e-20"])
+def test_verify_fock_mu_on_a_narrow_support(capsys, lam, theta):
+    # The support of mu is about 1e-8 and 1e-10 wide here: nodes mapped
+    # from its rounded x onto [-1, 1] lose their precision, and the
+    # extraction did not settle by 32768 nodes.
+    code, _, _ = run(capsys, "verify", "fock", "--family", "mu",
+                     "--lambda", lam, "--theta", theta)
+    assert code == 0
+
+
+@pytest.mark.parametrize("lam", ["0.02", "0.01", "1e-4"])
+def test_verify_fock_xi_at_small_lambda(capsys, lam):
+    # The moments of xi reach 1e10 and more: compared absolutely, their
+    # roundoff failed the 1e-8 tolerance (3.05e-5 at lam = 0.02, 0.109 at
+    # 0.01).  Each difference is relative to max(1, |m_k|).
+    code, out, _ = run(capsys, "verify", "fock", "--family", "xi",
+                       "--lambda", lam)
+    assert code == 0
+    assert json.loads(out)["max_difference"] < 1e-14
 
 
 def test_verify_martingale_orthogonal_family_passes(capsys):

@@ -1,5 +1,7 @@
 """Tridiagonal vacuum-moment realization over recurrence coefficients."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,8 @@ from freejacobi import (
     xi_lambda,
 )
 from freejacobi.exact import nu_even_moment
+from freejacobi.martingale import stationary_moments
+from helpers import EXACT_POINTS, closed_jacobi
 
 small_js = st.builds(
     JacobiSzego,
@@ -76,16 +80,6 @@ def test_creation_annihilation_adjoint_in_weighted_product(js):
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_jacobi_matrix_structure():
-    f = build_fock(demo_js(), 4)
-    t = f.jacobi_matrix()
-    np.testing.assert_allclose(t, t.T)
-    np.testing.assert_allclose(np.diag(t), demo_js().alpha)
-    np.testing.assert_allclose(np.diag(t, 1), np.sqrt(demo_js().omega))
-    # strictly tridiagonal
-    assert np.all(np.triu(t, 2) == 0.0) and np.all(np.tril(t, -2) == 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Vacuum moments
 
@@ -116,12 +110,22 @@ def test_vacuum_moments_match_exact_symmetric_moments():
     js = stated_params("Q_lambda", lam=lam, n_max=8)
     f = build_fock(js, 7)
     got = vacuum_moments(f, 12)
-    from fractions import Fraction
-
     for k in range(13):
         want = (float(nu_even_moment(Fraction(1, 2), k // 2))
                 if k % 2 == 0 else 0.0)
         assert got[k] == pytest.approx(want, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "lam, theta", EXACT_POINTS + ((Fraction(0.7), Fraction(0.3)),),
+    ids=[f"{lam}-{theta}" for lam, theta in EXACT_POINTS] + ["float-0.7-0.3"])
+def test_exact_fock_certificate(lam, theta):
+    # The walk takes no square root, so over the rational Jacobi data of mu
+    # its vacuum moments are exactly the drift's stationary moments.
+    k_max = 24
+    js = JacobiSzego(*closed_jacobi(lam, theta, k_max // 2))
+    got = vacuum_moments(build_fock(js, k_max // 2 + 1), k_max)
+    assert got.tolist() == stationary_moments(lam, theta, k_max)
 
 
 def test_vacuum_moments_match_quadrature_across_measures():

@@ -28,10 +28,9 @@ from freejacobi import (
 )
 from freejacobi.exact import ONE, X, mu_half_moments
 from freejacobi.martingale import stationary_moments
-from freejacobi.measures import nu_map
 from freejacobi import recurrence
 from freejacobi.recurrence import _stieltjes
-from helpers import monicize
+from helpers import EXACT_POINTS, closed_jacobi, monicize
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +175,6 @@ def test_extracted_params_evaluate_like_built_family():
 # ---------------------------------------------------------------------------
 # Exact Stieltjes procedure on the drift's moments
 
-# Rational (lam, theta) with theta != 1/2, lam = 1 and a small theta among
-# them.
-EXACT_POINTS = tuple(
-    (Fraction(lam), Fraction(theta)) for lam, theta in (
-        ("1/2", "2/5"), ("7/10", "3/10"), ("1/4", "1/10"), ("1", "2/5"),
-        ("3/10", "9/20"), ("1", "1/1000")))
-
-
 def _exact_jacobi(m, n):
     """alpha_0..alpha_n, omega_1..omega_n of the moment sequence m (at
     least 2n + 2 moments), by the Stieltjes procedure in the exact ring."""
@@ -191,18 +182,6 @@ def _exact_jacobi(m, n):
         return sum(c * m[j] for j, c in enumerate(q.coef))
 
     return _stieltjes(X, ONE, lambda p: (moment(p * p), moment(X * p * p)), n)
-
-
-def _closed_jacobi(lam, theta, n):
-    """Closed-form recurrence of mu_{lam,theta}: nu_{lam,theta}'s (alpha_0 =
-    2 lam theta (2 theta - 1)/d, its first moment, omega_1 = c/2, then
-    alpha = 0 and omega = 1/4) mapped by x = (s + d y)/2, with
-    (s, d^2) = nu_map and c = 1/(2(1 - lam theta))."""
-    s, d2 = nu_map(lam, theta)
-    c = 1 / (2 * (1 - lam * theta))
-    alpha = [(s + 2 * lam * theta * (2 * theta - 1)) / 2] + [s / 2] * n
-    omega = [d2 * c / 8] + [d2 / 16] * (n - 1)
-    return alpha, omega
 
 
 def test_exact_stieltjes_on_drift_moments_equals_closed_form():
@@ -214,11 +193,11 @@ def test_exact_stieltjes_on_drift_moments_equals_closed_form():
     for lam, theta in EXACT_POINTS:
         m = stationary_moments(lam, theta, 2 * n + 2)
         alpha, omega = _exact_jacobi(m, n)
-        assert (list(alpha), list(omega)) == _closed_jacobi(lam, theta, n)
+        assert (list(alpha), list(omega)) == closed_jacobi(lam, theta, n)
     half = Fraction(1, 2)
     for lam in (half, Fraction(1, 3), Fraction(1), Fraction(1, 1000)):
         alpha, omega = _exact_jacobi(mu_half_moments(lam, 2 * n + 2), n)
-        assert (list(alpha), list(omega)) == _closed_jacobi(lam, half, n)
+        assert (list(alpha), list(omega)) == closed_jacobi(lam, half, n)
 
 
 def test_float_extraction_matches_exact_jacobi_data():
@@ -226,11 +205,33 @@ def test_float_extraction_matches_exact_jacobi_data():
     for lam, theta in ((0.5, 0.4), (1.0, 0.001), (0.3, 0.45), (0.7, 0.5)):
         m = mu_lambda_theta(JacobiParams(lam, theta))
         js = extract_from_measure(m, 12)
-        alpha, omega = _closed_jacobi(Fraction(lam), Fraction(theta), 12)
+        alpha, omega = closed_jacobi(Fraction(lam), Fraction(theta), 12)
         np.testing.assert_allclose(js.alpha, np.array(alpha, dtype=float),
                                    rtol=0, atol=1e-14)
         np.testing.assert_allclose(js.omega, np.array(omega, dtype=float),
                                    rtol=1e-14)
+
+
+@pytest.mark.parametrize("theta", [1e-30, 1e-60, 1e-100])
+def test_extraction_of_mu_at_small_theta(theta):
+    # The squared norms of mu itself, about (theta sqrt(lam))^(2k), underflow
+    # here: extraction on its own support stopped with "lost positivity at
+    # index 6 / 3 / 2".  On the [-1, 1] image they stay of order 4^-k.
+    js = extract_from_measure(mu_lambda_theta(JacobiParams(0.5, theta)), 12)
+    alpha, omega = closed_jacobi(Fraction(0.5), Fraction(theta), 12)
+    np.testing.assert_allclose(js.alpha, np.array(alpha, dtype=float),
+                               rtol=1e-14, atol=0)
+    np.testing.assert_allclose(js.omega, np.array(omega, dtype=float),
+                               rtol=1e-14, atol=0)
+
+
+def test_extraction_names_underflowing_weights():
+    # Where the support of mu is about 3e-200 wide, h^2 omega' is below the
+    # float range.
+    with pytest.raises(ValueError, match=(
+            r"^the recurrence weights of mu\[0\.5,1e-200\] underflow to 0: "
+            r"its support is 2\.83e-200 wide$")):
+        extract_from_measure(mu_lambda_theta(JacobiParams(0.5, 1e-200)), 4)
 
 
 def test_exact_stieltjes_reports_lost_positivity():
