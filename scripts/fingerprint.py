@@ -27,6 +27,13 @@ The groups:
                        at the pairs of CRITERION_LAMS x CRITERION_THETAS;
                        n = 10 as in criterion 2, and n = 8 for mu as in
                        criterion 3
+    families           the coefficients of every build_* member to degree
+                       FAMILY_DEGREE (both variants of P_lambda and of
+                       Q_lambda_theta), and the float family_values to that
+                       degree at the 64 first-pass nodes and the atoms of
+                       the laws of acceptance criterion 1: nu and xi at
+                       lambda in CRITERION_LAMS, nu_theta at their pairs
+                       with CRITERION_THETAS; all by float.hex
 
 Each CLI output is hashed together with its argv and exit code.  The
 first line printed, outside the groups, is the OPENBLAS_NUM_THREADS
@@ -57,11 +64,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import run_verify_all
-from freejacobi import (JacobiParams, extract_from_measure, mu_lambda_theta,
-                        nu_lambda, nu_lambda_theta, xi_lambda)
+from freejacobi import (JacobiParams, build_P_lambda, build_Q_lambda,
+                        build_Q_lambda_theta, extract_from_measure,
+                        mu_lambda_theta, nu_lambda, nu_lambda_theta, xi_lambda)
 from freejacobi.cli import main as fj_main
 from freejacobi.martingale import martingale_residuals
+from freejacobi.measures import _ac_nodes
+from freejacobi.polys import family_values
+from freejacobi.renorm import FAMILIES, _family_data
 
 RESIDUAL_LAMS = (0.25, 0.3, 0.5, 0.7, 0.99, 1.0)
 RESIDUAL_DEGREES = (1, 2, 5, 9, 15)
@@ -73,6 +86,8 @@ TABLE_FAMILIES = ("mu", "nu", "nu_theta", "xi")
 # The grid of acceptance criteria 2 and 3; every pair lies in the domain.
 CRITERION_LAMS = (0.3, 0.6, 1.0)
 CRITERION_THETAS = (0.3, 0.4, 0.5)
+# The degree of criterion 1's Gram matrices.
+FAMILY_DEGREE = 12
 # The invocations of tests/test_cli.py that write artifacts, each with the
 # seed it runs at, then the two larger runs.
 SIMULATE_RUNS = (
@@ -275,6 +290,37 @@ def recurrence(dump):
     return g
 
 
+def families(dump):
+    g = Group("families", dump)
+    degrees = range(FAMILY_DEGREE + 1)
+
+    def add(name, rows):
+        for n, row in zip(degrees, rows):
+            g.add(name, n, " ".join(float(c).hex() for c in row))
+
+    laws = []
+    for lam in CRITERION_LAMS:
+        add(f"build Q_lambda {lam.hex()}",
+            [build_Q_lambda(lam, n).coeffs for n in degrees])
+        for a in ("sqrt", "rational"):
+            add(f"build P_lambda {a} {lam.hex()}",
+                [build_P_lambda(lam, n, a).coeffs for n in degrees])
+        laws += [("Q_lambda", lam, None), ("P_lambda", lam, None)]
+        for theta in CRITERION_THETAS:
+            p = JacobiParams(lam, theta)
+            for b in ("mean", "twice"):
+                add(f"build Q_lambda_theta {b} {lam.hex()} {theta.hex()}",
+                    [build_Q_lambda_theta(p, n, b).coeffs for n in degrees])
+            laws.append(("Q_lambda_theta", lam, theta))
+    for family, lam, theta in laws:
+        m = FAMILIES[family].measure(lam, theta)
+        x = np.concatenate([_ac_nodes(m, 64)[0], [a for a, _ in m.atoms]])
+        data = _family_data(family, lam, theta)
+        add(f"values {family} {lam.hex()} {theta and theta.hex()}",
+            family_values(x, degrees, *data, np.ones_like(x)))
+    return g
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -298,6 +344,7 @@ def main(argv=None):
             "simulate_manifest": manifests,
             "cli_errors": cli_errors(tmp, dump),
             "recurrence": recurrence(dump),
+            "families": families(dump),
         }
     print(f"{'blas_threads':<18} "
           f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")

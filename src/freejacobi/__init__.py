@@ -7,10 +7,9 @@ random-matrix Monte Carlo counterpart."""
 
 from .errors import ConvergenceError, PositivityError
 from .fock import FockSpace, build_fock, vacuum_moments
-from .martingale import (DriftModel, FlowConstants, cauchy_mu_half, drift,
-                         flow_K, flow_K_ode_residual, flow_Z,
-                         flow_Z_ode_residual, martingale_residual,
-                         martingale_residuals)
+from .martingale import (FlowConstants, cauchy_mu_half, flow_K,
+                         flow_K_ode_residual, flow_Z, flow_Z_ode_residual,
+                         martingale_residual, martingale_residuals)
 from .measures import (JacobiParams, SpectralMeasure, cauchy_closed_form_mu,
                        cauchy_transform, cdf_grid, moments, mu_lambda_theta,
                        nu_lambda, nu_lambda_theta, one_step_law,
@@ -44,7 +43,7 @@ __all__ = [
     "build_P_lambda", "build_Q_lambda", "build_Q_lambda_theta",
     "JacobiSzego", "stated_params", "extract_from_measure",
     "FockSpace", "build_fock", "vacuum_moments",
-    "DriftModel", "drift", "martingale_residual", "martingale_residuals",
+    "martingale_residual", "martingale_residuals",
     "FlowConstants",
     "flow_Z", "flow_Z_ode_residual", "flow_K", "flow_K_ode_residual",
     "cauchy_mu_half",

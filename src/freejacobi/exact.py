@@ -17,7 +17,7 @@ round, so equal ring elements give equal floats.  Two limits of numpy's
 object support, which Poly does not share: ``Polynomial / Quad`` raises
 (multiply by the reciprocal), and calling such a polynomial on a ring
 element raises over Quad coefficients and rounds to floats over integer ones
-(evaluate by a recurrence such as ``polys.chebyshev_seq`` instead).
+(evaluate by the recurrence ``polys.monic_seq`` instead).
 
 Moments of the stationary law at theta = 1/2 are exact rationals because the
 Catalan generating function sum_k C_k w^k = (1 - sqrt(1-4w))/(2w) evaluates

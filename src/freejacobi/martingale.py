@@ -7,7 +7,7 @@ residual of that identity is evaluated in exact arithmetic over Q(d), d the
 scale of the affine map (2x - s)/d onto nu_{lam,theta}: composed
 coefficients reach ~4^n, so at n = 15 float64 cancellation noise sits near
 1e-2 -- far above any 1e-9-scale verdict.  One drift formula serves every
-path: a matrix of model scalars (floats for drift(), exact rationals for the
+path: a matrix of model scalars (floats, or exact rationals for the
 residuals), whose columns also give the stationary moments as the fixed
 point E_mu[drift(x^n)] = 0, at every theta.
 
@@ -31,63 +31,26 @@ import numpy as np
 
 from .exact import ONE, X, exact_sqrt
 from .measures import JacobiParams, cauchy_closed_form_mu, nu_map
-from .polys import Poly, _as_poly
-from .renorm import FAMILIES, family_values, u_combination
+from .polys import family_values
+from .renorm import FAMILIES, _family_data
 
 __all__ = [
-    "DriftModel", "drift", "stationary_moments", "martingale_residual",
-    "martingale_residuals", "FlowConstants", "flow_Z", "flow_Z_ode_residual",
-    "flow_K", "flow_K_ode_residual", "cauchy_mu_half",
+    "stationary_moments", "martingale_residual", "martingale_residuals",
+    "FlowConstants", "flow_Z", "flow_Z_ode_residual", "flow_K",
+    "flow_K_ode_residual", "cauchy_mu_half",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class DriftModel:
-    """Stationary drift data: parameters plus moments m_k of the stationary
-    law.  The drift of x^n consumes m_0 .. m_n, so `m` bounds the degree of
-    polynomials the model can transport."""
-
-    params: JacobiParams
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        object.__setattr__(self, "m", m)
-        if m.size < 2:
-            raise ValueError("need at least m_0 and m_1")
-        if abs(m[0] - 1.0) > 1e-9:
-            raise ValueError(f"m_0 = {m[0]}, expected 1")
-        if abs(m[1] - self.params.theta) > 1e-7:
-            raise ValueError(
-                f"m_1 = {m[1]}, expected theta = {self.params.theta}")
-
-    @classmethod
-    def from_params(cls, params, n_max=32):
-        return cls(params, stationary_moments(params.lam, params.theta, n_max))
-
-
-def drift(dm, p):
-    """Finite-variation part of p under the stationary dynamics.
-
-    Acts linearly; on the monomial x^n (n >= 1),
-
-        n th (1-lam) x^{n-1} - n x^n
-          + lam th sum_{l=1}^{n} [m_{n-l} + 2(l-1)(m_{n-l} - m_{n-l+1})] x^{l-1}
-
-    and constants are annihilated.  Degree never increases.
-    """
-    p = _as_poly(p)
-    if p.degree >= dm.m.size:
-        raise ValueError(f"degree {p.degree} needs moments up to "
-                         f"m_{p.degree}, model holds {dm.m.size - 1}")
-    c = p.coeffs
-    cols = _drift_columns(dm.params.lam, dm.params.theta, dm.m, c.size - 1)
-    return Poly(_apply(cols, c))
-
-
 def _drift_column(lam, th, m, n):
-    # Column n >= 1 of the monomial action documented on drift(): the
-    # coefficients D[0..n][n] of drift(x^n), generic over the scalar type
+    # Column n >= 1 of the drift's monomial action: the coefficients
+    # D[0..n][n] of
+    #
+    #   drift(x^n) = n th (1-lam) x^{n-1} - n x^n
+    #     + lam th sum_{l=1}^{n} [m_{n-l} + 2(l-1)(m_{n-l} - m_{n-l+1})]
+    #                            x^{l-1},
+    #
+    # the finite-variation part of x^n under the stationary dynamics, with
+    # m_k the moments of the stationary law.  Generic over the scalar type
     # (floats, or Fractions for the exact path).  The diagonal is -n and the
     # column reads only m_0 .. m_{n-1}.  Each entry is a model scalar, so
     # applying D to a (possibly Quad) coefficient vector costs one product
@@ -136,7 +99,9 @@ def stationary_moments(lam, theta, n_max):
 
 
 def _apply(cols, c):
-    """Coefficients of the drift of the polynomial with coefficients c."""
+    """Coefficients of the drift of the polynomial with coefficients c: the
+    drift acts linearly, annihilates constants and never raises the
+    degree."""
     return [sum(c[k] * cols[k][j] for k in range(j, len(c)))
             for j in range(len(c))]
 
@@ -170,10 +135,10 @@ def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt",
     rational values, the moments are the drift's own fixed point
     (stationary_moments), and each result is the float of an element of
     Q(d) -- a reported 0.0 is an exact zero.  One pass serves every degree:
-    one Chebyshev recurrence up to max(degrees), one set of moments, and
-    one drift matrix of rational scalars applied to the coefficients of
-    each q_n.  A residual beyond the float range, as at lam = 1e-300,
-    raises ValueError.
+    one recurrence of the family's Jacobi data up to max(degrees), one set
+    of moments, and one drift matrix of rational scalars applied to the
+    coefficients of each q_n.  A residual beyond the float range, as at
+    lam = 1e-300, raises ValueError.
 
     The exact operands grow like the denominators of lam and theta to the
     power max(degrees), and the time with their size: at theta = 5e-324,
@@ -189,7 +154,7 @@ def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt",
     if not degrees or min(degrees) < 1:
         raise ValueError("n must be >= 1")
     lamF, thF = Fraction(lam), Fraction(theta)
-    beta, gamma = u_combination(family, lamF, thF, a_variant, b_variant)
+    data = _family_data(family, lamF, thF, a_variant, b_variant)
     thF = FAMILIES[family].reads(thF)
     top = max(degrees)
     bits = top * (lamF.denominator.bit_length() + thF.denominator.bit_length())
@@ -205,7 +170,7 @@ def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt",
     inner = (2 * X - s) * (1 / exact_sqrt(d2))
     cols = _drift_columns(lamF, thF, [1], top)
     out = []
-    for n, q_n in zip(degrees, family_values(inner, degrees, beta, gamma, ONE)):
+    for n, q_n in zip(degrees, family_values(inner, degrees, *data, ONE)):
         c = q_n.coef
         try:
             out.append(max(abs(float(r + n * ci))

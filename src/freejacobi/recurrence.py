@@ -21,7 +21,7 @@ import numpy as np
 from . import errors
 from .errors import PositivityError
 from .measures import _ac_nodes, _sin_nodes
-from .polys import monic_seq
+from .polys import _one_step_data, monic_seq
 from .renorm import _family_data
 
 __all__ = ["JacobiSzego", "stated_params", "extract_from_measure"]
@@ -61,13 +61,10 @@ def stated_params(family, lam=None, theta=None, n_max=12):
     ...)`` returns alpha_0 = b/2.  The orthogonal family itself is built by
     ``build_Q_lambda_theta`` with its default b_variant="mean".
     """
-    alpha0, omega1 = _family_data(family, lam, theta, b_variant="twice")
-    alpha = np.zeros(n_max + 1)
-    omega = np.full(n_max, 0.25)
-    alpha[0] = alpha0
-    if n_max >= 1:
-        omega[0] = omega1
-    return JacobiSzego(alpha, omega)
+    alpha, omega = _one_step_data(
+        *_family_data(family, lam, theta, b_variant="twice"), n_max)
+    return JacobiSzego(np.array(alpha, dtype=float),
+                       np.array(omega, dtype=float))
 
 
 def _stieltjes(x, one, inner, n_max):

@@ -29,7 +29,7 @@ import numpy as np
 from . import errors
 from .measures import (JacobiParams, _ac_nodes, _integrate_ac, _nu_theta_data,
                        _off_support, _settled_within, _xi_data, one_step_law)
-from .polys import _X, _as_poly, chebyshev_seq
+from .polys import _X, _as_poly, family_values
 
 __all__ = [
     "RenormKernel",
@@ -212,11 +212,13 @@ def rho_trig_identity_check(u, v):
 
 # -- generating-function families --------------------------------------------
 #
-# Every family here is a fixed two-step combination of second-kind Chebyshevs,
+# Every family here is given by its monic Jacobi data: alpha_0 and omega_1,
+# then alpha = 0 and omega = 1/4.  Its members are F_n = 2^n p_n, p_n the
+# monic polynomials of those data (polys.family_values).  By Favard's
+# theorem they are the two-step combinations of second-kind Chebyshevs
 #     F_n = U_n + beta U_{n-1} + gamma U_{n-2},
-# i.e. the Taylor coefficients in u of (1 + beta u + gamma u^2)/(1 - 2ux + u^2),
-# whose monic recurrence has alpha_0 = -beta/2 and omega_1 = (1-gamma)/4,
-# then alpha = 0 and omega = 1/4.
+# (beta, gamma) = (-2 alpha_0, 1 - 4 omega_1), i.e. the Taylor coefficients
+# in u of (1 + beta u + gamma u^2)/(1 - 2ux + u^2).
 
 @dataclass(frozen=True, eq=False)
 class Family:
@@ -224,9 +226,10 @@ class Family:
     the family as a function of (lam, theta, a_variant, b_variant), generic
     over the scalar type (a Fraction lam gives exact data with an exact
     square root), the label of its law, and the theta it is pinned to
-    (None: it reads the theta it is given).  The weights (u_combination),
-    the stated parameters (stated_params) and the law (measure) all follow
-    from the data."""
+    (None: it reads the theta it is given).  The members (family_values,
+    for build_*, the exact martingale residuals and the simulator), the
+    weights (u_combination), the stated parameters (stated_params) and the
+    law (measure) all follow from the data."""
 
     data: object
     label: str
@@ -234,18 +237,19 @@ class Family:
 
     def reads(self, theta):
         """The theta the family reads: its pinned theta, else `theta`.
-        This is where every path (u_combination, the orthogonality measure,
+        This is where every path (_family_data, the orthogonality measure,
         the exact martingale residuals, the simulator's rescaling and the
         cli's note) learns which theta applies."""
         return theta if self.theta is None else self.theta
 
     def measure(self, lam, theta):
         """The orthogonality measure at (lam, theta), theta as read:
-        one_step_law of the family's data."""
+        one_step_law of the family's data, labelled with that theta as a
+        float, as nu_lambda labels its law."""
         theta = self.reads(theta)
         JacobiParams(lam, theta)
         return one_step_law(*self.data(lam, theta, "sqrt", "mean"),
-                            self.label.format(lam=lam, theta=theta))
+                            self.label.format(lam=lam, theta=float(theta)))
 
 
 # The theta = 1/2 families are pinned there, exactly: one Fraction serves
@@ -297,7 +301,8 @@ def _family_data(family, lam, theta=None, a_variant="sqrt",
 
 def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
     """Weights (beta, gamma) = (-2 alpha_0, 1 - 4 omega_1) of the named
-    family's Chebyshev combination, from its Jacobi data:
+    family's Chebyshev combination, the generating-function view of its
+    Jacobi data:
 
     family = "Q_lambda_theta": (-2 b,       1 - 2c)
     family = "Q_lambda":       the same at theta = 1/2, (0, -lam/(2-lam))
@@ -312,19 +317,12 @@ def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
     return -2 * alpha0, 1 - 4 * omega1
 
 
-def family_values(x, degrees, beta, gamma, one=1):
-    """[F_k(x) for k in degrees] of F_k = U_k + beta U_{k-1} + gamma U_{k-2}
-    (U_{-1} = U_{-2} = 0), for any element type chebyshev_seq accepts;
-    ``one`` is the unit of that type."""
-    u = [0, 0] + chebyshev_seq(x, max(degrees), one)
-    return [u[k + 2] + beta * u[k + 1] + gamma * u[k] for k in degrees]
-
-
 def family_gram(measure, beta, gamma, n_max):
     """Gram matrix <F_i, F_j> under ``measure`` of the combination family
     F_n = U_n + beta U_{n-1} + gamma U_{n-2}, for i, j <= n_max.
 
-    The family values come from the (stable) Chebyshev recurrence and the
+    The family values come from the (stable) three-term recurrence of the
+    family's Jacobi data (-beta/2, (1 - gamma)/4) (family_values) and the
     inner products from quadrature plus exact atom terms.  Expanding the
     products into monomial coefficients and pairing with raw moments loses
     around six digits at degree ~24 through cancellation; this route keeps
@@ -333,6 +331,7 @@ def family_gram(measure, beta, gamma, n_max):
     """
     if n_max < 0:
         raise ValueError(f"n_max = {n_max} must be nonnegative")
+    alpha0, omega1 = -beta / 2, (1 - gamma) / 4
     iu, ju = np.triu_indices(n_max + 1)
 
     def finite(vals):
@@ -344,12 +343,12 @@ def family_gram(measure, beta, gamma, n_max):
 
     # An atom far out (xi_lambda at lam = 1e-100 has one near 7e49) carries
     # the high-degree values beyond the float range, and so does a huge
-    # shift beta (P_lambda at lam = 5e-324) at every node: the integrand is
+    # shift (P_lambda at lam = 5e-324) at every node: the integrand is
     # checked on the first pass, before any node doubling.
     def pair_values(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            fam = np.array(family_values(x, range(n_max + 1), beta, gamma,
+            fam = np.array(family_values(x, range(n_max + 1), alpha0, omega1,
                                          np.ones_like(x)))
             return finite(fam[iu] * fam[ju])
 
@@ -365,8 +364,8 @@ def family_gram(measure, beta, gamma, n_max):
 
 
 def _build(family, n, lam, theta=None, **variant):
-    beta, gamma = u_combination(family, lam, theta, **variant)
-    return _as_poly(family_values(_X, [n], beta, gamma)[0])
+    data = _family_data(family, lam, theta, **variant)
+    return _as_poly(family_values(_X, [n], *data)[0])
 
 
 def build_Q_lambda(lam, n):

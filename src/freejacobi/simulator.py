@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import JacobiParams, nu_map
-from .renorm import FAMILIES, family_values, u_combination
+from .polys import family_values
+from .renorm import FAMILIES, _family_data
 
 __all__ = [
     "MatrixProcessState", "sample_haar_unitary", "evolve_unitary_bm",
@@ -261,7 +262,7 @@ def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
     Returns (spectra, series, state): the spectrum of each trial at time t
     (rounded to whole steps of dt; None when t is None), the trace series
     over `times` as trace_martingale_series defines it (the family and
-    its variants as in u_combination), and the last trial's state, whose
+    its variants as FAMILIES gives them), and the last trial's state, whose
     ranks every trial shares (None when no trial had to be sampled).
     Trial i draws its state and then its Brownian steps
     from default_rng([seed, i]), and the spectra at t and at every series
@@ -272,7 +273,7 @@ def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
     JacobiParams(lam, theta)
     if n < 0:
         raise ValueError("n must be >= 0")
-    beta, gamma = u_combination(family, lam, theta, a_variant, b_variant)
+    data = _family_data(family, lam, theta, a_variant, b_variant)
     s, d2 = nu_map(lam, FAMILIES[family].reads(theta))
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -313,7 +314,7 @@ def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
             spectra.append(seen[k_t])
         for j, k in enumerate(counts):
             y = (2.0 * seen[k] - s) / math.sqrt(d2)
-            (f_n,) = family_values(y, [n], beta, gamma, np.ones_like(y))
+            (f_n,) = family_values(y, [n], *data, np.ones_like(y))
             per_trial[i, j] = math.exp(n * realized[j]) * np.mean(f_n)
     if n == 0:
         return spectra, [(x, 1.0, 0.0) for x in ts], state

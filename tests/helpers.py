@@ -1,6 +1,7 @@
-"""Helpers that only the tests use: Chebyshev U at the negative degrees of
-a recurrence's boundary, monic scaling of a family, and the closed-form
-Jacobi data of the stationary law."""
+"""Helpers that only the tests use: the Chebyshev recurrence as an oracle
+for the families, Chebyshev U at the negative degrees of a recurrence's
+boundary, monic scaling of a family, and the closed-form Jacobi data of the
+stationary law."""
 
 import operator
 from fractions import Fraction
@@ -16,6 +17,23 @@ EXACT_POINTS = tuple(
     (Fraction(lam), Fraction(theta)) for lam, theta in (
         ("1/2", "2/5"), ("7/10", "3/10"), ("1/4", "1/10"), ("1", "2/5"),
         ("3/10", "9/20"), ("1", "1/1000")))
+
+
+def chebyshev_seq(x, n, one=1):
+    """[U_0(x), ..., U_n(x)] by the Chebyshev recurrence U_{k+1} = 2x U_k -
+    U_{k-1}, U_{-1} = 0: an oracle apart from the library's monic
+    recurrence, generic over float arrays, Poly and exact polynomials."""
+    out, before = [one], 0
+    for _ in range(n):
+        before, one = one, 2 * x * one - before
+        out.append(one)
+    return out
+
+
+def chebyshev_combination(x, n, beta, gamma, one=1):
+    """U_n + beta U_{n-1} + gamma U_{n-2} at x, with U_{-1} = U_{-2} = 0."""
+    u = [0, 0] + chebyshev_seq(x, n, one)
+    return u[n + 2] + beta * u[n + 1] + gamma * u[n]
 
 
 def chebyshev_U_ext(n):

@@ -23,7 +23,7 @@ from freejacobi.exact import (
     mu_half_moments,
     nu_even_moment,
 )
-from freejacobi.polys import chebyshev_seq
+from helpers import chebyshev_seq
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from freejacobi import (
-    DriftModel,
     FlowConstants,
     JacobiParams,
     Poly,
@@ -16,7 +15,6 @@ from freejacobi import (
     build_Q_lambda,
     cauchy_closed_form_mu,
     cauchy_mu_half,
-    drift,
     flow_K,
     flow_K_ode_residual,
     flow_Z,
@@ -29,66 +27,50 @@ from freejacobi import (
 )
 from freejacobi import martingale
 from freejacobi.exact import ONE, X, exact_sqrt, mu_half_moments
-from freejacobi.martingale import _drift_columns, stationary_moments
+from freejacobi.martingale import _apply, _drift_columns, stationary_moments
 from freejacobi.measures import nu_map
-from freejacobi.polys import chebyshev_seq
-from freejacobi.renorm import family_values, u_combination
+from freejacobi.polys import family_values
+from freejacobi.renorm import _family_data, u_combination
+from helpers import chebyshev_seq
 
 
 # ---------------------------------------------------------------------------
 # Drift operator
 
 
-def test_drift_model_validation():
-    p = JacobiParams(0.5, 0.4)
-    good = moments(mu_lambda_theta(p), 6)
-    DriftModel(p, good)
-    bad0 = good.copy()
-    bad0[0] = 0.9
-    with pytest.raises(ValueError):
-        DriftModel(p, bad0)
-    bad1 = good.copy()
-    bad1[1] = 0.3
-    with pytest.raises(ValueError):
-        DriftModel(p, bad1)
-    with pytest.raises(ValueError):
-        DriftModel(p, good[:1])
+def _drift(lam, th, c):
+    # The drift of the polynomial with coefficients c, in exact rationals,
+    # from the columns of the drift's own stationary moments.
+    return _apply(_drift_columns(Fraction(lam), Fraction(th), [1],
+                                 len(c) - 1), c)
 
 
 def test_drift_annihilates_constants():
-    dm = DriftModel.from_params(JacobiParams(0.5, 0.4), 6)
-    assert drift(dm, Poly([3.0])).is_zero()
-    assert drift(dm, Poly([0.0])).is_zero()
+    assert _drift(0.5, 0.4, [Fraction(3)]) == [0]
+    assert _drift(0.5, 0.4, [Fraction(0)]) == [0]
 
 
 def test_drift_of_identity_recenters_at_theta():
     # drift(x) = theta - x
     for lam, th in ((0.5, 0.4), (1.0, 0.5), (0.7, 0.25)):
-        dm = DriftModel.from_params(JacobiParams(lam, th), 4)
-        got = drift(dm, Poly([0.0, 1.0]))
-        assert got.allclose(Poly([th, -1.0]), tol=1e-12)
+        got = _drift(lam, th, [0, 1])
+        assert got == [Fraction(th), -1]
 
 
 def test_drift_is_linear():
-    dm = DriftModel.from_params(JacobiParams(0.6, 0.35), 8)
-    p = Poly([0.5, -1.0, 2.0])
-    q = Poly([0.0, 0.0, 1.0, 0.25])
-    lhs = drift(dm, 2.0 * p + q)
-    rhs = 2.0 * drift(dm, p) + drift(dm, q)
-    assert lhs.allclose(rhs, tol=1e-12)
+    p = [Fraction(1, 2), -1, 2, 0]
+    q = [0, 0, 1, Fraction(1, 4)]
+    lhs = _drift(0.6, 0.35, [2 * a + b for a, b in zip(p, q)])
+    rhs = [2 * a + b for a, b in zip(_drift(0.6, 0.35, p),
+                                     _drift(0.6, 0.35, q))]
+    assert lhs == rhs
 
 
 def test_drift_never_raises_degree():
-    dm = DriftModel.from_params(JacobiParams(0.5, 0.4), 10)
+    # The drift of x^deg has degree deg, with leading coefficient -deg.
     for deg in range(1, 9):
-        p = Poly([0.0] * deg + [1.0])
-        assert drift(dm, p).degree <= deg
-
-
-def test_drift_degree_guard():
-    dm = DriftModel.from_params(JacobiParams(0.5, 0.4), 4)
-    with pytest.raises(ValueError):
-        drift(dm, Poly([0.0] * 5 + [1.0]))
+        d = _drift(0.5, 0.4, [0] * deg + [1])
+        assert len(d) == deg + 1 and d[deg] == -deg
 
 
 def test_drift_vanishes_in_stationary_mean():
@@ -96,10 +78,10 @@ def test_drift_vanishes_in_stationary_mean():
     for lam, th in ((0.5, 0.4), (1.0, 0.5), (0.7, 0.3)):
         p = JacobiParams(lam, th)
         ms = moments(mu_lambda_theta(p), 13)
-        dm = DriftModel(p, ms)
+        cols = _drift_columns(lam, th, ms.tolist(), 12)
         for n in range(1, 13):
-            d = drift(dm, Poly([0.0] * n + [1.0]))
-            val = float(np.dot(d.coeffs, ms[: d.coeffs.size]))
+            d = _apply(cols, [0.0] * n + [1.0])
+            val = float(np.dot(d, ms[: len(d)]))
             assert abs(val) < 1e-8, (lam, th, n)
 
 
@@ -147,12 +129,13 @@ def test_residual_matches_float_drift_of_composed_family():
     # moments), at degrees where float64 cancellation is still harmless.
     for lam in (0.3, 0.5, 1.0):
         rq = math.sqrt(lam * (2.0 - lam))
-        dm = DriftModel.from_params(JacobiParams(lam, 0.5))
+        ms = moments(mu_lambda_theta(JacobiParams(lam, 0.5)), 6)
+        cols = _drift_columns(lam, 0.5, ms.tolist(), 6)
         for family, build in (("P_lambda", build_P_lambda),
                               ("Q_lambda", build_Q_lambda)):
             for n in range(1, 7):
                 q = build(lam, n).compose(Poly([-1.0 / rq, 2.0 / rq]))
-                resid = drift(dm, q) + n * q
+                resid = Poly(_apply(cols, q.coeffs)) + n * q
                 want = float(np.max(np.abs(resid.coeffs)))
                 got = martingale_residual(lam, n, family=family)
                 scale = float(np.max(np.abs(q.coeffs)))
@@ -163,9 +146,9 @@ def _residual_per_degree(lam, n, family, a_variant):
     # Reference: the exact residual of one degree, with its own recurrence,
     # moments and drift scalars for this n alone.
     lamF = Fraction(lam)
-    beta, gamma = u_combination(family, lamF, a_variant=a_variant)
+    data = _family_data(family, lamF, a_variant=a_variant)
     inner = (2 * X - ONE) * (1 / exact_sqrt(lamF * (2 - lamF)))
-    (q_n,) = family_values(inner, [n], beta, gamma, ONE)
+    (q_n,) = family_values(inner, [n], *data, ONE)
     c = q_n.coef
     m, th = mu_half_moments(lamF, n), Fraction(1, 2)
     d = [0] * len(c)
@@ -231,12 +214,6 @@ def test_stationary_moments_float_route_matches_exact():
         got = stationary_moments(lam, th, 32)
         for n, (e, g) in enumerate(zip(exact, got)):
             assert abs(g - float(e)) <= 1e-14 * float(e), (lam, th, n)
-
-
-def test_drift_model_moments_are_stationary_moments():
-    p = JacobiParams(0.7, 0.3)
-    dm = DriftModel.from_params(p, 10)
-    assert dm.m.tolist() == stationary_moments(0.7, 0.3, 10)
 
 
 def test_nu_map_at_half_is_the_half_map():

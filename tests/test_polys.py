@@ -18,8 +18,8 @@ from freejacobi import (
 )
 from freejacobi.errors import refine
 from freejacobi.exact import ONE, X
-from freejacobi.polys import chebyshev_seq, monic_seq
-from helpers import chebyshev_U_ext
+from freejacobi.polys import monic_seq
+from helpers import chebyshev_seq, chebyshev_U_ext
 
 coeff_lists = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False),

@@ -33,8 +33,10 @@ from freejacobi import (
 )
 from freejacobi import errors, measures
 from freejacobi.exact import ONE, X
+from freejacobi.polys import family_values
 from freejacobi.renorm import (FAMILIES, _admissible_u, _default_grid,
-                               family_values)
+                               _family_data)
+from helpers import EXACT_POINTS, chebyshev_combination
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +529,10 @@ def test_family_paths_agree(fam, lam, th, variant):
     # and the simulator all come from the one table entry and must agree.
     x = np.cos(np.linspace(0.0, np.pi, 20))
     n_max = 8
-    beta, gamma = u_combination(fam, lam, th, **variant)
-    vectorized = family_values(x, range(n_max + 1), beta, gamma,
+    vectorized = family_values(x, range(n_max + 1),
+                               *_family_data(fam, lam, th, **variant),
                                np.ones_like(x))
-    exact_weights = u_combination(
+    exact_data = _family_data(
         fam, Fraction(lam), None if th is None else Fraction(th), **variant)
     for n in range(n_max + 1):
         if fam == "Q_lambda_theta":
@@ -539,9 +541,60 @@ def test_family_paths_agree(fam, lam, th, variant):
             poly = build_P_lambda(lam, n, **variant)
         else:
             poly = build_Q_lambda(lam, n)
-        (exact,) = family_values(X, [n], *exact_weights, ONE)
+        (exact,) = family_values(X, [n], *exact_data, ONE)
         from_exact = np.polynomial.polynomial.polyval(
             x, [float(c) for c in exact.coef])
         np.testing.assert_allclose(poly(x), vectorized[n], rtol=0, atol=1e-12)
         np.testing.assert_allclose(from_exact, vectorized[n], rtol=0,
                                    atol=1e-12)
+
+
+_FAMILY_VARIANTS = (
+    ("Q_lambda", {}),
+    ("P_lambda", {"a_variant": "sqrt"}),
+    ("P_lambda", {"a_variant": "rational"}),
+    ("Q_lambda_theta", {"b_variant": "mean"}),
+    ("Q_lambda_theta", {"b_variant": "twice"}),
+)
+
+
+@pytest.mark.parametrize("lam, th", EXACT_POINTS)
+def test_family_values_are_the_chebyshev_combination_exactly(lam, th):
+    # 2^n times the monic polynomials of the table's Jacobi data is, in the
+    # exact ring, the Chebyshev combination of the generating-function
+    # weights, computed by the separate Chebyshev recurrence.
+    for fam, variant in _FAMILY_VARIANTS:
+        got = family_values(X, range(13), *_family_data(fam, lam, th,
+                                                         **variant), ONE)
+        beta, gamma = u_combination(fam, lam, th, **variant)
+        for n in range(13):
+            assert got[n] == chebyshev_combination(X, n, beta, gamma, ONE), \
+                (fam, variant, n)
+
+
+@pytest.mark.parametrize("lam, th", [(0.5, 0.4), (0.3, 0.1), (1.0, 0.2),
+                                     (0.01, 0.45)])
+def test_family_values_match_the_chebyshev_combination_at_nodes(lam, th):
+    # Degree 1100 is beyond the float range of 2^n and of 2^-n.
+    x = np.linspace(-1.0, 1.0, 4001)
+    one = np.ones_like(x)
+    degrees = [*range(25), 1100]
+    for fam, variant in _FAMILY_VARIANTS:
+        got = family_values(x, degrees, *_family_data(fam, lam, th,
+                                                      **variant), one)
+        beta, gamma = u_combination(fam, lam, th, **variant)
+        for n, got_n in zip(degrees, got):
+            want = chebyshev_combination(x, n, beta, gamma, one)
+            err = np.max(np.abs(got_n - want))
+            assert err <= 1e-13 * np.max(np.abs(want)), (fam, variant, n)
+
+
+@pytest.mark.parametrize("lam, th", [(0.5, 0.3), (1.0, 0.5), (0.25, 0.1)])
+def test_family_measure_labels_its_law_as_the_constructors_do(lam, th):
+    # The theta = 1/2 families read the pinned Fraction 1/2, labelled as the
+    # float 0.5 that nu_lambda labels with.
+    want = {"Q_lambda": nu_lambda(lam).label,
+            "Q_lambda_theta": nu_lambda_theta(JacobiParams(lam, th)).label,
+            "P_lambda": xi_lambda(lam).label}
+    for fam, label in want.items():
+        assert FAMILIES[fam].measure(lam, th).label == label, fam

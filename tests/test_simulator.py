@@ -24,7 +24,8 @@ from freejacobi.cli import main as cli_main
 from freejacobi.exact import ONE, X, exact_sqrt
 from freejacobi.martingale import stationary_moments
 from freejacobi.measures import nu_map
-from freejacobi.renorm import family_values, u_combination
+from freejacobi.polys import family_values
+from freejacobi.renorm import _family_data
 from freejacobi.simulator import drift_sigmas
 
 
@@ -407,7 +408,7 @@ def test_trace_series_matches_eigh_reference(eigh_bm_reference):
     # orthonormalisation does not commute with U.
     lam, n, d, times, dt = 0.5, 2, 24, [0.0, 0.1, 0.25], 1e-2
     got = trace_martingale_series(lam, n, times, trials=3, d=d, seed=5)
-    beta, gamma = u_combination("P_lambda", lam)
+    data = _family_data("P_lambda", lam)
     per_trial = []
     for i in range(3):
         rng = np.random.default_rng([5, i])
@@ -420,7 +421,7 @@ def test_trace_series_matches_eigh_reference(eigh_bm_reference):
             c = y[:s.p_rank, :s.q_rank]
             x = (2.0 * np.linalg.eigvalsh(c @ c.conj().T) - 1.0) \
                 / np.sqrt(lam * (2.0 - lam))
-            (f_n,) = family_values(x, [n], beta, gamma, np.ones_like(x))
+            (f_n,) = family_values(x, [n], *data, np.ones_like(x))
             row.append(np.exp(n * t_now) * np.mean(f_n))
         per_trial.append(row)
     per_trial = np.array(per_trial)
@@ -459,9 +460,8 @@ def test_general_theta_trace_series():
     inner = (2 * X - s) * (1 / exact_sqrt(d2))
     m = stationary_moments(lamF, thF, n)
     for b_variant in ("mean", "twice"):
-        beta, gamma = u_combination("Q_lambda_theta", lamF, thF,
-                                    b_variant=b_variant)
-        (q,) = family_values(inner, [n], beta, gamma, ONE)
+        data = _family_data("Q_lambda_theta", lamF, thF, b_variant=b_variant)
+        (q,) = family_values(inner, [n], *data, ONE)
         e_mu = float(sum(c * mk for c, mk in zip(q.coef, m)))
         _, series, state = simulate_trials(lam, th, 40, 48, times=times,
                                            n=n, family="Q_lambda_theta",
