@@ -28,9 +28,8 @@ def refine(compute, settled, n, n_max, message):
     satisfy settled(prev, cur); returns that last pass.
 
     The package's one node-doubling loop: the tanh-sinh quadrature, the
-    theta kernel (renorm._thetas), the Stieltjes extraction and the contour
-    Taylor coefficients each supply their pass, their settle test and their
-    budget.  Raises
+    theta kernel (renorm._thetas) and the Stieltjes extraction each supply
+    their pass, their settle test and their budget.  Raises
     ConvergenceError(message) once the budget is spent.
 
     Callers reach it as ``errors.refine``, not by a from-import: the

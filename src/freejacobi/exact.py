@@ -18,12 +18,6 @@ object support, which Poly does not share: ``Polynomial / Quad`` raises
 (multiply by the reciprocal), and calling such a polynomial on a ring
 element raises over Quad coefficients and rounds to floats over integer ones
 (evaluate by the recurrence ``polys.monic_seq`` instead).
-
-Moments of the stationary law at theta = 1/2 are exact rationals because the
-Catalan generating function sum_k C_k w^k = (1 - sqrt(1-4w))/(2w) evaluates
-rationally at w = lam*(2-lam)/4, where sqrt(1-4w) = 1-lam.  This Catalan
-route is an oracle, independent of the drift, for
-``martingale.stationary_moments``.
 """
 
 from __future__ import annotations
@@ -34,12 +28,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import Polynomial
 
-__all__ = [
-    "Quad",
-    "catalan",
-    "nu_even_moment",
-    "mu_half_moments",
-]
+__all__ = ["Quad"]
 
 # Fractions are immutable, so one zero serves every rational Quad.
 _ZERO = Fraction(0)
@@ -223,42 +212,3 @@ def exact_sqrt(v):
 # Generator and unit of the exact polynomial ring (see the module docstring).
 X = Polynomial(np.array([0, 1], dtype=object))
 ONE = X ** 0
-
-
-def catalan(k):
-    """k-th Catalan number."""
-    return math.comb(2 * k, k) // (k + 1)
-
-
-def nu_even_moment(lam, m):
-    """Exact 2m-th moment of the symmetric density
-    (2-lam)/pi * sqrt(1-x^2)/(1 - lam(2-lam) x^2) on [-1, 1].
-
-    Uses the semicircle moments (2/pi) int x^{2k} sqrt(1-x^2) dx = C_k/4^k and
-    the rational Catalan tail sum_{k} C_k (q/4)^k = 2/(2-lam), q = lam(2-lam).
-    """
-    lam = Fraction(lam)
-    if not 0 < lam <= 1:
-        raise ValueError("lam must lie in (0, 1]")
-    q = lam * (2 - lam)
-    partial = sum(Fraction(catalan(i)) * (q / 4) ** i for i in range(m))
-    tail = Fraction(2) / (2 - lam) - partial
-    return (2 - lam) / 2 * tail / q ** m
-
-
-def mu_half_moments(lam, n_max):
-    """Exact moments m_0..m_{n_max} of the stationary law at theta = 1/2.
-
-    The law is the image of the symmetric density of :func:`nu_even_moment`
-    under y -> (1 + sqrt(q) y)/2 with q = lam(2-lam); odd powers of sqrt(q)
-    integrate to zero, so every moment is rational.
-    """
-    lam = Fraction(lam)
-    q = lam * (2 - lam)
-    even = [nu_even_moment(lam, i) for i in range(n_max // 2 + 1)]
-    out = []
-    for k in range(n_max + 1):
-        acc = sum(Fraction(math.comb(k, 2 * i)) * q ** i * even[i]
-                  for i in range(k // 2 + 1))
-        out.append(acc / 2 ** k)
-    return out

@@ -27,17 +27,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import ONE, X, exact_sqrt
 from .measures import JacobiParams, cauchy_closed_form_mu, nu_map
 from .polys import family_values
 from .renorm import FAMILIES, _family_data
 
 __all__ = [
-    "stationary_moments", "martingale_residual", "martingale_residuals",
-    "FlowConstants", "flow_Z", "flow_Z_ode_residual", "flow_K",
-    "flow_K_ode_residual", "cauchy_mu_half",
+    "stationary_moments", "martingale_residuals", "FlowConstants", "flow_Z",
+    "flow_Z_ode_residual", "flow_K", "flow_K_ode_residual",
 ]
 
 
@@ -89,7 +86,7 @@ def stationary_moments(lam, theta, n_max):
 
     which _drift_columns fills in as it builds each column.  Generic over
     the scalar type: Fractions give the exact rational moments (at
-    theta = 1/2 they equal exact.mu_half_moments), floats agree with them to
+    theta = 1/2 they equal the Catalan moments), floats agree with them to
     about 1e-14 relative for n <= 32.  (lam, theta) is taken to lie in the
     JacobiParams domain; the callers in this module check it.
     """
@@ -179,11 +176,6 @@ def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt",
             raise ValueError(f"the degree-{n} residual at lam = {lam} "
                              "exceeds the float range") from None
     return out
-
-
-def martingale_residual(lam, n, *args, **kwargs):
-    """martingale_residuals(lam, [n], *args, **kwargs)[0]."""
-    return martingale_residuals(lam, [n], *args, **kwargs)[0]
 
 
 @dataclass(frozen=True)
@@ -297,24 +289,3 @@ def flow_K_ode_residual(fc, lam, theta, t, variant="displayed"):
     z = flow_Z(fc, t)
     g = cauchy_closed_form_mu(JacobiParams(lam, theta), 1.0 / z).real
     return abs(kp + k * (lam * theta * g + theta * (1.0 - lam) * z)) / abs(k)
-
-
-def cauchy_mu_half(lam, z):
-    """Cauchy transform of the stationary law at theta = 1/2:
-
-        G(z) = ((1-lam)(2z-1) - sqrt(4z^2 - 4z + (1-lam)^2)) / (2 lam z (1-z))
-
-    for z outside [0, 1].  The radicand factors through z_pm = (1 +-
-    sqrt(lam(2-lam)))/2 and the root is taken factor-by-factor, which places
-    the branch cut exactly on [z_-, z_+] and yields G(z) ~ 1/z at infinity.
-    Written apart from ``cauchy_closed_form_mu``, so that the two are
-    independent routes to the same transform.
-    """
-    JacobiParams(lam, 0.5)
-    z = complex(z)
-    if z.imag == 0.0 and 0.0 <= z.real <= 1.0:
-        raise ValueError(f"z = {z} lies in [0, 1]")
-    rq = math.sqrt(lam * (2.0 - lam))
-    w = 2.0 * np.sqrt(z - 0.5 * (1.0 + rq)) * np.sqrt(z - 0.5 * (1.0 - rq))
-    num = (1.0 - lam) * (2.0 * z - 1.0) - w
-    return complex(num / (2.0 * lam * z * (1.0 - z)))

@@ -528,29 +528,30 @@ def cauchy_closed_form_mu(p, z):
     return complex(num / (2.0 * z * (z - 1.0)))
 
 
-def stieltjes_invert(m, x, y_steps=None, tol=1e-5):
+def stieltjes_invert(m, x):
     """Density at x recovered as lim_{y->0+} -Im G(x+iy)/pi.
 
     The limit is taken by Neville extrapolation in y (the boundary value is
     reached linearly in y, so each extrapolation level gains one order).  The
     expansion coefficients grow like inverse powers of the distance from x to
-    the nearest support edge or atom, so the default y_steps scale with that
+    the nearest support edge or atom, so the steps y scale with that
     distance: dist * (0.12, 0.08, 0.05, 0.03, 0.02).  The ratios balance two
     error sources: smaller y sharpens the Cauchy-kernel peak and forces the
     quadrature into very high node counts, while larger y grows the
     extrapolation remainder ~ prod(y_i/dist), here ~3e-7 relative.  Signals
     ConvergenceError when the last two table corners disagree by more than
-    tol * max(1, value).
+    1e-5 * max(1, value).
     """
+    tol = 1e-5
     lo, hi = m.support
     if not lo < x < hi:
         raise ValueError(f"x = {x} is not strictly inside ({lo}, {hi})")
-    if y_steps is None:
-        dist = min([x - lo, hi - x] + [abs(x - a) for a, _ in m.atoms])
-        y_steps = tuple(dist * r for r in (0.12, 0.08, 0.05, 0.03, 0.02))
-    ys = [float(y) for y in y_steps]
-    if len(ys) < 2 or any(b >= a for a, b in zip(ys, ys[1:])) or ys[-1] <= 0:
-        raise ValueError("y_steps must be strictly decreasing and positive")
+    dist = min([x - lo, hi - x] + [abs(x - a) for a, _ in m.atoms])
+    ys = [float(dist * r) for r in (0.12, 0.08, 0.05, 0.03, 0.02)]
+    # Within a few subnormals of an edge the steps round together or to 0.
+    if any(b >= a for a, b in zip(ys, ys[1:])) or ys[-1] <= 0:
+        raise ValueError(f"x = {x} lies too close to an edge or atom for "
+                         "strictly decreasing positive steps y")
     vals = [-cauchy_transform(m, complex(x, y)).imag / np.pi for y in ys]
     corner_prev = vals[0]
     for j in range(1, len(ys)):

@@ -1,5 +1,5 @@
-"""Dense real polynomials, the one three-term recurrence and the families it
-builds, and generating-function tools.
+"""Dense real polynomials, and the one three-term recurrence and the
+families it builds.
 
 Monomial-basis coefficient arrays are the common currency of the package: all
 polynomial families used here have degree <= ~40, where dense float64
@@ -15,14 +15,10 @@ import operator
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from . import errors
-
 __all__ = [
     "Poly",
     "chebyshev_T",
     "chebyshev_U",
-    "eval_three_term",
-    "taylor_coeffs_in_u",
 ]
 
 
@@ -59,33 +55,9 @@ class Poly(Polynomial):
         calls."""
         return -1 if self.is_zero() else self.coef.size - 1
 
-    @property
-    def leading(self):
-        return float(self.coef[-1])
-
-    def compose(self, inner):
-        """Composition self(inner(x)), by numpy's Horner evaluation."""
-        return self(_as_poly(inner))
-
-    def allclose(self, other, tol=1e-9):
-        """Coefficientwise comparison, absolute tolerance scaled by the
-        largest coefficient magnitude of either operand."""
-        other = _as_poly(other)
-        n = max(self.coeffs.size, other.coeffs.size)
-        a = np.zeros(n)
-        b = np.zeros(n)
-        a[: self.coeffs.size] = self.coeffs
-        b[: other.coeffs.size] = other.coeffs
-        scale = max(1.0, np.abs(a).max(), np.abs(b).max())
-        return bool(np.all(np.abs(a - b) <= tol * scale))
-
 
 def _as_poly(p):
-    if isinstance(p, Poly):
-        return p
-    if np.isscalar(p):
-        return Poly([float(p)])
-    return Poly(p)
+    return p if isinstance(p, Poly) else Poly(p)
 
 
 def monic_seq(x, alpha, omega, one):
@@ -155,67 +127,3 @@ def chebyshev_T(n):
     (2 T_n = U_n - U_{n-2})."""
     n = operator.index(n)
     return _as_poly(0.5 * family_values(_X, [n], 0, 0.5)[0] if n else 1.0)
-
-
-def eval_three_term(alpha, omega, n, x):
-    """Value at x of the monic degree-n orthogonal polynomial defined by
-
-        p_{k+1}(x) = (x - alpha[k]) p_k(x) - omega[k-1] p_{k-1}(x)
-
-    with p_{-1} = 0, p_0 = 1.  ``omega`` is indexed from 1 in the usual
-    recurrence convention, i.e. omega[j] is the weight omega_{j+1}; the first
-    entry is consumed when stepping from p_1 to p_2.  ``x`` may be a scalar
-    or an ndarray.
-    """
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    alpha = np.asarray(alpha, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if n >= 1 and alpha.size < n:
-        raise ValueError(f"need alpha[0..{n - 1}]")
-    if n >= 2:
-        if omega.size < n - 1:
-            raise ValueError(f"need omega values up to index {n - 1}")
-        if np.any(omega[: n - 1] <= 0.0):
-            raise ValueError("recurrence weights must be positive")
-    x = np.asarray(x, dtype=float)
-    p = next(itertools.islice(monic_seq(x, alpha, omega, np.ones_like(x)),
-                              n, None))
-    return p if p.ndim else float(p)
-
-
-def _contour_coeffs(f, order, radius, n):
-    u = radius * np.exp(2j * np.pi * np.arange(n) / n)
-    try:
-        vals = np.asarray(f(u), dtype=complex)
-        if vals.shape != u.shape:
-            raise TypeError
-    except Exception:
-        vals = np.array([f(ui) for ui in u], dtype=complex)
-    coeffs = np.fft.fft(vals)[: order + 1] / n
-    return coeffs.real / radius ** np.arange(order + 1)
-
-
-def taylor_coeffs_in_u(f, order, radius=0.5, max_nodes=1 << 16):
-    """First order+1 Taylor coefficients of f at u = 0.
-
-    Trapezoidal contour averaging on |u| = radius (exact for trigonometric
-    polynomials, spectrally accurate for analytic f), with node doubling
-    until successive passes agree to 10*eps/radius**k per coefficient.
-    Raises ConvergenceError when the budget is exhausted, e.g. when f has a
-    singularity on or inside the contour.
-    """
-    order = operator.index(order)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    tol = 10.0 * np.finfo(float).eps / radius ** np.arange(order + 1)
-    # Start at the smallest 64 * 2^k nodes that is at least 2 (order + 1).
-    n = max(64, 1 << (2 * order + 1).bit_length())
-    return errors.refine(
-        lambda n: _contour_coeffs(f, order, radius, n),
-        lambda prev, cur: np.all(np.abs(cur - prev) <= tol), n, max_nodes,
-        f"Taylor coefficients did not settle by {max_nodes} contour nodes; "
-        "is f analytic on |u| <= radius?")

@@ -45,9 +45,6 @@ class JacobiSzego:
         if np.any(self.omega.astype(float, copy=False) <= 0.0):
             raise ValueError("all recurrence weights omega must be positive")
 
-    def n_levels(self):
-        return self.alpha.size
-
 
 def stated_params(family, lam=None, theta=None, n_max=12):
     """Closed-form Jacobi-Szego parameters of the three polynomial families,

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import errors
 from .measures import (JacobiParams, _ac_nodes, _integrate_ac, _nu_theta_data,
-                       _off_support, _settled_within, _xi_data, one_step_law)
+                       _off_support, _one_step_atom, _settled_within, _xi_data,
+                       one_step_law)
 from .polys import _X, _as_poly, family_values
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "theta_two",
     "theta_ratio",
     "certify_product_dependence",
-    "rho_trig_identity_check",
     "u_combination",
     "family_gram",
     "build_Q_lambda",
@@ -201,15 +201,6 @@ def certify_product_dependence(k, grid=None, tol=1e-10):
     return verdict, report
 
 
-def rho_trig_identity_check(u, v):
-    """|lhs - (1+uv)/(1-uv)| for the addition identity satisfied by
-    rho(u) = 2u/(1+u^2); returns the absolute discrepancy (contract < 1e-12
-    for |u|, |v| < 1)."""
-    ru, rv = rho_trig(u), rho_trig(v)
-    lhs = (ru + rv) / (ru * math.sqrt(1.0 - rv * rv) + rv * math.sqrt(1.0 - ru * ru))
-    return abs(lhs - (1.0 + u * v) / (1.0 - u * v))
-
-
 # -- generating-function families --------------------------------------------
 #
 # Every family here is given by its monic Jacobi data: alpha_0 and omega_1,
@@ -321,13 +312,17 @@ def family_gram(measure, beta, gamma, n_max):
     """Gram matrix <F_i, F_j> under ``measure`` of the combination family
     F_n = U_n + beta U_{n-1} + gamma U_{n-2}, for i, j <= n_max.
 
-    The family values come from the (stable) three-term recurrence of the
-    family's Jacobi data (-beta/2, (1 - gamma)/4) (family_values) and the
-    inner products from quadrature plus exact atom terms.  Expanding the
-    products into monomial coefficients and pairing with raw moments loses
-    around six digits at degree ~24 through cancellation; this route keeps
-    the off-diagonal of an orthogonal family at ~1e-12.  An entry beyond
-    the float range raises ValueError.
+    The family values come from the three-term recurrence of the family's
+    Jacobi data (-beta/2, (1 - gamma)/4) (family_values), stable on the
+    a.c. support, and the inner products from quadrature plus exact atom
+    terms.  At an atom of the family's own law (one_step_law of those
+    data), where the recurrence's solution is recessive and its forward
+    rounding grows like rho^-n, the values take their closed form
+    4 omega_1 rho^n.  Expanding the products into monomial coefficients and
+    pairing with raw moments loses around six digits at degree ~24 through
+    cancellation; this route keeps the off-diagonal of the orthogonal
+    families of the acceptance gate below 2e-15 at degree 12.  An entry
+    beyond the float range raises ValueError.
     """
     if n_max < 0:
         raise ValueError(f"n_max = {n_max} must be nonnegative")
@@ -352,10 +347,28 @@ def family_gram(measure, beta, gamma, n_max):
                                          np.ones_like(x)))
             return finite(fam[iu] * fam[ju])
 
+    # An atom z of the family's own law is a zero of D, where
+    # z - alpha_0 = 2 omega_1 rho, rho = z - sgn(z) sqrt(z^2 - 1), so that
+    # F_n(z) = 4 omega_1 rho^n for n >= 1.  rho is taken in a form that
+    # neither cancels nor overflows; an atom of other data keeps the
+    # recurrence.
+    a, w = float(alpha0), float(omega1)
+    own = [_one_step_atom(a, w, s)[0] for s in (-1.0, 1.0)
+           if w > 0.0 and s * a > 1.0 - 2.0 * w]
+
+    def atom_values(z):
+        if z not in own:
+            return pair_values([z])[:, 0]
+        rho = math.copysign(
+            1.0 / (abs(z) * (1.0 + math.sqrt(1.0 - (1.0 / z) ** 2))), z)
+        fam = np.concatenate([[1.0],
+                              4.0 * w * rho ** np.arange(1.0, n_max + 1)])
+        return fam[iu] * fam[ju]
+
     vals = np.asarray(_integrate_ac(measure, pair_values), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for x0, w0 in measure.atoms:
-            vals = vals + w0 * pair_values([x0])[:, 0]
+            vals = vals + w0 * atom_values(x0)
     finite(vals)
     g = np.zeros((n_max + 1, n_max + 1))
     g[iu, ju] = vals

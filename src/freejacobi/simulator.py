@@ -39,8 +39,8 @@ from .renorm import FAMILIES, _family_data
 
 __all__ = [
     "MatrixProcessState", "sample_haar_unitary", "evolve_unitary_bm",
-    "make_state", "jacobi_spectrum", "ks_distance", "trace_martingale_series",
-    "simulate_trials", "drift_sigmas",
+    "make_state", "jacobi_spectrum", "ks_distance", "simulate_trials",
+    "drift_sigmas",
 ]
 
 
@@ -52,7 +52,13 @@ def sample_haar_unitary(d, seed=None):
         raise ValueError("d must be >= 1")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a / math.sqrt(2.0))
+    return _phase_fixed_qr(a / math.sqrt(2.0))
+
+
+def _phase_fixed_qr(a):
+    """The Q of a = QR with R's diagonal phases moved into Q, so that R's
+    diagonal is positive: the QR factor made unique."""
+    q, r = np.linalg.qr(a)
     ph = np.diagonal(r).copy()
     ph /= np.abs(ph)
     return q * ph
@@ -131,8 +137,8 @@ def _draw_increments(rng, dt, g, x):
 
 def _retract(w, x):
     """The rows of W T_3(X) orthonormalised, as a C-contiguous block (see
-    evolve_unitary_bm): T_3 by Horner, then R's diagonal phases of the QR
-    of its transpose moved into Q, as sample_haar_unitary does."""
+    evolve_unitary_bm): T_3 by Horner, then the phase-fixed QR of its
+    transpose, as sample_haar_unitary takes."""
     m = w @ x
     m *= 1.0 / 3.0
     m += w
@@ -141,10 +147,7 @@ def _retract(w, x):
     m += w
     m = m @ x
     m += w
-    q, r = np.linalg.qr(m.T)
-    ph = np.diagonal(r).copy()
-    ph /= np.abs(ph)
-    return np.ascontiguousarray((q * ph).T)
+    return np.ascontiguousarray(_phase_fixed_qr(m.T).T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,47 +231,36 @@ def ks_distance(sample, xs, cdf):
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
 
 
-def trace_martingale_series(lam, n, times, trials, d, seed=0, theta=0.5,
-                            **options):
-    """Monte Carlo series [(t, mean, stderr)] of the rescaled trace statistic
-
-        e^{n t} * (1/p) * sum_i F_n((2 eig_i(J_t) - s) / d)
-
-    over independent paths, where (s, d^2) = nu_map(lam, theta') at the
-    theta' that the family F reads: theta for Q_lambda_theta, 1/2 for the
-    theta = 1/2 families P_lambda and Q_lambda, whose map is
-    (2x - 1)/sqrt(lam(2-lam)) whatever theta is sampled.  A family whose
-    rescaled traces form a martingale produces a mean series that is flat
-    in t; the stderr column is the across-trial standard error, so flatness
-    is judged against it.  A theta = 1/2 family sampled at theta != 1/2
-    tests no martingale property.
-
-    The other options (dt = 1e-2, family = "P_lambda", a_variant = "sqrt",
-    b_variant = "mean") are those of simulate_trials.  Trial i runs on
-    default_rng([seed, i]) and evolves the observed row block U[:p] Y_t
-    through the sorted times with steps of size dt (counts rounded; the
-    realized time is used in the e^{nt} prefactor).  n = 0 is the constant
-    1.
-    """
-    return simulate_trials(lam, theta, d, trials, times=times, n=n,
-                           seed=seed, **options)[1]
-
-
 def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
                     dt=1e-2, family="P_lambda", a_variant="sqrt",
                     b_variant="mean"):
     """Both Monte Carlo outputs of a `simulate` run from one path per trial.
 
     Returns (spectra, series, state): the spectrum of each trial at time t
-    (rounded to whole steps of dt; None when t is None), the trace series
-    over `times` as trace_martingale_series defines it (the family and
-    its variants as FAMILIES gives them), and the last trial's state, whose
-    ranks every trial shares (None when no trial had to be sampled).
-    Trial i draws its state and then its Brownian steps
-    from default_rng([seed, i]), and the spectra at t and at every series
-    time are read off that one path.  (lam, theta) must lie in the domain
-    that JacobiParams states; make_state itself takes any (lam, theta)
-    whose rounded ranks satisfy 1 <= p <= q <= d.
+    (rounded to whole steps of dt; None when t is None), the trace series,
+    and the last trial's state, whose ranks every trial shares (None when
+    no trial had to be sampled).  Trial i draws its state and then its
+    Brownian steps from default_rng([seed, i]), and the spectra at t and at
+    every series time are read off that one path.  (lam, theta) must lie in
+    the domain that JacobiParams states; make_state itself takes any
+    (lam, theta) whose rounded ranks satisfy 1 <= p <= q <= d.
+
+    The series is [(t, mean, stderr)] over the sorted `times` of the
+    rescaled trace statistic
+
+        e^{n t} * (1/p) * sum_i F_n((2 eig_i(J_t) - s) / d)
+
+    over the trials, F_n the family and its variants as FAMILIES gives
+    them, where (s, d^2) = nu_map(lam, theta') at the theta' that the
+    family reads: theta for Q_lambda_theta, 1/2 for the theta = 1/2
+    families P_lambda and Q_lambda, whose map is (2x - 1)/sqrt(lam(2-lam))
+    whatever theta is sampled.  A family whose rescaled traces form a
+    martingale produces a mean series that is flat in t; the stderr column
+    is the across-trial standard error, so flatness is judged against it.
+    A theta = 1/2 family sampled at theta != 1/2 tests no martingale
+    property.  Each path runs through the sorted times in steps of dt
+    (counts rounded; the realized time is used in the e^{nt} prefactor).
+    n = 0 is the constant 1.
     """
     JacobiParams(lam, theta)
     if n < 0:

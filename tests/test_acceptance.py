@@ -22,7 +22,6 @@ from freejacobi import (
     RenormKernel,
     build_fock,
     cauchy_closed_form_mu,
-    cauchy_mu_half,
     cauchy_transform,
     cdf_grid,
     certify_product_dependence,
@@ -33,19 +32,19 @@ from freejacobi import (
     jacobi_spectrum,
     ks_distance,
     make_state,
-    martingale_residual,
     moments,
     mu_lambda_theta,
     nu_lambda,
     nu_lambda_theta,
     stated_params,
-    trace_martingale_series,
     u_combination,
     vacuum_moments,
     xi_lambda,
     xi_shift,
 )
 from freejacobi.measures import _integrate_ac, stieltjes_invert
+from helpers import (cauchy_mu_half, martingale_residual,
+                     trace_martingale_series)
 
 LAM_GRID = (0.3, 0.6, 1.0)
 THETA_GRID = (0.3, 0.4, 0.5)

@@ -19,9 +19,8 @@ from freejacobi import (
     vacuum_moments,
     xi_lambda,
 )
-from freejacobi.exact import nu_even_moment
 from freejacobi.martingale import stationary_moments
-from helpers import EXACT_POINTS, closed_jacobi
+from helpers import EXACT_POINTS, closed_jacobi, nu_even_moment
 
 small_js = st.builds(
     JacobiSzego,
@@ -73,7 +72,7 @@ def test_operator_actions_on_levels():
 def test_creation_annihilation_adjoint_in_weighted_product(js):
     # <a+ f, g> = <f, a g> for the weighted product <x, y> = sum lambda_n x_n y_n
     # is the defining relation tying the ladder weights to lambda_n.
-    f = build_fock(js, js.n_levels())
+    f = build_fock(js, js.alpha.size)
     w = np.diag(f.weights)
     lhs = f.creation().T @ w
     rhs = w @ f.annihilation()

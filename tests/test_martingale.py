@@ -14,24 +14,23 @@ from freejacobi import (
     build_P_lambda,
     build_Q_lambda,
     cauchy_closed_form_mu,
-    cauchy_mu_half,
     flow_K,
     flow_K_ode_residual,
     flow_Z,
     flow_Z_ode_residual,
-    martingale_residual,
     martingale_residuals,
     moments,
     mu_lambda_theta,
     xi_shift,
 )
 from freejacobi import martingale
-from freejacobi.exact import ONE, X, exact_sqrt, mu_half_moments
+from freejacobi.exact import ONE, X, exact_sqrt
 from freejacobi.martingale import _apply, _drift_columns, stationary_moments
 from freejacobi.measures import nu_map
 from freejacobi.polys import family_values
 from freejacobi.renorm import _family_data, u_combination
-from helpers import chebyshev_seq
+from helpers import (cauchy_mu_half, chebyshev_seq, martingale_residual,
+                     mu_half_moments)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +133,7 @@ def test_residual_matches_float_drift_of_composed_family():
         for family, build in (("P_lambda", build_P_lambda),
                               ("Q_lambda", build_Q_lambda)):
             for n in range(1, 7):
-                q = build(lam, n).compose(Poly([-1.0 / rq, 2.0 / rq]))
+                q = build(lam, n)(Poly([-1.0 / rq, 2.0 / rq]))
                 resid = Poly(_apply(cols, q.coeffs)) + n * q
                 want = float(np.max(np.abs(resid.coeffs)))
                 got = martingale_residual(lam, n, family=family)

@@ -519,7 +519,7 @@ def test_density_at_an_edge_pole_is_inf():
 
 
 def test_moments_against_exact_rationals():
-    from freejacobi.exact import mu_half_moments
+    from helpers import mu_half_moments
 
     got = moments(mu_lambda_theta(JacobiParams(0.7, 0.5)), 10)
     from fractions import Fraction
@@ -684,10 +684,6 @@ def test_invert_input_checks():
     m = nu_lambda(0.5)
     with pytest.raises(ValueError):
         stieltjes_invert(m, 1.5)
-    with pytest.raises(ValueError):
-        stieltjes_invert(m, 0.2, y_steps=(0.01, 0.02))
-    with pytest.raises(ValueError):
-        stieltjes_invert(m, 0.2, y_steps=(0.01,))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,7 @@ from freejacobi import (
     nu_lambda_theta,
     one_step_law,
     rho_trig,
-    rho_trig_identity_check,
     stated_params,
-    taylor_coeffs_in_u,
     theta_one,
     theta_ratio,
     theta_two,
@@ -36,7 +34,8 @@ from freejacobi.exact import ONE, X
 from freejacobi.polys import family_values
 from freejacobi.renorm import (FAMILIES, _admissible_u, _default_grid,
                                _family_data)
-from helpers import EXACT_POINTS, chebyshev_combination
+from helpers import (EXACT_POINTS, chebyshev_combination, poly_allclose,
+                     rho_trig_identity_check, taylor_coeffs_in_u)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +403,31 @@ def test_doubled_shift_is_orthogonal_under_its_own_law(lam, th, atom):
     assert _offdiag_max(family_gram(nu, beta, gamma, 12)) >= 0.1
 
 
+def test_gram_keeps_the_recurrence_at_a_foreign_atom():
+    # The closed form F_n(z) = 4 omega_1 rho^n serves only the family's own
+    # atom.  Under a law whose atom belongs to other data, the Gram is the
+    # quadrature plus the recurrence's values at the atom, to the bit.
+    beta, gamma = u_combination("P_lambda", 0.5)
+    m = xi_lambda(0.3)
+    alpha0, omega1 = -beta / 2, (1 - gamma) / 4
+    ((z, _),) = m.atoms
+    assert z != measures._one_step_atom(alpha0, omega1, 1.0)[0]
+    iu, ju = np.triu_indices(13)
+
+    def pair_values(x):
+        x = np.asarray(x, dtype=float)
+        fam = np.array(family_values(x, range(13), alpha0, omega1,
+                                     np.ones_like(x)))
+        return fam[iu] * fam[ju]
+
+    vals = np.asarray(measures._integrate_ac(m, pair_values), dtype=float)
+    vals = vals + m.atoms[0][1] * pair_values([z])[:, 0]
+    want = np.zeros((13, 13))
+    want[iu, ju] = vals
+    want[ju, iu] = vals
+    assert np.array_equal(family_gram(m, beta, gamma, 12), want)
+
+
 def test_gram_constant_entry_is_mass():
     beta, gamma = u_combination("Q_lambda", 0.7)
     g = family_gram(nu_lambda(0.7), beta, gamma, 0)
@@ -472,23 +496,23 @@ def test_build_Q_lambda_theta_reduces_at_half():
     for lam in (0.4, 0.9):
         for n in range(7):
             general = build_Q_lambda_theta(JacobiParams(lam, 0.5), n)
-            assert general.allclose(build_Q_lambda(lam, n), tol=1e-12)
+            assert poly_allclose(general, build_Q_lambda(lam, n), tol=1e-12)
 
 
 def test_families_collapse_to_first_kind_at_lam_one():
     for n in range(1, 8):
         twice_T = 2.0 * chebyshev_T(n)
-        assert build_Q_lambda(1.0, n).allclose(twice_T, tol=1e-12)
-        assert build_P_lambda(1.0, n).allclose(twice_T, tol=1e-12)
-        assert build_Q_lambda_theta(JacobiParams(1.0, 0.5), n).allclose(
-            twice_T, tol=1e-12)
+        assert poly_allclose(build_Q_lambda(1.0, n), twice_T, tol=1e-12)
+        assert poly_allclose(build_P_lambda(1.0, n), twice_T, tol=1e-12)
+        assert poly_allclose(build_Q_lambda_theta(JacobiParams(1.0, 0.5), n),
+                             twice_T, tol=1e-12)
 
 
 def test_builders_low_degrees():
-    assert build_Q_lambda(0.5, 0).allclose([1.0])
-    assert build_Q_lambda(0.5, 1).allclose([0.0, 2.0])
+    assert poly_allclose(build_Q_lambda(0.5, 0), [1.0])
+    assert poly_allclose(build_Q_lambda(0.5, 1), [0.0, 2.0])
     # Q_2 = U_2 - (lam/(2-lam)) U_0
-    assert build_Q_lambda(0.5, 2).allclose([-1.0 - 1.0 / 3.0, 0.0, 4.0])
+    assert poly_allclose(build_Q_lambda(0.5, 2), [-1.0 - 1.0 / 3.0, 0.0, 4.0])
     with pytest.raises(ValueError):
         build_Q_lambda(0.5, -1)
     with pytest.raises(ValueError):
@@ -499,8 +523,8 @@ def test_builders_low_degrees():
 
 def test_builders_leading_coefficient():
     for n in range(1, 7):
-        assert build_Q_lambda(0.7, n).leading == pytest.approx(2.0 ** n)
-        assert build_P_lambda(0.7, n).leading == pytest.approx(2.0 ** n)
+        assert build_Q_lambda(0.7, n).coef[-1] == pytest.approx(2.0 ** n)
+        assert build_P_lambda(0.7, n).coef[-1] == pytest.approx(2.0 ** n)
 
 
 # ---------------------------------------------------------------------------

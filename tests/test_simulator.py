@@ -18,7 +18,6 @@ from freejacobi import (
     mu_lambda_theta,
     sample_haar_unitary,
     simulate_trials,
-    trace_martingale_series,
 )
 from freejacobi.cli import main as cli_main
 from freejacobi.exact import ONE, X, exact_sqrt
@@ -27,6 +26,7 @@ from freejacobi.measures import nu_map
 from freejacobi.polys import family_values
 from freejacobi.renorm import _family_data
 from freejacobi.simulator import drift_sigmas
+from helpers import trace_martingale_series
 
 
 def _unitarity_defect(m):
