@@ -4,10 +4,11 @@ compared with one diff.
 
 The groups:
 
-    residuals          the 120-case martingale residual grid by float.hex:
-                       both families and both a-variants, lambda in
-                       RESIDUAL_LAMS, n in RESIDUAL_DEGREES
-    residuals_theta    the same for Q_lambda_theta, both b-variants, at the
+    residuals          the 90-case martingale residual grid by float.hex:
+                       P_lambda and Q_lambda, each in every variant of its
+                       row of FAMILIES, lambda in RESIDUAL_LAMS, n in
+                       RESIDUAL_DEGREES
+    residuals_theta    the same for Q_lambda_theta, both variants, at the
                        theta != 1/2 points of THETA_POINTS
     verify_all         every JSON report of scripts/run_verify_all.py at its
                        default grid, and the table it prints
@@ -72,9 +73,8 @@ from freejacobi import (JacobiParams, build_P_lambda, build_Q_lambda,
                         mu_lambda_theta, nu_lambda, nu_lambda_theta, xi_lambda)
 from freejacobi.cli import main as fj_main
 from freejacobi.martingale import martingale_residuals
-from freejacobi.measures import _ac_nodes
+from freejacobi.measures import FAMILIES, _ac_nodes, _family_data
 from freejacobi.polys import family_values
-from freejacobi.renorm import FAMILIES, _family_data
 
 RESIDUAL_LAMS = (0.25, 0.3, 0.5, 0.7, 0.99, 1.0)
 RESIDUAL_DEGREES = (1, 2, 5, 9, 15)
@@ -176,7 +176,7 @@ def run_cli(argv):
 def residuals(dump):
     g = Group("residuals", dump)
     for family in ("P_lambda", "Q_lambda"):
-        for variant in ("sqrt", "rational"):
+        for variant in FAMILIES[family].variants:
             for lam in RESIDUAL_LAMS:
                 res = martingale_residuals(lam, RESIDUAL_DEGREES, family,
                                            variant)
@@ -190,7 +190,7 @@ def residuals_theta(dump):
     for variant in ("mean", "twice"):
         for lam, theta in THETA_POINTS:
             res = martingale_residuals(lam, RESIDUAL_DEGREES, "Q_lambda_theta",
-                                       theta=theta, b_variant=variant)
+                                       theta=theta, variant=variant)
             for n, r in zip(RESIDUAL_DEGREES, res):
                 g.add(variant, lam.hex(), theta.hex(), n, r.hex())
     return g
@@ -301,16 +301,16 @@ def families(dump):
     laws = []
     for lam in CRITERION_LAMS:
         add(f"build Q_lambda {lam.hex()}",
-            [build_Q_lambda(lam, n).coeffs for n in degrees])
+            [build_Q_lambda(lam, n).coef for n in degrees])
         for a in ("sqrt", "rational"):
             add(f"build P_lambda {a} {lam.hex()}",
-                [build_P_lambda(lam, n, a).coeffs for n in degrees])
+                [build_P_lambda(lam, n, a).coef for n in degrees])
         laws += [("Q_lambda", lam, None), ("P_lambda", lam, None)]
         for theta in CRITERION_THETAS:
             p = JacobiParams(lam, theta)
             for b in ("mean", "twice"):
                 add(f"build Q_lambda_theta {b} {lam.hex()} {theta.hex()}",
-                    [build_Q_lambda_theta(p, n, b).coeffs for n in degrees])
+                    [build_Q_lambda_theta(p, n, b).coef for n in degrees])
             laws.append(("Q_lambda_theta", lam, theta))
     for family, lam, theta in laws:
         m = FAMILIES[family].measure(lam, theta)

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from freejacobi.cli import main as fj_main
-from freejacobi.renorm import FAMILIES
+from freejacobi.measures import FAMILIES
 from freejacobi.simulator import drift_sigmas
 
 

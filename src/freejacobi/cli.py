@@ -23,10 +23,11 @@ from .errors import ConvergenceError, PositivityError
 from .fock import build_fock, vacuum_moments
 from .martingale import (FlowConstants, flow_K_ode_residual,
                          flow_Z_ode_residual, martingale_residuals)
-from .measures import JacobiParams, cdf_grid, moments, mu_lambda_theta
+from .measures import (FAMILIES, JacobiParams, cdf_grid, moments,
+                       mu_lambda_theta)
 from .recurrence import extract_from_measure
-from .renorm import (FAMILIES, RenormKernel, certify_product_dependence,
-                     family_gram, rho_trig, u_combination)
+from .renorm import (RenormKernel, certify_product_dependence, family_gram,
+                     rho_trig, u_combination)
 from .simulator import ks_distance, simulate_trials
 
 REPORT_SCHEMA = "freejacobi/report-v1"
@@ -142,10 +143,21 @@ def _suite_fock(args):
             "max_difference": diff, "verdict": ok}
 
 
+def _variant(args):
+    """The variant that --a-variant selects: one of P_lambda's, which no
+    other family reads.  At its default any other family keeps its own;
+    anything else is refused before any computation."""
+    if args.family == "P_lambda":
+        return args.a_variant
+    if args.a_variant != "sqrt":
+        raise ValueError(f"{args.family} has no a-variant")
+    return None
+
+
 def _suite_martingale(args):
     degrees = range(1, args.nmax + 1)
     res = martingale_residuals(args.lam, degrees, family=args.family,
-                               a_variant=args.a_variant, theta=args.theta)
+                               variant=_variant(args), theta=args.theta)
     rows = [{"n": n, "residual": r} for n, r in zip(degrees, res)]
     worst = max(res)
     ok = worst < args.tol
@@ -211,7 +223,7 @@ def cmd_simulate(args):
     spectra, series, state = simulate_trials(
         args.lam, args.theta, args.d, args.trials, t=args.t, times=times,
         n=args.n, seed=seed, dt=args.dt, family=args.family,
-        a_variant=args.a_variant)
+        variant=_variant(args))
     if times and FAMILIES[args.family].reads(args.theta) != args.theta:
         print(f"note: the trace series rescales by the theta = 1/2 map; at "
               f"theta = {_fmt(args.theta)} it tests no martingale property",
@@ -324,7 +336,7 @@ def _build_parser():
     vm = vs.add_parser("martingale",
                        help="drift-cancellation residuals of a family")
     vm.add_argument("--family", choices=_POLY_FAMILIES, default="P_lambda")
-    vm.add_argument("--a-variant", choices=("sqrt", "rational"),
+    vm.add_argument("--a-variant", choices=FAMILIES["P_lambda"].variants,
                     default="sqrt")
     vm.add_argument("--nmax", type=int, default=15)
     vm.add_argument("--tol", type=float, default=1e-9)
@@ -354,7 +366,7 @@ def _build_parser():
     s.add_argument("--dt", type=float, default=1e-2)
     s.add_argument("--bins", type=int, default=40)
     s.add_argument("--family", choices=_POLY_FAMILIES, default="P_lambda")
-    s.add_argument("--a-variant", choices=("sqrt", "rational"),
+    s.add_argument("--a-variant", choices=FAMILIES["P_lambda"].variants,
                    default="sqrt")
     s.add_argument("--seed", type=int, default=None,
                    help="random seed (default: FJL_SEED when set, else 0)")

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ONE, X, exact_sqrt
-from .measures import JacobiParams, cauchy_closed_form_mu, nu_map
+from .measures import (FAMILIES, JacobiParams, _family_data,
+                       cauchy_closed_form_mu, nu_map)
 from .polys import family_values
-from .renorm import FAMILIES, _family_data
 
 __all__ = [
     "stationary_moments", "martingale_residuals", "FlowConstants", "flow_Z",
@@ -111,22 +111,23 @@ _MAX_OPERAND_BITS = 16384
 _MAX_WORK = 10 ** 8
 
 
-def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt",
-                         theta=0.5, b_variant="mean"):
+def martingale_residuals(lam, degrees, family="P_lambda", variant=None,
+                         theta=0.5):
     """Max-magnitude coefficient of drift(q_n) + n q_n for each n in
-    `degrees`, where q_n(x) = F_n((2x - s)/d) with F_n the chosen family and
-    (s, d^2) = nu_map(lam, theta).
+    `degrees`, where q_n(x) = F_n((2x - s)/d) with F_n the chosen family in
+    `variant` (one of the variants of its row in FAMILIES; None: its own)
+    and (s, d^2) = nu_map(lam, theta).
 
     The family table says which theta applies: Q_lambda_theta reads
-    `theta` (U_n - 2b U_{n-1} + (1-2c) U_{n-2}, b per `b_variant`), while
+    `theta` (U_n - 2b U_{n-1} + (1-2c) U_{n-2}, b per the variant), while
     P_lambda and Q_lambda are theta = 1/2 families and stay there whatever
     theta is given, with the map (2x - 1)/sqrt(lam(2-lam)).  P_lambda is
-    U_n - 2 a U_{n-1} - U_{n-2} with a = (1-lam)/sqrt(q) (a_variant="sqrt")
-    or the control value a = (1-lam)/q (a_variant="rational"),
-    q = lam(2-lam).  Q_lambda, U_n - lam/(2-lam) U_{n-2}, and Q_lambda_theta
-    with b_variant="mean" are orthogonal for nu, the image of the
-    stationary law, and their residuals vanish identically;
-    b_variant="twice" is the doubled-shift control.
+    U_n - 2 a U_{n-1} - U_{n-2} with a = (1-lam)/sqrt(q) ("sqrt", its own)
+    or the control value a = (1-lam)/q ("rational"), q = lam(2-lam).
+    Q_lambda, U_n - lam/(2-lam) U_{n-2}, and Q_lambda_theta in its own
+    variant "mean" are orthogonal for nu, the image of the stationary law,
+    and their residuals vanish identically; "twice" is the doubled-shift
+    control.
 
     The computation is exact: `lam` and `theta` enter at their binary-float
     rational values, the moments are the drift's own fixed point
@@ -151,7 +152,7 @@ def martingale_residuals(lam, degrees, family="P_lambda", a_variant="sqrt",
     if not degrees or min(degrees) < 1:
         raise ValueError("n must be >= 1")
     lamF, thF = Fraction(lam), Fraction(theta)
-    data = _family_data(family, lamF, thF, a_variant, b_variant)
+    data = _family_data(family, lamF, thF, variant)
     thF = FAMILIES[family].reads(thF)
     top = max(degrees)
     bits = top * (lamF.denominator.bit_length() + thF.denominator.bit_length())

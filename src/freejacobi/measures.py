@@ -13,17 +13,23 @@ One rule gives every density and every atom: one_step_law, the law of
 monic Jacobi data alpha_0, omega_1, then alpha_n = 0 and omega_n = 1/4.
 Its density is written once, in edge form (see
 SpectralMeasure.density_edges); the density at x is that form at the
-clipped edge distances x - lo and hi - x.  nu_lambda_theta and xi_lambda
-are one_step_law of their family's data, nu_lambda is nu_lambda_theta at
-theta = 1/2, and mu_lambda_theta reads the edge form of nu_lambda_theta
-through the affine map of its support.  The parameter domain is stated
-once, by JacobiParams: the theta = 1/2 laws check lam through it as well.
+clipped edge distances x - lo and hi - x.
+
+The polynomial families are one table, FAMILIES: each row holds a family's
+Jacobi data, the variants they read, the variant the paper tabulates and
+the theta the family is pinned to.  nu_lambda, nu_lambda_theta and
+xi_lambda are the laws of their rows, one_step_law of the row's data, and
+mu_lambda_theta reads the edge form of nu_lambda_theta through the affine
+map of its support.  The parameter domain is stated once, by JacobiParams:
+the theta = 1/2 laws check lam through it as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -85,8 +91,9 @@ class JacobiParams:
 
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
-    """Probability measure with a density on [support_lo, support_hi] plus
-    finitely many atoms (location, weight) on or outside that interval.
+    """Probability measure with a density on the interval support =
+    (lo, hi) plus finitely many atoms (location, weight) on or outside that
+    interval.
 
     The density is given in edge form only: density_edges(x, dlo, dhi) with
     dlo = x - lo and dhi = hi - x supplied separately.  Near an edge those
@@ -137,14 +144,6 @@ class SpectralMeasure:
         total = self.total_mass()
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"total mass {total} is not 1 within 1e-8")
-
-    @property
-    def support_lo(self):
-        return self.support[0]
-
-    @property
-    def support_hi(self):
-        return self.support[1]
 
     def atom_weight(self):
         return sum(w for _, w in self.atoms)
@@ -315,10 +314,10 @@ def _one_step_edges(a, w):
     return dens_edges
 
 
-def _nu_theta_data(lam, theta, b_variant="mean"):
+def _nu_theta_data(lam, theta, variant="mean"):
     """Jacobi data (alpha_0, omega_1) of Q_lambda_theta, generic over float
     and Fraction: omega_1 = 1/(4(1 - lam theta)) and alpha_0 = b, the first
-    moment of nu_{lam,theta} (b_variant="mean"), or twice it ("twice", as
+    moment of nu_{lam,theta} (variant="mean"), or twice it ("twice", as
     tabulated), where
 
         b = -(1 - 2 omega_1) r,
@@ -338,13 +337,7 @@ def _nu_theta_data(lam, theta, b_variant="mean"):
         * exact_sqrt(min(lam * (1 - lam * theta) / (1 - theta), 1))
         / (1 - 2 * lam * theta))
     b = -(1 - 2 * w) * r
-    return (2 * b if b_variant == "twice" else b), w
-
-
-def _xi_data(lam, a_variant="sqrt"):
-    """Jacobi data (a(lam), 1/2) of P_lambda, a(lam) = xi_shift(lam,
-    a_variant), the 1/2 in the scalar type of lam (float or Fraction)."""
-    return xi_shift(lam, a_variant), lam ** 0 / 2
+    return (2 * b if variant == "twice" else b), w
 
 
 def mu_lambda_theta(p):
@@ -389,19 +382,18 @@ def mu_lambda_theta(p):
 
 def nu_lambda(lam):
     """nu_{lam,theta} at theta = 1/2, the symmetric image of the theta = 1/2
-    law on [-1, 1]: (2-lam)/pi * sqrt(1-x^2) / (1 - lam(2-lam) x^2)."""
-    return nu_lambda_theta(JacobiParams(lam, 0.5))
+    law on [-1, 1]: (2-lam)/pi * sqrt(1-x^2) / (1 - lam(2-lam) x^2), the
+    law of Q_lambda."""
+    return FAMILIES["Q_lambda"].measure(lam)
 
 
 def nu_lambda_theta(p):
     """General-theta symmetric image measure on [-1, 1]: the image of
     mu_{lam,theta} under x -> (2x - s)/d, (s, d^2) = nu_map(lam, theta),
     with density d^2 sqrt(1-x^2) / (2 pi lam theta (s + dx)(2 - s - dx)),
-    one_step_law of the data of Q_lambda_theta."""
-    if not isinstance(p, JacobiParams):
-        p = JacobiParams(*p)
-    return one_step_law(*_nu_theta_data(p.lam, p.theta),
-                        f"nu[{p.lam},{p.theta}]")
+    the law of Q_lambda_theta."""
+    lam, theta = (p.lam, p.theta) if isinstance(p, JacobiParams) else p
+    return FAMILIES["Q_lambda_theta"].measure(lam, theta)
 
 
 def nu_map(lam, theta):
@@ -439,8 +431,99 @@ def xi_shift(lam, variant="sqrt"):
 def xi_lambda(lam):
     """Shifted arcsine-type measure: density sqrt(1-x^2)/(pi (a^2+1-x^2)) on
     (-1, 1) plus an atom of weight a/sqrt(a^2+1) at sqrt(a^2+1), a = a(lam),
-    one_step_law of the data of P_lambda."""
-    return one_step_law(*_xi_data(lam), f"xi[{lam}]")
+    the law of P_lambda."""
+    return FAMILIES["P_lambda"].measure(lam)
+
+
+# -- the polynomial families -------------------------------------------------
+#
+# Every family here is given by its monic Jacobi data: alpha_0 and omega_1,
+# then alpha = 0 and omega = 1/4.  Its members are F_n = 2^n p_n, p_n the
+# monic polynomials of those data (polys.family_values), and its law is
+# one_step_law of the same data.  By Favard's theorem the members are the
+# two-step combinations of second-kind Chebyshevs
+#     F_n = U_n + beta U_{n-1} + gamma U_{n-2},
+# (beta, gamma) = (-2 alpha_0, 1 - 4 omega_1), i.e. the Taylor coefficients
+# in u of (1 + beta u + gamma u^2)/(1 - 2ux + u^2).
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """One row of FAMILIES: the monic Jacobi data (alpha_0, omega_1) of
+    the family as a function of (lam, theta, variant), generic over the
+    scalar type (a Fraction lam gives exact data with an exact square
+    root); the variants those data read, the family's own first; the
+    variant the paper tabulates; the label of its law; and the theta it is
+    pinned to (None: it reads the theta it is given).  The members
+    (family_values, for build_*, the exact martingale residuals and the
+    simulator), the weights (u_combination), the stated parameters
+    (stated_params) and the law (measure) all follow from the data, which
+    _family_data reads after its checks."""
+
+    data: object
+    variants: tuple
+    tabulated: str
+    label: str
+    theta: object = None
+
+    def reads(self, theta):
+        """The theta the family reads: its pinned theta, else `theta`.
+        This is where every path (_family_data, the law, the exact
+        martingale residuals, the simulator's rescaling and the cli's note)
+        learns which theta applies."""
+        return theta if self.theta is None else self.theta
+
+    def measure(self, lam, theta=None):
+        """The orthogonality measure at (lam, theta), theta as read:
+        one_step_law of the family's own data, labelled with that theta as
+        a float."""
+        theta = self.reads(theta)
+        JacobiParams(lam, theta)
+        return one_step_law(*self.data(lam, theta, self.variants[0]),
+                            self.label.format(lam=lam, theta=float(theta)))
+
+
+# The theta = 1/2 families are pinned there, exactly: one Fraction serves
+# float and exact lam alike, and nu_map takes it to the floats 1.0 and
+# lam * (2.0 - lam) at a float lam.
+_HALF = Fraction(1, 2)
+
+# The three polynomial families, each by its Jacobi data.  Q_lambda is
+# Q_lambda_theta at theta = 1/2: the same data (b = 0 and omega_1 =
+# 1/(2(2-lam))) and the same law, nu_lambda.  Q_lambda_theta reads b as the
+# first moment of its law ("mean") or, as tabulated, twice it ("twice").
+# P_lambda's alpha_0 is a(lam) = xi_shift(lam) = (1-lam)/sqrt(lam(2-lam))
+# ("sqrt") or the control value (1-lam)/(lam(2-lam)) ("rational"), its
+# omega_1 is 1/2 in the scalar type of lam, and its law is xi_lambda.
+FAMILIES = MappingProxyType({
+    "Q_lambda": Family(_nu_theta_data, ("mean",), "mean",
+                       "nu[{lam},{theta}]", _HALF),
+    "P_lambda": Family(
+        lambda lam, theta, variant: (xi_shift(lam, variant), lam ** 0 / 2),
+        ("sqrt", "rational"), "sqrt", "xi[{lam}]", _HALF),
+    "Q_lambda_theta": Family(_nu_theta_data, ("mean", "twice"), "twice",
+                             "nu[{lam},{theta}]"),
+})
+
+
+def _family_data(family, lam, theta=None, variant=None):
+    """Jacobi data (alpha_0, omega_1) of the named family in `variant`
+    (None: the family's own), after the checks of the family name, the
+    variant (one its row reads) and the parameter domain, the domain by
+    JacobiParams: lam in (0, 1], and for Q_lambda_theta theta in (0, 1/2].
+    The theta = 1/2 families read theta = 1/2 whatever `theta` is
+    (Family.reads)."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    row = FAMILIES[family]
+    variant = row.variants[0] if variant is None else variant
+    if variant not in row.variants:
+        raise ValueError(f"{family} has the variants "
+                         f"{', '.join(row.variants)}, not {variant!r}")
+    theta = row.reads(theta)
+    if theta is None:
+        raise ValueError(f"{family} requires theta")
+    JacobiParams(lam, theta)
+    return row.data(lam, theta, variant)
 
 
 # -- functionals -------------------------------------------------------------

@@ -27,7 +27,7 @@ class Poly(Polynomial):
     ``Polynomial`` over float, with its ring operations, ``deriv`` and
     evaluation.
 
-    ``coeffs[k]`` multiplies ``x**k``.  Trailing zero coefficients are
+    ``coef[k]`` multiplies ``x**k``.  Trailing zero coefficients are
     trimmed, also on every arithmetic result, so the stored leading
     coefficient is nonzero unless the polynomial is identically zero (stored
     as the single coefficient 0.0).
@@ -40,10 +40,6 @@ class Poly(Polynomial):
         nz = np.nonzero(c)[0]
         super().__init__(c[: nz[-1] + 1] if nz.size else [0.0],
                          domain, window, symbol)
-
-    @property
-    def coeffs(self):
-        return self.coef
 
     def is_zero(self):
         return self.coef.size == 1 and self.coef[0] == 0.0

@@ -20,9 +20,8 @@ import numpy as np
 
 from . import errors
 from .errors import PositivityError
-from .measures import _ac_nodes, _sin_nodes
+from .measures import FAMILIES, _ac_nodes, _family_data, _sin_nodes
 from .polys import _one_step_data, monic_seq
-from .renorm import _family_data
 
 __all__ = ["JacobiSzego", "stated_params", "extract_from_measure"]
 
@@ -48,18 +47,21 @@ class JacobiSzego:
 
 def stated_params(family, lam=None, theta=None, n_max=12):
     """Closed-form Jacobi-Szego parameters of the three polynomial families,
-    read from the family's Jacobi data at the tabulated shift (see
-    ``FAMILIES``): alpha_0 and omega_1 as stated, every other alpha 0 and
-    every other omega 1/4.
+    read from the family's Jacobi data in the variant its row of
+    ``FAMILIES`` says the paper tabulates: alpha_0 and omega_1 as stated,
+    every other alpha 0 and every other omega 1/4.
 
-    Caution: the tabulated Q_lambda_theta shift b is twice the first moment
-    of nu_{lam,theta}, so for theta != 1/2 this alpha_0 is NOT the
-    extraction fixed point -- ``extract_from_measure(nu_lambda_theta(p),
-    ...)`` returns alpha_0 = b/2.  The orthogonal family itself is built by
-    ``build_Q_lambda_theta`` with its default b_variant="mean".
+    Caution: the tabulated Q_lambda_theta shift b (variant "twice") is
+    twice the first moment of nu_{lam,theta}, so for theta != 1/2 this
+    alpha_0 is NOT the extraction fixed point --
+    ``extract_from_measure(nu_lambda_theta(p), ...)`` returns
+    alpha_0 = b/2.  The orthogonal family itself is built by
+    ``build_Q_lambda_theta`` in its own variant "mean".
     """
+    # An unknown name has no row, and _family_data refuses it.
+    row = FAMILIES.get(family)
     alpha, omega = _one_step_data(
-        *_family_data(family, lam, theta, b_variant="twice"), n_max)
+        *_family_data(family, lam, theta, row and row.tabulated), n_max)
     return JacobiSzego(np.array(alpha, dtype=float),
                        np.array(omega, dtype=float))
 

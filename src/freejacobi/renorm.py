@@ -1,5 +1,6 @@
 """Multiplicative renormalization: theta kernels, the product-dependence
-certification, and the generating-function polynomial families.
+certification, and the generating-function view of the polynomial families
+of measures.FAMILIES (their weights, Gram matrices and members).
 
 For a probability measure mu and an analytic rho with rho(0) = 0,
 rho'(0) != 0, the kernel psi(u, x) = (1 - rho(u) x)^{-1} / theta(rho(u))
@@ -21,15 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from types import MappingProxyType
 
 import numpy as np
 
 from . import errors
-from .measures import (JacobiParams, _ac_nodes, _integrate_ac, _nu_theta_data,
-                       _off_support, _one_step_atom, _settled_within, _xi_data,
-                       one_step_law)
+from .measures import (_ac_nodes, _family_data, _integrate_ac, _off_support,
+                       _one_step_atom, _settled_within)
 from .polys import _X, _as_poly, family_values
 
 __all__ = [
@@ -129,7 +127,7 @@ def _admissible_u(k):
     """Largest u (with margin) such that 1/rho(u) stays off the measure's
     support and atoms; assumes rho is increasing on [0, 1)."""
     m = k.measure
-    pts = [abs(m.support_lo), abs(m.support_hi)]
+    pts = [abs(x) for x in m.support]
     pts += [abs(x) for x, _ in m.atoms]
     xmax = max(pts)
     w_max = min(0.95 / xmax if xmax > 0 else 0.95, 0.95)
@@ -203,94 +201,11 @@ def certify_product_dependence(k, grid=None, tol=1e-10):
 
 # -- generating-function families --------------------------------------------
 #
-# Every family here is given by its monic Jacobi data: alpha_0 and omega_1,
-# then alpha = 0 and omega = 1/4.  Its members are F_n = 2^n p_n, p_n the
-# monic polynomials of those data (polys.family_values).  By Favard's
-# theorem they are the two-step combinations of second-kind Chebyshevs
-#     F_n = U_n + beta U_{n-1} + gamma U_{n-2},
-# (beta, gamma) = (-2 alpha_0, 1 - 4 omega_1), i.e. the Taylor coefficients
-# in u of (1 + beta u + gamma u^2)/(1 - 2ux + u^2).
+# The families themselves are the rows of measures.FAMILIES; their members
+# are the Chebyshev combinations F_n = U_n + beta U_{n-1} + gamma U_{n-2}
+# of the weights u_combination gives.
 
-@dataclass(frozen=True, eq=False)
-class Family:
-    """One entry of FAMILIES: the monic Jacobi data (alpha_0, omega_1) of
-    the family as a function of (lam, theta, a_variant, b_variant), generic
-    over the scalar type (a Fraction lam gives exact data with an exact
-    square root), the label of its law, and the theta it is pinned to
-    (None: it reads the theta it is given).  The members (family_values,
-    for build_*, the exact martingale residuals and the simulator), the
-    weights (u_combination), the stated parameters (stated_params) and the
-    law (measure) all follow from the data."""
-
-    data: object
-    label: str
-    theta: object = None
-
-    def reads(self, theta):
-        """The theta the family reads: its pinned theta, else `theta`.
-        This is where every path (_family_data, the orthogonality measure,
-        the exact martingale residuals, the simulator's rescaling and the
-        cli's note) learns which theta applies."""
-        return theta if self.theta is None else self.theta
-
-    def measure(self, lam, theta):
-        """The orthogonality measure at (lam, theta), theta as read:
-        one_step_law of the family's data, labelled with that theta as a
-        float, as nu_lambda labels its law."""
-        theta = self.reads(theta)
-        JacobiParams(lam, theta)
-        return one_step_law(*self.data(lam, theta, "sqrt", "mean"),
-                            self.label.format(lam=lam, theta=float(theta)))
-
-
-# The theta = 1/2 families are pinned there, exactly: one Fraction serves
-# float and exact lam alike, and nu_map takes it to the floats 1.0 and
-# lam * (2.0 - lam) at a float lam.
-_HALF = Fraction(1, 2)
-
-
-def _nu_family_data(lam, theta, a_variant, b_variant):
-    return _nu_theta_data(lam, theta, b_variant)
-
-
-# The three polynomial families, each by its Jacobi data: alpha_0, omega_1,
-# then alpha = 0 and omega = 1/4.  Q_lambda is Q_lambda_theta at
-# theta = 1/2: the same data (b = 0 and omega_1 = 1/(2(2-lam))) and the
-# same law, nu_lambda.  P_lambda's alpha_0 is a(lam) = xi_shift(lam) =
-# (1-lam)/sqrt(lam(2-lam)) (a_variant="sqrt") or the control value
-# (1-lam)/(lam(2-lam)) (a_variant="rational"), its omega_1 is 1/2, and its
-# law is xi_lambda.
-FAMILIES = MappingProxyType({
-    "Q_lambda": Family(_nu_family_data, "nu[{lam},{theta}]", _HALF),
-    "P_lambda": Family(
-        lambda lam, theta, a_variant, b_variant: _xi_data(lam, a_variant),
-        "xi[{lam}]", _HALF),
-    "Q_lambda_theta": Family(_nu_family_data, "nu[{lam},{theta}]"),
-})
-
-
-def _family_data(family, lam, theta=None, a_variant="sqrt",
-                 b_variant="mean"):
-    """Jacobi data (alpha_0, omega_1) of the named family, after the checks
-    of the family name, the variants and the parameter domain, the domain
-    by JacobiParams: lam in (0, 1], and for Q_lambda_theta theta in
-    (0, 1/2].  The theta = 1/2 families read theta = 1/2 whatever `theta`
-    is (Family.reads)."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if a_variant not in ("sqrt", "rational"):
-        raise ValueError(f"unknown a_variant {a_variant!r}")
-    if b_variant not in ("mean", "twice"):
-        raise ValueError(f"unknown b_variant {b_variant!r}")
-    entry = FAMILIES[family]
-    theta = entry.reads(theta)
-    if theta is None:
-        raise ValueError(f"{family} requires theta")
-    JacobiParams(lam, theta)
-    return entry.data(lam, theta, a_variant, b_variant)
-
-
-def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
+def u_combination(family, lam, theta=None, variant=None):
     """Weights (beta, gamma) = (-2 alpha_0, 1 - 4 omega_1) of the named
     family's Chebyshev combination, the generating-function view of its
     Jacobi data:
@@ -299,12 +214,13 @@ def u_combination(family, lam, theta=None, a_variant="sqrt", b_variant="mean"):
     family = "Q_lambda":       the same at theta = 1/2, (0, -lam/(2-lam))
     family = "P_lambda":       (-2 a(lam),  -1)
 
-    with a(lam) per ``xi_shift(lam, a_variant)``, c = 1/(2(1 - lam theta))
-    and b per ``build_Q_lambda_theta`` (b depends on b_variant).  The
-    family name, the variants and the domain are checked as in
+    with a(lam) per ``xi_shift(lam, variant)``, c = 1/(2(1 - lam theta))
+    and b per ``build_Q_lambda_theta`` (b depends on the variant).
+    `variant` is one of the variants of the family's row (None: its own);
+    the family name, the variant and the domain are checked as in
     _family_data.
     """
-    alpha0, omega1 = _family_data(family, lam, theta, a_variant, b_variant)
+    alpha0, omega1 = _family_data(family, lam, theta, variant)
     return -2 * alpha0, 1 - 4 * omega1
 
 
@@ -376,8 +292,8 @@ def family_gram(measure, beta, gamma, n_max):
     return g
 
 
-def _build(family, n, lam, theta=None, **variant):
-    data = _family_data(family, lam, theta, **variant)
+def _build(family, n, lam, theta=None, variant=None):
+    data = _family_data(family, lam, theta, variant)
     return _as_poly(family_values(_X, [n], *data)[0])
 
 
@@ -387,24 +303,26 @@ def build_Q_lambda(lam, n):
     return _build("Q_lambda", n, lam)
 
 
-def build_P_lambda(lam, n, a_variant="sqrt"):
+def build_P_lambda(lam, n, variant=None):
     """P_n = U_n - 2 a(lam) U_{n-1} - U_{n-2}; Taylor coefficients in u of
-    (1 - 2 a(lam) u - u^2) / (1 - 2ux + u^2)."""
-    return _build("P_lambda", n, lam, a_variant=a_variant)
+    (1 - 2 a(lam) u - u^2) / (1 - 2ux + u^2), a(lam) = xi_shift(lam,
+    variant) ("sqrt", the family's own, or "rational")."""
+    return _build("P_lambda", n, lam, variant=variant)
 
 
-def build_Q_lambda_theta(p, n, b_variant="mean"):
+def build_Q_lambda_theta(p, n, variant=None):
     """Q_n = U_n - 2b U_{n-1} + (1-2c) U_{n-2} with b, c from (lam, theta);
     Taylor coefficients in u of (1 - 2bu + (1-2c)u^2) / (1 - 2ux + u^2).
 
-    b_variant selects the shift coefficient.  "mean" (default) puts b equal
-    to the first moment of nu_{lam,theta},
+    The variant selects the shift coefficient.  "mean" (the family's own,
+    and the default) puts b equal to the first moment of nu_{lam,theta},
 
         b = sqrt(lam / ((1-theta)(1-lam theta))) (2 theta - 1) / 2,
 
     which is forced by orthogonality of Q_1 to constants and makes the whole
-    family orthogonal.  "twice" uses twice that value; the resulting
-    combination fails orthogonality whenever theta != 1/2 and is kept as a
-    negative control.  The variants coincide at theta = 1/2 (b = 0).
+    family orthogonal.  "twice", as tabulated, uses twice that value; the
+    resulting combination fails orthogonality whenever theta != 1/2 and is
+    kept as a negative control.  The variants coincide at theta = 1/2
+    (b = 0).
     """
-    return _build("Q_lambda_theta", n, p.lam, p.theta, b_variant=b_variant)
+    return _build("Q_lambda_theta", n, p.lam, p.theta, variant)

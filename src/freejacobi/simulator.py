@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import JacobiParams, nu_map
+from .measures import FAMILIES, JacobiParams, _family_data, nu_map
 from .polys import family_values
-from .renorm import FAMILIES, _family_data
 
 __all__ = [
     "MatrixProcessState", "sample_haar_unitary", "evolve_unitary_bm",
@@ -232,8 +231,7 @@ def ks_distance(sample, xs, cdf):
 
 
 def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
-                    dt=1e-2, family="P_lambda", a_variant="sqrt",
-                    b_variant="mean"):
+                    dt=1e-2, family="P_lambda", variant=None):
     """Both Monte Carlo outputs of a `simulate` run from one path per trial.
 
     Returns (spectra, series, state): the spectrum of each trial at time t
@@ -250,22 +248,22 @@ def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
 
         e^{n t} * (1/p) * sum_i F_n((2 eig_i(J_t) - s) / d)
 
-    over the trials, F_n the family and its variants as FAMILIES gives
-    them, where (s, d^2) = nu_map(lam, theta') at the theta' that the
-    family reads: theta for Q_lambda_theta, 1/2 for the theta = 1/2
-    families P_lambda and Q_lambda, whose map is (2x - 1)/sqrt(lam(2-lam))
-    whatever theta is sampled.  A family whose rescaled traces form a
-    martingale produces a mean series that is flat in t; the stderr column
-    is the across-trial standard error, so flatness is judged against it.
-    A theta = 1/2 family sampled at theta != 1/2 tests no martingale
-    property.  Each path runs through the sorted times in steps of dt
-    (counts rounded; the realized time is used in the e^{nt} prefactor).
-    n = 0 is the constant 1.
+    over the trials, F_n the family in `variant` (one of the variants of
+    its row in FAMILIES; None: its own), where (s, d^2) = nu_map(lam,
+    theta') at the theta' that the family reads: theta for Q_lambda_theta,
+    1/2 for the theta = 1/2 families P_lambda and Q_lambda, whose map is
+    (2x - 1)/sqrt(lam(2-lam)) whatever theta is sampled.  A family whose
+    rescaled traces form a martingale produces a mean series that is flat
+    in t; the stderr column is the across-trial standard error, so flatness
+    is judged against it.  A theta = 1/2 family sampled at theta != 1/2
+    tests no martingale property.  Each path runs through the sorted times
+    in steps of dt (counts rounded; the realized time is used in the e^{nt}
+    prefactor).  n = 0 is the constant 1.
     """
     JacobiParams(lam, theta)
     if n < 0:
         raise ValueError("n must be >= 0")
-    data = _family_data(family, lam, theta, a_variant, b_variant)
+    data = _family_data(family, lam, theta, variant)
     s, d2 = nu_map(lam, FAMILIES[family].reads(theta))
     if trials < 1:
         raise ValueError("trials must be >= 1")

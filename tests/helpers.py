@@ -232,15 +232,17 @@ def rho_trig_identity_check(u, v):
     return abs(lhs - (1.0 + u * v) / (1.0 - u * v))
 
 
-def martingale_residual(lam, n, *args, **kwargs):
-    """martingale_residuals(lam, [n], *args, **kwargs)[0]."""
+def martingale_residual(lam, n, *args, a_variant=None, **kwargs):
+    """martingale_residuals(lam, [n], *args, **kwargs)[0].  a_variant, the
+    name of the CLI's --a-variant, is passed on as the variant."""
+    if a_variant is not None:
+        kwargs["variant"] = a_variant
     return martingale_residuals(lam, [n], *args, **kwargs)[0]
 
 
 def trace_martingale_series(lam, n, times, trials, d, seed=0, theta=0.5,
                             **options):
     """The trace series [(t, mean, stderr)] of simulate_trials alone (see
-    its docstring), with its other options (dt, family, a_variant,
-    b_variant)."""
+    its docstring), with its other options (dt, family, variant)."""
     return simulate_trials(lam, theta, d, trials, times=times, n=n,
                            seed=seed, **options)[1]

@@ -384,6 +384,29 @@ def test_verify_martingale_general_theta(capsys):
         assert code == want and json.loads(out)["theta"] == 0.3
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "martingale", "--family", "Q_lambda", "--a-variant",
+     "rational", "--nmax", "3", "--lambda", "0.5", "--theta", "0.4"),
+    ("simulate", "--family", "Q_lambda_theta", "--a-variant", "rational",
+     "--d", "16", "--trials", "2", "--lambda", "0.5", "--theta", "0.4"),
+])
+def test_a_variant_belongs_to_P_lambda(tmp_path, capsys, monkeypatch, argv):
+    # --a-variant selects among the variants of P_lambda, which no other
+    # family reads.  With another family it is refused before any
+    # computation and nothing is written, so that no report or manifest
+    # names a control that was not applied.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the family was computed")
+
+    monkeypatch.setattr(cli, "martingale_residuals", refuse)
+    monkeypatch.setattr(cli, "simulate_trials", refuse)
+    family = argv[argv.index("--family") + 1]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "r"))
+    assert code == 2 and out == ""
+    assert err == f"error: {family} has no a-variant\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_flows_symmetric_point_passes(capsys):
     code, out, _ = run(capsys, "verify", "flows", "--lambda", "1.0",
                        "--theta", "0.5")

@@ -153,7 +153,7 @@ def test_chebyshev_u_exact_matches_float():
     # The one recurrence, run in the exact ring, gives U_n's integer
     # coefficients exactly.
     for n, u in enumerate(chebyshev_seq(X, 9, ONE)):
-        flt = chebyshev_U(n).coeffs
+        flt = chebyshev_U(n).coef
         assert len(u.coef) == len(flt)
         assert all(float(e) == f for e, f in zip(u.coef, flt))
 

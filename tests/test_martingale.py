@@ -26,9 +26,9 @@ from freejacobi import (
 from freejacobi import martingale
 from freejacobi.exact import ONE, X, exact_sqrt
 from freejacobi.martingale import _apply, _drift_columns, stationary_moments
-from freejacobi.measures import nu_map
+from freejacobi.measures import FAMILIES, _family_data, nu_map
 from freejacobi.polys import family_values
-from freejacobi.renorm import _family_data, u_combination
+from freejacobi.renorm import u_combination
 from helpers import (cauchy_mu_half, chebyshev_seq, martingale_residual,
                      mu_half_moments)
 
@@ -118,7 +118,7 @@ def test_residual_grows_rapidly_with_degree():
 def test_residual_rational_shift_control():
     # The rational shift variant leaves a nonzero residual even where the
     # square-root variant is exact at degree 2.
-    got = martingale_residual(0.5, 2, a_variant="rational")
+    got = martingale_residual(0.5, 2, variant="rational")
     assert got == pytest.approx(6.158403, rel=1e-5)
 
 
@@ -134,18 +134,18 @@ def test_residual_matches_float_drift_of_composed_family():
                               ("Q_lambda", build_Q_lambda)):
             for n in range(1, 7):
                 q = build(lam, n)(Poly([-1.0 / rq, 2.0 / rq]))
-                resid = Poly(_apply(cols, q.coeffs)) + n * q
-                want = float(np.max(np.abs(resid.coeffs)))
+                resid = Poly(_apply(cols, q.coef)) + n * q
+                want = float(np.max(np.abs(resid.coef)))
                 got = martingale_residual(lam, n, family=family)
-                scale = float(np.max(np.abs(q.coeffs)))
+                scale = float(np.max(np.abs(q.coef)))
                 assert abs(got - want) <= 1e-9 * scale, (family, lam, n)
 
 
-def _residual_per_degree(lam, n, family, a_variant):
+def _residual_per_degree(lam, n, family, variant):
     # Reference: the exact residual of one degree, with its own recurrence,
     # moments and drift scalars for this n alone.
     lamF = Fraction(lam)
-    data = _family_data(family, lamF, a_variant=a_variant)
+    data = _family_data(family, lamF, variant=variant)
     inner = (2 * X - ONE) * (1 / exact_sqrt(lamF * (2 - lamF)))
     (q_n,) = family_values(inner, [n], *data, ONE)
     c = q_n.coef
@@ -160,21 +160,22 @@ def _residual_per_degree(lam, n, family, a_variant):
     return max(abs(float(r + n * ci)) for r, ci in zip(d, c))
 
 
-@pytest.mark.parametrize("family", ["P_lambda", "Q_lambda"])
-@pytest.mark.parametrize("a_variant", ["sqrt", "rational"])
+@pytest.mark.parametrize("variant, family", [
+    (variant, family) for family in ("P_lambda", "Q_lambda")
+    for variant in FAMILIES[family].variants])
 @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
-def test_batched_residuals_match_per_degree(family, a_variant, lam):
+def test_batched_residuals_match_per_degree(variant, family, lam):
     # One exact pass over n = 1..15 gives, bit for bit, what a separate
     # computation per degree gives.
     degrees = range(1, 16)
-    got = martingale_residuals(lam, degrees, family, a_variant)
-    want = [_residual_per_degree(lam, n, family, a_variant) for n in degrees]
+    got = martingale_residuals(lam, degrees, family, variant)
+    want = [_residual_per_degree(lam, n, family, variant) for n in degrees]
     assert [v.hex() for v in got] == [v.hex() for v in want]
     for n in (1, 2, 15):
-        single = martingale_residual(lam, n, family, a_variant)
+        single = martingale_residual(lam, n, family, variant)
         assert single.hex() == want[n - 1].hex()
     # Any order and repetition of degrees gives the same values.
-    assert martingale_residuals(lam, [15, 3, 3, 1], family, a_variant) == \
+    assert martingale_residuals(lam, [15, 3, 3, 1], family, variant) == \
         [want[14], want[2], want[2], want[0]]
 
 
@@ -234,7 +235,7 @@ def test_general_theta_residual_grid(lam, th):
     mean = martingale_residuals(lam, degrees, "Q_lambda_theta", theta=th)
     assert mean == [0.0] * 15
     twice = martingale_residuals(lam, degrees, "Q_lambda_theta", theta=th,
-                                 b_variant="twice")
+                                 variant="twice")
     assert all(r > 0.0 for r in twice)
     b = math.sqrt(lam / ((1 - th) * (1 - lam * th))) * (1 - 2 * th) / 2
     assert twice[0] == pytest.approx(2.0 * b, rel=1e-12)
@@ -344,8 +345,8 @@ def test_drift_eigenpolynomials_are_the_general_theta_family(lam, th):
     # degree n has one monic eigenpolynomial p_n with eigenvalue -n, found
     # by back substitution.  Written in y = (2x - s)/d, every p_n is a
     # multiple of U_n + beta U_{n-1} + gamma U_{n-2}, with the same beta,
-    # gamma for all n: the table's weights of Q_lambda_theta at
-    # b_variant="mean".
+    # gamma for all n: the table's weights of Q_lambda_theta in its own
+    # variant "mean".
     top = 8
     cols = _drift_columns(lam, th, stationary_moments(lam, th, top), top)
     s, d2 = nu_map(lam, th)
@@ -376,7 +377,7 @@ def test_residual_input_checks():
     with pytest.raises(ValueError):
         martingale_residual(0.5, 2, family="R_lambda")
     with pytest.raises(ValueError):
-        martingale_residual(0.5, 2, a_variant="cubic")
+        martingale_residual(0.5, 2, variant="cubic")
 
 
 # ---------------------------------------------------------------------------

@@ -627,7 +627,7 @@ def test_cauchy_too_close_to_support_fails_fast():
 def test_cauchy_rejects_points_on_support_or_atoms():
     m = mu_lambda_theta(JacobiParams(0.5, 0.4))
     with pytest.raises(ValueError):
-        cauchy_transform(m, 0.5 * (m.support_lo + m.support_hi))
+        cauchy_transform(m, 0.5 * (m.support[0] + m.support[1]))
     xi = xi_lambda(0.5)
     with pytest.raises(ValueError):
         cauchy_transform(xi, xi.atoms[0][0])
@@ -745,8 +745,8 @@ def test_cdf_grid_against_scipy_quad():
     m = mu_lambda_theta(JacobiParams(0.5, 0.3))
     xs, Fs = cdf_grid(m)
     assert np.all(np.diff(xs) >= 0.0) and np.all(np.diff(Fs) >= 0.0)
-    assert (xs[0], Fs[0]) == (m.support_lo, 0.0)
-    assert xs[-1] == m.support_hi
+    assert (xs[0], Fs[0]) == (m.support[0], 0.0)
+    assert xs[-1] == m.support[1]
     assert Fs[-1] == pytest.approx(m.total_mass(), abs=1e-12)
     lo, hi = m.support
     pts = lo + (hi - lo) * np.linspace(0.0, 1.0, 41)[1:-1]

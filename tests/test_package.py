@@ -83,3 +83,25 @@ def test_paper_names_exist():
     for tree in _parse(sorted(PACKAGE.glob("*.py"))).values():
         public.update(_exports(tree)[0])
     assert sorted(set(PAPER_NAMES) - public) == []
+
+
+def test_no_library_module_but_the_cli_imports_renorm():
+    # The family table, with its data, variants and laws, lives in
+    # measures.  renorm (theta kernels, certification, Gram matrices,
+    # build_*) reads it, and of the library only the command line and the
+    # package's re-exports read renorm.
+    importers = []
+    for path, tree in _parse(sorted(PACKAGE.glob("*.py"))).items():
+        if path.stem in ("cli", "__init__"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                names += [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "renorm" for n in names):
+                importers.append(path.stem)
+    assert importers == []

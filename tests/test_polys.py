@@ -73,7 +73,7 @@ def test_poly_is_numpy_polynomial():
 def test_poly_cancelling_sum_is_trimmed():
     p = Poly([1.0, 2.0, 3.0])
     s = p + Poly([0.5, -1.0, -3.0])
-    assert s.coeffs.tolist() == [1.5, 1.0]
+    assert s.coef.tolist() == [1.5, 1.0]
     assert s.degree == 1 and s.coef[-1] == 1.0
     z = p - p
     assert z.is_zero() and z.degree == -1
@@ -96,7 +96,7 @@ def test_poly_add_commutes(a, b):
 def test_poly_eval_matches_horner(a, x):
     p = Poly(a)
     acc = 0.0
-    for c in p.coeffs[::-1]:
+    for c in p.coef[::-1]:
         acc = acc * x + c
     assert p(x) == pytest.approx(acc, rel=1e-12, abs=1e-12)
 
@@ -255,7 +255,7 @@ def test_taylor_first_kind_generating_function():
 def test_taylor_polynomial_exact():
     p = Poly([2.0, -1.0, 0.5, 3.0])
     got = taylor_coeffs_in_u(p, 5)
-    np.testing.assert_allclose(got[:4], p.coeffs, atol=1e-13)
+    np.testing.assert_allclose(got[:4], p.coef, atol=1e-13)
     np.testing.assert_allclose(got[4:], 0.0, atol=1e-13)
 
 

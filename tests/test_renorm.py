@@ -31,9 +31,9 @@ from freejacobi import (
 )
 from freejacobi import errors, measures
 from freejacobi.exact import ONE, X
+from freejacobi.measures import FAMILIES, _family_data
 from freejacobi.polys import family_values
-from freejacobi.renorm import (FAMILIES, _admissible_u, _default_grid,
-                               _family_data)
+from freejacobi.renorm import _admissible_u, _default_grid
 from helpers import (EXACT_POINTS, chebyshev_combination, poly_allclose,
                      rho_trig_identity_check, taylor_coeffs_in_u)
 
@@ -288,7 +288,7 @@ def test_u_combination_P_lambda_variants():
     beta, gamma = u_combination("P_lambda", 0.5)
     assert beta == pytest.approx(-2.0 * xi_shift(0.5))
     assert gamma == -1.0
-    beta_r, _ = u_combination("P_lambda", 0.5, a_variant="rational")
+    beta_r, _ = u_combination("P_lambda", 0.5, variant="rational")
     assert beta_r == pytest.approx(-2.0 * xi_shift(0.5, "rational"))
 
 
@@ -305,7 +305,7 @@ def test_u_combination_Q_lambda_theta_from_moments():
 
 def test_u_combination_twice_doubles_shift():
     b1, g1 = u_combination("Q_lambda_theta", 0.6, 0.4)
-    b2, g2 = u_combination("Q_lambda_theta", 0.6, 0.4, b_variant="twice")
+    b2, g2 = u_combination("Q_lambda_theta", 0.6, 0.4, variant="twice")
     assert b2 == pytest.approx(2.0 * b1)
     assert g2 == g1
 
@@ -316,11 +316,26 @@ def test_u_combination_errors():
     with pytest.raises(ValueError):
         u_combination("Q_lambda_theta", 0.5)  # theta missing
     with pytest.raises(ValueError):
-        u_combination("Q_lambda_theta", 0.5, 0.4, b_variant="thrice")
+        u_combination("Q_lambda_theta", 0.5, 0.4, variant="thrice")
     with pytest.raises(ValueError):
         u_combination("Q_lambda", 1.5)
     with pytest.raises(ValueError):
         u_combination("Q_lambda_theta", 0.5, 0.6)  # theta > 1/2
+
+
+@pytest.mark.parametrize("family, args, variant", [
+    ("Q_lambda", (0.5,), "rational"),
+    ("P_lambda", (0.5,), "twice"),
+    ("Q_lambda_theta", (0.5, 0.4), "sqrt"),
+])
+def test_family_refuses_a_variant_it_does_not_read(family, args, variant):
+    # A variant belongs to the row whose data read it: every other row
+    # refuses it, naming the family and the variants it has.
+    with pytest.raises(ValueError) as info:
+        _family_data(family, *args, variant=variant)
+    message = str(info.value)
+    assert family in message and repr(variant) in message
+    assert all(v in message for v in FAMILIES[family].variants)
 
 
 @pytest.mark.parametrize("lam", [5e-324, 0.3, 0.5, 0.7, 1.0])
@@ -375,7 +390,7 @@ def test_gram_doubled_shift_breaks_orthogonality():
     # entries become order one whenever theta != 1/2.
     p = JacobiParams(0.6, 0.4)
     beta, gamma = u_combination("Q_lambda_theta", p.lam, p.theta,
-                                b_variant="twice")
+                                variant="twice")
     g = family_gram(nu_lambda_theta(p), beta, gamma, 4)
     assert _offdiag_max(g) > 1e-3
 
@@ -390,7 +405,7 @@ def test_doubled_shift_is_orthogonal_under_its_own_law(lam, th, atom):
     # under one_step_law of its own Jacobi data (2b, c/2), which at
     # (1, 0.2) and (0.7, 0.3) has an atom left of -1, and not under
     # nu_theta.
-    beta, gamma = u_combination("Q_lambda_theta", lam, th, b_variant="twice")
+    beta, gamma = u_combination("Q_lambda_theta", lam, th, variant="twice")
     js = stated_params("Q_lambda_theta", lam=lam, theta=th, n_max=1)
     own = one_step_law(js.alpha[0], js.omega[0])
     if atom is None:
@@ -536,12 +551,12 @@ _CROSS_PATH_CASES = [
     for lam in (0.3, 0.6, 1.0)
     for fam, th, variant in (
         ("Q_lambda", None, {}),
-        ("P_lambda", None, {"a_variant": "sqrt"}),
-        ("P_lambda", None, {"a_variant": "rational"}),
-        ("Q_lambda_theta", 0.4, {"b_variant": "mean"}),
-        ("Q_lambda_theta", 0.4, {"b_variant": "twice"}),
-        ("Q_lambda_theta", 0.5, {"b_variant": "mean"}),
-        ("Q_lambda_theta", 0.5, {"b_variant": "twice"}),
+        ("P_lambda", None, {"variant": "sqrt"}),
+        ("P_lambda", None, {"variant": "rational"}),
+        ("Q_lambda_theta", 0.4, {"variant": "mean"}),
+        ("Q_lambda_theta", 0.4, {"variant": "twice"}),
+        ("Q_lambda_theta", 0.5, {"variant": "mean"}),
+        ("Q_lambda_theta", 0.5, {"variant": "twice"}),
     )
 ]
 
@@ -575,10 +590,10 @@ def test_family_paths_agree(fam, lam, th, variant):
 
 _FAMILY_VARIANTS = (
     ("Q_lambda", {}),
-    ("P_lambda", {"a_variant": "sqrt"}),
-    ("P_lambda", {"a_variant": "rational"}),
-    ("Q_lambda_theta", {"b_variant": "mean"}),
-    ("Q_lambda_theta", {"b_variant": "twice"}),
+    ("P_lambda", {"variant": "sqrt"}),
+    ("P_lambda", {"variant": "rational"}),
+    ("Q_lambda_theta", {"variant": "mean"}),
+    ("Q_lambda_theta", {"variant": "twice"}),
 )
 
 

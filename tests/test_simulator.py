@@ -22,9 +22,8 @@ from freejacobi import (
 from freejacobi.cli import main as cli_main
 from freejacobi.exact import ONE, X, exact_sqrt
 from freejacobi.martingale import stationary_moments
-from freejacobi.measures import nu_map
+from freejacobi.measures import _family_data, nu_map
 from freejacobi.polys import family_values
-from freejacobi.renorm import _family_data
 from freejacobi.simulator import drift_sigmas
 from helpers import trace_martingale_series
 
@@ -459,16 +458,16 @@ def test_general_theta_trace_series():
     s, d2 = nu_map(lamF, thF)
     inner = (2 * X - s) * (1 / exact_sqrt(d2))
     m = stationary_moments(lamF, thF, n)
-    for b_variant in ("mean", "twice"):
-        data = _family_data("Q_lambda_theta", lamF, thF, b_variant=b_variant)
+    for variant in ("mean", "twice"):
+        data = _family_data("Q_lambda_theta", lamF, thF, variant=variant)
         (q,) = family_values(inner, [n], *data, ONE)
         e_mu = float(sum(c * mk for c, mk in zip(q.coef, m)))
         _, series, state = simulate_trials(lam, th, 40, 48, times=times,
                                            n=n, family="Q_lambda_theta",
-                                           b_variant=b_variant)
+                                           variant=variant)
         assert state.realized_params() == (lam, th)
         (_, m0, e0) = series[0]
-        if b_variant == "mean":
+        if variant == "mean":
             assert e_mu == 0.0
             for _, mt, et in series[1:]:
                 assert abs(mt - m0) <= 3.0 * math.hypot(et, e0), series
@@ -491,7 +490,7 @@ def test_trace_series_input_checks():
                                 family="R_lambda")
     with pytest.raises(ValueError):
         trace_martingale_series(0.5, 2, [0.0], trials=2, d=16,
-                                a_variant="bogus")
+                                variant="bogus")
 
 
 def test_simulate_trials_reads_both_outputs_off_one_path():
