@@ -317,7 +317,7 @@ def families(dump):
         x = np.concatenate([_ac_nodes(m, 64)[0], [a for a, _ in m.atoms]])
         data = _family_data(family, lam, theta)
         add(f"values {family} {lam.hex()} {theta and theta.hex()}",
-            family_values(x, degrees, *data, np.ones_like(x)))
+            family_values(x, degrees, *data))
     return g
 
 

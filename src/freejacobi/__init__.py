@@ -14,7 +14,7 @@ from .measures import (JacobiParams, SpectralMeasure, cauchy_closed_form_mu,
                        nu_lambda, nu_lambda_theta, one_step_law,
                        pushforward_affine, stieltjes_invert, xi_lambda,
                        xi_shift)
-from .polys import Poly, chebyshev_T, chebyshev_U
+from .polys import chebyshev_T, chebyshev_U
 from .recurrence import JacobiSzego, extract_from_measure, stated_params
 from .renorm import (RenormKernel, build_P_lambda, build_Q_lambda,
                      build_Q_lambda_theta, certify_product_dependence,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "PositivityError",
-    "Poly", "chebyshev_T", "chebyshev_U",
+    "chebyshev_T", "chebyshev_U",
     "JacobiParams", "SpectralMeasure", "mu_lambda_theta", "nu_lambda",
     "nu_lambda_theta", "one_step_law", "xi_lambda", "xi_shift", "moments",
     "cauchy_transform", "cauchy_closed_form_mu", "stieltjes_invert",

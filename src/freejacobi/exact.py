@@ -9,15 +9,16 @@ float input is a dyadic rational, so the whole computation can be carried
 out exactly: the only irrationality is d, one square root (sqrt(lam*(2-lam))
 at theta = 1/2), and the family weights lie in the same field.
 
-The ring is numpy's ``Polynomial``, the same type that ``polys.Poly``
-specializes to float coefficients, here over object coefficients -- Python
-int, Fraction or :class:`Quad` -- generated by ``X`` with unit ``ONE``.
-Where Poly rounds every coefficient, the ring's sums and products never
-round, so equal ring elements give equal floats.  Two limits of numpy's
-object support, which Poly does not share: ``Polynomial / Quad`` raises
-(multiply by the reciprocal), and calling such a polynomial on a ring
-element raises over Quad coefficients and rounds to floats over integer ones
-(evaluate by the recurrence ``polys.monic_seq`` instead).
+The ring is numpy's ``Polynomial``, the same type as the package's float
+polynomials, here over object coefficients -- Python int, Fraction or
+:class:`Quad` -- generated by ``X``; its unit is ``X ** 0``, the object
+coefficient 1.  Where float coefficients round, the ring's sums and
+products never do, so equal ring elements give equal floats.  Two limits of
+numpy's object support, which float coefficients do not share:
+``Polynomial / Quad`` raises (multiply by the reciprocal), and calling such
+a polynomial on a ring element raises over Quad coefficients and rounds to
+floats over integer ones (evaluate by the recurrence ``polys.monic_seq``
+instead).
 """
 
 from __future__ import annotations
@@ -162,22 +163,7 @@ class Quad:
             return NotImplemented
         return other.__truediv__(self)
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = Quad(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- comparisons / conversion ---------------------------------------------
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
     def __eq__(self, other):
         other = Quad._coerce(other)
         if other is NotImplemented:
@@ -209,6 +195,5 @@ def exact_sqrt(v):
     return math.sqrt(v)
 
 
-# Generator and unit of the exact polynomial ring (see the module docstring).
+# Generator of the exact polynomial ring (see the module docstring).
 X = Polynomial(np.array([0, 1], dtype=object))
-ONE = X ** 0

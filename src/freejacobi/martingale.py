@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ONE, X, exact_sqrt
+from .exact import X, exact_sqrt
 from .measures import (FAMILIES, JacobiParams, _family_data,
                        cauchy_closed_form_mu, nu_map)
 from .polys import family_values
@@ -168,7 +168,7 @@ def martingale_residuals(lam, degrees, family="P_lambda", variant=None,
     inner = (2 * X - s) * (1 / exact_sqrt(d2))
     cols = _drift_columns(lamF, thF, [1], top)
     out = []
-    for n, q_n in zip(degrees, family_values(inner, degrees, *data, ONE)):
+    for n, q_n in zip(degrees, family_values(inner, degrees, *data)):
         c = q_n.coef
         try:
             out.append(max(abs(float(r + n * ci))
@@ -183,14 +183,13 @@ def martingale_residuals(lam, degrees, family="P_lambda", variant=None,
 class FlowConstants:
     """Constants of the (Z, K) flow for one (lam, theta, r) choice:
     c1 = 2 th (1 + lam - 2 lam th), c2 = th^2 (1-lam)^2,
-    c3 = 1 - th (lam+1) = sqrt(c2 + 1 - c1), horizon t0 = ln(4 lam th^2 / r),
-    v0 = (r + c1)/2."""
+    c3 = 1 - th (lam+1) = sqrt(c2 + 1 - c1), horizon
+    t0 = ln(4 lam th^2 / r)."""
 
     c1: float
     c2: float
     c3: float
     r: float
-    v0: float
     t0: float
 
     @classmethod
@@ -213,8 +212,7 @@ class FlowConstants:
                                  f"to 0 at lam = {lam}, theta = {th}")
         if not 0.0 < r <= r_max:
             raise ValueError(f"r = {r} outside (0, {r_max}]")
-        return cls(c1, c2, c3, float(r), 0.5 * (r + c1),
-                   math.log(r_max / r))
+        return cls(c1, c2, c3, float(r), math.log(r_max / r))
 
 
 def flow_Z(fc, t):

@@ -254,9 +254,15 @@ def one_step_law(alpha0, omega1, label=""):
     a, w = float(alpha0), float(omega1)
     if not w > 0.0:
         raise ValueError(f"omega_1 = {w} must be positive")
-    atoms = tuple(_one_step_atom(a, w, s) for s in (-1.0, 1.0)
-                  if s * a > 1.0 - 2.0 * w)
-    return SpectralMeasure((-1.0, 1.0), _one_step_edges(a, w), atoms, label)
+    return SpectralMeasure((-1.0, 1.0), _one_step_edges(a, w),
+                           _one_step_atoms(a, w), label)
+
+
+def _one_step_atoms(a, w):
+    """The atoms of one_step_law(a, w), w > 0, as (z, weight) pairs: one
+    beyond each edge s with s a > 1 - 2w (_one_step_atom)."""
+    return tuple(_one_step_atom(a, w, s) for s in (-1.0, 1.0)
+                 if s * a > 1.0 - 2.0 * w)
 
 
 def _one_step_atom(a, w, s):

@@ -66,18 +66,18 @@ def stated_params(family, lam=None, theta=None, n_max=12):
                        np.array(omega, dtype=float))
 
 
-def _stieltjes(x, one, inner, n_max):
+def _stieltjes(x, inner, n_max):
     """Stieltjes procedure: arrays alpha_0..alpha_{n_max} and
     omega_1..omega_{n_max} of the inner product whose two sums at each monic
     p_k are inner(p_k) = (<p_k, p_k>, <x p_k, p_k>).
 
-    The iterates come from ``polys.monic_seq`` over x and one, which reads
-    each coefficient as it is appended here.  Generic over the element
-    type: float node arrays with node sums, or exact polynomials with a
-    moment functional.
+    The iterates come from ``polys.monic_seq`` over x, from p_0 = x ** 0,
+    which reads each coefficient as it is appended here.  Generic over the
+    element type: float node arrays with node sums, or exact polynomials
+    with a moment functional.
     """
     alpha, omega = [], []
-    for k, p in zip(range(n_max + 1), monic_seq(x, alpha, omega, one)):
+    for k, p in zip(range(n_max + 1), monic_seq(x, alpha, omega)):
         norm, x_norm = inner(p)
         if norm <= 0:
             raise PositivityError(
@@ -139,7 +139,7 @@ def extract_from_measure(m, n_max):
             return sums
 
         with np.errstate(over="ignore", invalid="ignore"):
-            return _stieltjes(xs, np.ones_like(xs), inner, n_max)
+            return _stieltjes(xs, inner, n_max)
 
     def settled(prev, cur):
         return max(np.max(np.abs(cur[0] - prev[0])),

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import errors
 from .measures import (_ac_nodes, _family_data, _integrate_ac, _off_support,
-                       _one_step_atom, _settled_within)
-from .polys import _X, _as_poly, family_values
+                       _one_step_atoms, _settled_within)
+from .polys import _X, family_values
 
 __all__ = [
     "RenormKernel",
@@ -259,8 +259,8 @@ def family_gram(measure, beta, gamma, n_max):
     def pair_values(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            fam = np.array(family_values(x, range(n_max + 1), alpha0, omega1,
-                                         np.ones_like(x)))
+            fam = np.array(family_values(x, range(n_max + 1), alpha0,
+                                         omega1))
             return finite(fam[iu] * fam[ju])
 
     # An atom z of the family's own law is a zero of D, where
@@ -269,8 +269,7 @@ def family_gram(measure, beta, gamma, n_max):
     # neither cancels nor overflows; an atom of other data keeps the
     # recurrence.
     a, w = float(alpha0), float(omega1)
-    own = [_one_step_atom(a, w, s)[0] for s in (-1.0, 1.0)
-           if w > 0.0 and s * a > 1.0 - 2.0 * w]
+    own = [z for z, _ in _one_step_atoms(a, w)] if w > 0.0 else []
 
     def atom_values(z):
         if z not in own:
@@ -293,26 +292,30 @@ def family_gram(measure, beta, gamma, n_max):
 
 
 def _build(family, n, lam, theta=None, variant=None):
+    """The degree-n member of a family as a float Polynomial, its degree-0
+    member _X ** 0 (family_values over _X)."""
     data = _family_data(family, lam, theta, variant)
-    return _as_poly(family_values(_X, [n], *data)[0])
+    return family_values(_X, [n], *data)[0]
 
 
 def build_Q_lambda(lam, n):
-    """Q_n = U_n - (lam/(2-lam)) U_{n-2}; Taylor coefficients in u of
-    (1 - (lam/(2-lam)) u^2) / (1 - 2ux + u^2)."""
+    """Q_n = U_n - (lam/(2-lam)) U_{n-2} as a float Polynomial (_build);
+    Taylor coefficients in u of (1 - (lam/(2-lam)) u^2) / (1 - 2ux + u^2)."""
     return _build("Q_lambda", n, lam)
 
 
 def build_P_lambda(lam, n, variant=None):
-    """P_n = U_n - 2 a(lam) U_{n-1} - U_{n-2}; Taylor coefficients in u of
+    """P_n = U_n - 2 a(lam) U_{n-1} - U_{n-2} as a float Polynomial
+    (_build); Taylor coefficients in u of
     (1 - 2 a(lam) u - u^2) / (1 - 2ux + u^2), a(lam) = xi_shift(lam,
     variant) ("sqrt", the family's own, or "rational")."""
     return _build("P_lambda", n, lam, variant=variant)
 
 
 def build_Q_lambda_theta(p, n, variant=None):
-    """Q_n = U_n - 2b U_{n-1} + (1-2c) U_{n-2} with b, c from (lam, theta);
-    Taylor coefficients in u of (1 - 2bu + (1-2c)u^2) / (1 - 2ux + u^2).
+    """Q_n = U_n - 2b U_{n-1} + (1-2c) U_{n-2} with b, c from (lam, theta),
+    as a float Polynomial (_build); Taylor coefficients in u of
+    (1 - 2bu + (1-2c)u^2) / (1 - 2ux + u^2).
 
     The variant selects the shift coefficient.  "mean" (the family's own,
     and the default) puts b equal to the first moment of nu_{lam,theta},

@@ -304,7 +304,7 @@ def simulate_trials(lam, theta, d, trials, t=None, times=(), n=2, seed=0,
             spectra.append(seen[k_t])
         for j, k in enumerate(counts):
             y = (2.0 * seen[k] - s) / math.sqrt(d2)
-            (f_n,) = family_values(y, [n], *data, np.ones_like(y))
+            (f_n,) = family_values(y, [n], *data)
             per_trial[i, j] = math.exp(n * realized[j]) * np.mean(f_n)
     if n == 0:
         return spectra, [(x, 1.0, 0.0) for x in ts], state

@@ -13,8 +13,9 @@ import operator
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
-from freejacobi import Poly, chebyshev_U, errors
+from freejacobi import chebyshev_U, errors
 from freejacobi.martingale import martingale_residuals
 from freejacobi.measures import JacobiParams, nu_map
 from freejacobi.polys import monic_seq
@@ -30,9 +31,9 @@ EXACT_POINTS = tuple(
 
 
 def poly_allclose(p, q, tol=1e-9):
-    """Coefficientwise comparison of two polynomials (Poly or coefficient
-    sequences), absolute tolerance scaled by the largest coefficient
-    magnitude of either operand."""
+    """Coefficientwise comparison of two polynomials (Polynomial or
+    coefficient sequences), absolute tolerance scaled by the largest
+    coefficient magnitude of either operand."""
     p, q = (np.atleast_1d(np.asarray(getattr(r, "coef", r), dtype=float))
             for r in (p, q))
     n = max(p.size, q.size)
@@ -47,7 +48,7 @@ def poly_allclose(p, q, tol=1e-9):
 def chebyshev_seq(x, n, one=1):
     """[U_0(x), ..., U_n(x)] by the Chebyshev recurrence U_{k+1} = 2x U_k -
     U_{k-1}, U_{-1} = 0: an oracle apart from the library's monic
-    recurrence, generic over float arrays, Poly and exact polynomials."""
+    recurrence, generic over float arrays, float and exact polynomials."""
     out, before = [one], 0
     for _ in range(n):
         before, one = one, 2 * x * one - before
@@ -65,7 +66,7 @@ def chebyshev_U_ext(n):
     """chebyshev_U extended by the convention U_{-1} = U_{-2} = 0."""
     n = operator.index(n)
     if n in (-1, -2):
-        return Poly([0.0])
+        return Polynomial([0.0])
     return chebyshev_U(n)
 
 
@@ -120,8 +121,7 @@ def eval_three_term(alpha, omega, n, x):
         if np.any(omega[: n - 1] <= 0.0):
             raise ValueError("recurrence weights must be positive")
     x = np.asarray(x, dtype=float)
-    p = next(itertools.islice(monic_seq(x, alpha, omega, np.ones_like(x)),
-                              n, None))
+    p = next(itertools.islice(monic_seq(x, alpha, omega), n, None))
     return p if p.ndim else float(p)
 
 

@@ -6,16 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from freejacobi import (
     JacobiParams,
-    Poly,
     chebyshev_U,
     moments,
     mu_lambda_theta,
     nu_lambda,
 )
-from freejacobi.exact import ONE, X, Quad
+from freejacobi.exact import X, Quad
 from helpers import (catalan, chebyshev_seq, mu_half_moments, nu_even_moment,
                      poly_allclose)
 
@@ -39,7 +39,7 @@ def test_quad_basic_arithmetic():
     assert (s * s) == Quad(2)
     assert (s + s) == Quad(0, 2, 2)
     assert (1 + s) * (1 - s) == Quad(-1)
-    assert (s ** 4) == Quad(4)
+    assert (s * s * s * s) == Quad(4)
     assert float(s) == pytest.approx(math.sqrt(2.0))
 
 
@@ -88,10 +88,8 @@ def test_quad_joins_radicands_with_square_ratio():
 def test_quad_misc_guards():
     with pytest.raises(ValueError):
         Quad(0, 1, -2)
-    with pytest.raises(ValueError):
-        Quad(2) ** (-1)
-    assert Quad(0).is_zero()
-    assert not Quad(0, 1, 2).is_zero()
+    assert Quad(0) == 0
+    assert Quad(0, 1, 2) != 0
     assert hash(Quad(0, 1, 4)) == hash(Quad(2))
 
 
@@ -152,29 +150,29 @@ def test_mu_half_moments_match_quadrature():
 def test_chebyshev_u_exact_matches_float():
     # The one recurrence, run in the exact ring, gives U_n's integer
     # coefficients exactly.
-    for n, u in enumerate(chebyshev_seq(X, 9, ONE)):
+    for n, u in enumerate(chebyshev_seq(X, 9, X ** 0)):
         flt = chebyshev_U(n).coef
         assert len(u.coef) == len(flt)
         assert all(float(e) == f for e, f in zip(u.coef, flt))
 
 
 # ---------------------------------------------------------------------------
-# Quad-coefficient ("qp") polynomials in the exact ring vs float Poly
+# Quad-coefficient ("qp") polynomials in the exact ring vs float ones
 
 
 def _qp(coeffs):
-    return sum((c * X ** i for i, c in enumerate(coeffs)), 0 * ONE)
+    return sum((c * X ** i for i, c in enumerate(coeffs)), 0 * X ** 0)
 
 
 def _to_poly(qp):
-    return Poly([float(c) for c in qp.coef])
+    return Polynomial([float(c) for c in qp.coef])
 
 
 def _compose(coeffs, inner):
     # Horner's rule with ring arithmetic: composition at a ring element.
-    out = 0 * ONE
+    out = 0 * X ** 0
     for c in reversed(coeffs):
-        out = out * inner + c * ONE
+        out = out * inner + c * X ** 0
     return out
 
 
@@ -186,17 +184,17 @@ def test_qp_ops_match_float_poly():
     assert poly_allclose(_to_poly(p * Quad(2)), 2.0 * _to_poly(p))
     # Exactly: (1 + sqrt(2) x)(1 - sqrt(2) x) = 1 - 2 x^2.
     s = Quad(0, 1, 2)
-    assert list(((ONE + s * X) * (ONE - s * X)).coef) == [1, 0, -2]
+    assert list(((X ** 0 + s * X) * (X ** 0 - s * X)).coef) == [1, 0, -2]
 
 
 def test_qp_compose_linear_matches_float_poly():
     coeffs = [Quad(1), Quad(-2), Quad(0), Quad(4)]
     l0, l1 = Quad(Fraction(1, 3)), Quad(0, 1, 2)
-    got = _to_poly(_compose(coeffs, l0 * ONE + l1 * X))
-    want = _to_poly(_qp(coeffs))(Poly([float(l0), float(l1)]))
+    got = _to_poly(_compose(coeffs, l0 * X ** 0 + l1 * X))
+    want = _to_poly(_qp(coeffs))(Polynomial([float(l0), float(l1)]))
     assert poly_allclose(got, want, tol=1e-12)
 
 
 def test_qp_compose_linear_constant():
-    got = _compose([Quad(5)], Quad(1) * ONE + Quad(2) * X)
+    got = _compose([Quad(5)], Quad(1) * X ** 0 + Quad(2) * X)
     assert list(got.coef) == [Quad(5)]

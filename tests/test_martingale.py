@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from freejacobi import (
     FlowConstants,
     JacobiParams,
-    Poly,
     build_P_lambda,
     build_Q_lambda,
     cauchy_closed_form_mu,
@@ -24,7 +24,7 @@ from freejacobi import (
     xi_shift,
 )
 from freejacobi import martingale
-from freejacobi.exact import ONE, X, exact_sqrt
+from freejacobi.exact import X, exact_sqrt
 from freejacobi.martingale import _apply, _drift_columns, stationary_moments
 from freejacobi.measures import FAMILIES, _family_data, nu_map
 from freejacobi.polys import family_values
@@ -133,8 +133,8 @@ def test_residual_matches_float_drift_of_composed_family():
         for family, build in (("P_lambda", build_P_lambda),
                               ("Q_lambda", build_Q_lambda)):
             for n in range(1, 7):
-                q = build(lam, n)(Poly([-1.0 / rq, 2.0 / rq]))
-                resid = Poly(_apply(cols, q.coef)) + n * q
+                q = build(lam, n)(Polynomial([-1.0 / rq, 2.0 / rq]))
+                resid = Polynomial(_apply(cols, q.coef)) + n * q
                 want = float(np.max(np.abs(resid.coef)))
                 got = martingale_residual(lam, n, family=family)
                 scale = float(np.max(np.abs(q.coef)))
@@ -146,8 +146,8 @@ def _residual_per_degree(lam, n, family, variant):
     # moments and drift scalars for this n alone.
     lamF = Fraction(lam)
     data = _family_data(family, lamF, variant=variant)
-    inner = (2 * X - ONE) * (1 / exact_sqrt(lamF * (2 - lamF)))
-    (q_n,) = family_values(inner, [n], *data, ONE)
+    inner = (2 * X - X ** 0) * (1 / exact_sqrt(lamF * (2 - lamF)))
+    (q_n,) = family_values(inner, [n], *data)
     c = q_n.coef
     m, th = mu_half_moments(lamF, n), Fraction(1, 2)
     d = [0] * len(c)
@@ -327,7 +327,7 @@ def _u_expansion(p, n):
     # Coefficients w_0 .. w_n of p = sum_k w_k U_k for an exact polynomial
     # p of degree <= n in y, peeling the leading term (U_k leads with 2^k).
     coef = list(p.coef) + [0] * (n + 1 - len(p.coef))
-    u = chebyshev_seq(X, n, ONE)
+    u = chebyshev_seq(X, n, X ** 0)
     w = [0] * (n + 1)
     for k in range(n, -1, -1):
         w[k] = coef[k] * Fraction(1, 2 ** k)
@@ -350,16 +350,16 @@ def test_drift_eigenpolynomials_are_the_general_theta_family(lam, th):
     top = 8
     cols = _drift_columns(lam, th, stationary_moments(lam, th, top), top)
     s, d2 = nu_map(lam, th)
-    x_of_y = (s * ONE + exact_sqrt(d2) * X) * Fraction(1, 2)
+    x_of_y = (s * X ** 0 + exact_sqrt(d2) * X) * Fraction(1, 2)
     beta, gamma = u_combination("Q_lambda_theta", lam, th)
     for n in range(1, top + 1):
         p = [0] * n + [Fraction(1)]
         for j in range(n - 1, -1, -1):
             p[j] = -sum(cols[k][j] * p[k] for k in range(j + 1, n + 1)) \
                 / (n - j)
-        p_y = 0 * ONE
+        p_y = 0 * X ** 0
         for c in reversed(p):
-            p_y = p_y * x_of_y + c * ONE
+            p_y = p_y * x_of_y + c * X ** 0
         w = _u_expansion(p_y, n)
         lead = 1 / w[n]
         rel = [v * lead for v in w]

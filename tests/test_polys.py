@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from freejacobi import ConvergenceError, Poly, chebyshev_T, chebyshev_U
+from freejacobi import (ConvergenceError, build_Q_lambda, chebyshev_T,
+                        chebyshev_U)
 from freejacobi.errors import refine
-from freejacobi.exact import ONE, X
-from freejacobi.polys import monic_seq
+from freejacobi.exact import X
+from freejacobi.polys import _X, family_values, monic_seq
 from helpers import (chebyshev_seq, chebyshev_U_ext, eval_three_term,
                      poly_allclose, taylor_coeffs_in_u)
 
@@ -23,78 +24,56 @@ coeff_lists = st.lists(
 
 
 # ---------------------------------------------------------------------------
-# Poly basics
-
-
-def test_poly_trims_trailing_zeros():
-    p = Poly([1.0, 2.0, 0.0, 0.0])
-    assert p.degree == 1
-    assert p.coef[-1] == 2.0
-
-
-def test_poly_zero():
-    z = Poly([0.0, 0.0])
-    assert z.is_zero()
-    assert z.degree == -1
-    assert not Poly([0.0, 1.0]).is_zero()
+# Polynomial basics
 
 
 def test_poly_rejects_2d_input():
     with pytest.raises(ValueError):
-        Poly([[1.0, 2.0]])
+        Polynomial([[1.0, 2.0]])
 
 
 def test_poly_eval_vectorized():
-    p = Poly([1.0, 0.0, 3.0])  # 1 + 3x^2
+    p = Polynomial([1.0, 0.0, 3.0])  # 1 + 3x^2
     x = np.array([0.0, 1.0, 2.0])
     np.testing.assert_allclose(p(x), [1.0, 4.0, 13.0])
     assert p(2.0) == 13.0
 
 
 def test_poly_arithmetic_and_compose():
-    p = Poly([1.0, 2.0])        # 1 + 2x
-    q = Poly([0.0, 0.0, 1.0])   # x^2
-    assert poly_allclose(p + q, Poly([1.0, 2.0, 1.0]))
-    assert poly_allclose(p - 1.0, Poly([0.0, 2.0]))
-    assert poly_allclose(2.0 * p, Poly([2.0, 4.0]))
-    assert poly_allclose(p * q, Poly([0.0, 0.0, 1.0, 2.0]))
-    assert poly_allclose(-p, Poly([-1.0, -2.0]))
+    p = Polynomial([1.0, 2.0])        # 1 + 2x
+    q = Polynomial([0.0, 0.0, 1.0])   # x^2
+    assert poly_allclose(p + q, Polynomial([1.0, 2.0, 1.0]))
+    assert poly_allclose(p - 1.0, Polynomial([0.0, 2.0]))
+    assert poly_allclose(2.0 * p, Polynomial([2.0, 4.0]))
+    assert poly_allclose(p * q, Polynomial([0.0, 0.0, 1.0, 2.0]))
+    assert poly_allclose(-p, Polynomial([-1.0, -2.0]))
     # (1 + 2x) o x^2 = 1 + 2x^2
-    assert poly_allclose(p(q), Poly([1.0, 0.0, 2.0]))
-
-
-def test_poly_is_numpy_polynomial():
-    p = Poly([1.0, 2.0, 3.0])
-    assert isinstance(p, Polynomial)
-    for r in (p + 1.0, p * p, p - p, -p, p.deriv(), p(Poly([0.0, 2.0]))):
-        assert type(r) is Poly
+    assert poly_allclose(p(q), Polynomial([1.0, 0.0, 2.0]))
 
 
 def test_poly_cancelling_sum_is_trimmed():
-    p = Poly([1.0, 2.0, 3.0])
-    s = p + Poly([0.5, -1.0, -3.0])
+    p = Polynomial([1.0, 2.0, 3.0])
+    s = p + Polynomial([0.5, -1.0, -3.0])
     assert s.coef.tolist() == [1.5, 1.0]
-    assert s.degree == 1 and s.coef[-1] == 1.0
-    z = p - p
-    assert z.is_zero() and z.degree == -1
-    assert (p * 0.0).degree == -1
+    assert (p - p).coef.tolist() == [0.0]
+    assert (p * 0.0).coef.tolist() == [0.0]
 
 
 def test_poly_deriv():
-    p = Poly([5.0, 1.0, 0.0, 2.0])
-    assert poly_allclose(p.deriv(), Poly([1.0, 0.0, 6.0]))
-    assert Poly([3.0]).deriv().is_zero()
+    p = Polynomial([5.0, 1.0, 0.0, 2.0])
+    assert poly_allclose(p.deriv(), Polynomial([1.0, 0.0, 6.0]))
+    assert Polynomial([3.0]).deriv().coef.tolist() == [0.0]
 
 
 @given(coeff_lists, coeff_lists)
 def test_poly_add_commutes(a, b):
-    p, q = Poly(a), Poly(b)
+    p, q = Polynomial(a), Polynomial(b)
     assert poly_allclose(p + q, q + p, tol=1e-12)
 
 
 @given(coeff_lists, st.floats(-3, 3, allow_nan=False))
 def test_poly_eval_matches_horner(a, x):
-    p = Poly(a)
+    p = Polynomial(a)
     acc = 0.0
     for c in p.coef[::-1]:
         acc = acc * x + c
@@ -106,16 +85,16 @@ def test_poly_eval_matches_horner(a, x):
 
 
 def test_chebyshev_U_low_orders():
-    assert poly_allclose(chebyshev_U(0), Poly([1.0]))
-    assert poly_allclose(chebyshev_U(1), Poly([0.0, 2.0]))
-    assert poly_allclose(chebyshev_U(2), Poly([-1.0, 0.0, 4.0]))
+    assert poly_allclose(chebyshev_U(0), Polynomial([1.0]))
+    assert poly_allclose(chebyshev_U(1), Polynomial([0.0, 2.0]))
+    assert poly_allclose(chebyshev_U(2), Polynomial([-1.0, 0.0, 4.0]))
     assert chebyshev_U(3)(0.5) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_chebyshev_T_low_orders():
-    assert poly_allclose(chebyshev_T(0), Poly([1.0]))
-    assert poly_allclose(chebyshev_T(1), Poly([0.0, 1.0]))
-    assert poly_allclose(chebyshev_T(4), Poly([1.0, 0.0, -8.0, 0.0, 8.0]))
+    assert poly_allclose(chebyshev_T(0), Polynomial([1.0]))
+    assert poly_allclose(chebyshev_T(1), Polynomial([0.0, 1.0]))
+    assert poly_allclose(chebyshev_T(4), Polynomial([1.0, 0.0, -8.0, 0.0, 8.0]))
 
 
 def test_chebyshev_negative_degree_rejected():
@@ -126,8 +105,8 @@ def test_chebyshev_negative_degree_rejected():
 
 
 def test_chebyshev_U_ext_convention():
-    assert chebyshev_U_ext(-1).is_zero()
-    assert chebyshev_U_ext(-2).is_zero()
+    assert chebyshev_U_ext(-1).coef.tolist() == [0.0]
+    assert chebyshev_U_ext(-2).coef.tolist() == [0.0]
     assert poly_allclose(chebyshev_U_ext(2), chebyshev_U(2))
     with pytest.raises(ValueError):
         chebyshev_U_ext(-3)
@@ -150,7 +129,7 @@ def test_chebyshev_trig_identities(n, x):
 
 @given(st.integers(1, 18))
 def test_chebyshev_recurrence_coefficientwise(n):
-    two_x = Poly([0.0, 2.0])
+    two_x = Polynomial([0.0, 2.0])
     lhs = two_x * chebyshev_U(n)
     rhs = chebyshev_U(n + 1) + chebyshev_U_ext(n - 1)
     assert poly_allclose(lhs, rhs, tol=1e-12)
@@ -214,21 +193,39 @@ def test_eval_three_term_centered_first_step():
 def test_monic_seq_exact_ring_gives_scaled_second_kind():
     # alpha = 0, omega = 1/4 in the exact ring: p_n = U_n / 2^n exactly.
     quarter = Fraction(1, 4)
-    seq = monic_seq(X, [0] * 9, [quarter] * 8, ONE)
-    for u, p in zip(chebyshev_seq(X, 8, ONE), seq):
+    seq = monic_seq(X, [0] * 9, [quarter] * 8)
+    for u, p in zip(chebyshev_seq(X, 8, X ** 0), seq):
         assert list(p.coef) == [c / Fraction(2) ** (len(u.coef) - 1)
                                 for c in u.coef]
 
 
 def test_monic_seq_reads_coefficients_as_they_are_appended():
     alpha, omega = [], []
-    seq = monic_seq(np.array([0.5, 2.0]), alpha, omega, np.ones(2))
+    seq = monic_seq(np.array([0.5, 2.0]), alpha, omega)
     assert np.array_equal(next(seq), [1.0, 1.0])
     alpha.append(0.5)
     np.testing.assert_array_equal(next(seq), [0.0, 1.5])
     alpha.append(1.0)
     omega.append(0.25)
     np.testing.assert_array_equal(next(seq), [-0.25, 1.25])
+
+
+def test_unit_is_x_to_the_zero_in_its_own_type():
+    # F_0 is x ** 0: ones of a float array's shape and dtype, also at inf and
+    # nan and with no floating-point warning, Polynomial([1.0]) for a float
+    # polynomial, and the exact ring's unit for the exact generator.
+    x = np.array([[0.5, np.inf], [np.nan, -2.0]], dtype=np.float32)
+    with np.errstate(all="raise"):
+        (one,) = family_values(x, [0], 0.0, 0.25)
+    assert type(one) is np.ndarray
+    assert one.shape == x.shape and one.dtype == x.dtype
+    assert np.all(one == 1.0)
+    (one,) = family_values(_X, [0], 0.0, 0.25)
+    assert type(one) is Polynomial and one == Polynomial([1.0])
+    (one,) = family_values(X, [0], 0.0, 0.25)
+    assert one == X ** 0 and one.coef.dtype == object
+    for p in (chebyshev_U(0), chebyshev_T(0), build_Q_lambda(0.5, 0)):
+        assert type(p) is Polynomial and p == Polynomial([1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +250,7 @@ def test_taylor_first_kind_generating_function():
 
 
 def test_taylor_polynomial_exact():
-    p = Poly([2.0, -1.0, 0.5, 3.0])
+    p = Polynomial([2.0, -1.0, 0.5, 3.0])
     got = taylor_coeffs_in_u(p, 5)
     np.testing.assert_allclose(got[:4], p.coef, atol=1e-13)
     np.testing.assert_allclose(got[4:], 0.0, atol=1e-13)

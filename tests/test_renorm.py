@@ -30,7 +30,7 @@ from freejacobi import (
     xi_shift,
 )
 from freejacobi import errors, measures
-from freejacobi.exact import ONE, X
+from freejacobi.exact import X
 from freejacobi.measures import FAMILIES, _family_data
 from freejacobi.polys import family_values
 from freejacobi.renorm import _admissible_u, _default_grid
@@ -431,8 +431,7 @@ def test_gram_keeps_the_recurrence_at_a_foreign_atom():
 
     def pair_values(x):
         x = np.asarray(x, dtype=float)
-        fam = np.array(family_values(x, range(13), alpha0, omega1,
-                                     np.ones_like(x)))
+        fam = np.array(family_values(x, range(13), alpha0, omega1))
         return fam[iu] * fam[ju]
 
     vals = np.asarray(measures._integrate_ac(m, pair_values), dtype=float)
@@ -563,14 +562,13 @@ _CROSS_PATH_CASES = [
 
 @pytest.mark.parametrize("fam, lam, th, variant", _CROSS_PATH_CASES)
 def test_family_paths_agree(fam, lam, th, variant):
-    # The Poly of build_*, the exact coefficients of the martingale path
+    # The Polynomial of build_*, the exact coefficients of the martingale path
     # (before the linear map) and the vectorized node values of family_gram
     # and the simulator all come from the one table entry and must agree.
     x = np.cos(np.linspace(0.0, np.pi, 20))
     n_max = 8
     vectorized = family_values(x, range(n_max + 1),
-                               *_family_data(fam, lam, th, **variant),
-                               np.ones_like(x))
+                               *_family_data(fam, lam, th, **variant))
     exact_data = _family_data(
         fam, Fraction(lam), None if th is None else Fraction(th), **variant)
     for n in range(n_max + 1):
@@ -580,7 +578,7 @@ def test_family_paths_agree(fam, lam, th, variant):
             poly = build_P_lambda(lam, n, **variant)
         else:
             poly = build_Q_lambda(lam, n)
-        (exact,) = family_values(X, [n], *exact_data, ONE)
+        (exact,) = family_values(X, [n], *exact_data)
         from_exact = np.polynomial.polynomial.polyval(
             x, [float(c) for c in exact.coef])
         np.testing.assert_allclose(poly(x), vectorized[n], rtol=0, atol=1e-12)
@@ -604,10 +602,10 @@ def test_family_values_are_the_chebyshev_combination_exactly(lam, th):
     # weights, computed by the separate Chebyshev recurrence.
     for fam, variant in _FAMILY_VARIANTS:
         got = family_values(X, range(13), *_family_data(fam, lam, th,
-                                                         **variant), ONE)
+                                                         **variant))
         beta, gamma = u_combination(fam, lam, th, **variant)
         for n in range(13):
-            assert got[n] == chebyshev_combination(X, n, beta, gamma, ONE), \
+            assert got[n] == chebyshev_combination(X, n, beta, gamma, X ** 0), \
                 (fam, variant, n)
 
 
@@ -620,7 +618,7 @@ def test_family_values_match_the_chebyshev_combination_at_nodes(lam, th):
     degrees = [*range(25), 1100]
     for fam, variant in _FAMILY_VARIANTS:
         got = family_values(x, degrees, *_family_data(fam, lam, th,
-                                                      **variant), one)
+                                                      **variant))
         beta, gamma = u_combination(fam, lam, th, **variant)
         for n, got_n in zip(degrees, got):
             want = chebyshev_combination(x, n, beta, gamma, one)

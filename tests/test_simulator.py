@@ -20,7 +20,7 @@ from freejacobi import (
     simulate_trials,
 )
 from freejacobi.cli import main as cli_main
-from freejacobi.exact import ONE, X, exact_sqrt
+from freejacobi.exact import X, exact_sqrt
 from freejacobi.martingale import stationary_moments
 from freejacobi.measures import _family_data, nu_map
 from freejacobi.polys import family_values
@@ -420,7 +420,7 @@ def test_trace_series_matches_eigh_reference(eigh_bm_reference):
             c = y[:s.p_rank, :s.q_rank]
             x = (2.0 * np.linalg.eigvalsh(c @ c.conj().T) - 1.0) \
                 / np.sqrt(lam * (2.0 - lam))
-            (f_n,) = family_values(x, [n], *data, np.ones_like(x))
+            (f_n,) = family_values(x, [n], *data)
             row.append(np.exp(n * t_now) * np.mean(f_n))
         per_trial.append(row)
     per_trial = np.array(per_trial)
@@ -460,7 +460,7 @@ def test_general_theta_trace_series():
     m = stationary_moments(lamF, thF, n)
     for variant in ("mean", "twice"):
         data = _family_data("Q_lambda_theta", lamF, thF, variant=variant)
-        (q,) = family_values(inner, [n], *data, ONE)
+        (q,) = family_values(inner, [n], *data)
         e_mu = float(sum(c * mk for c, mk in zip(q.coef, m)))
         _, series, state = simulate_trials(lam, th, 40, 48, times=times,
                                            n=n, family="Q_lambda_theta",
